@@ -6,8 +6,7 @@ dynamics forbids: rarefaction shocks, sonic shocks, and composite
 fan-shock-fan / shock-fan-shock patterns. This package builds those objects
 for two-dimensional steady ramp flow, for both the full Euler system and its
 isentropic irrotational (potential) reduction, together with the
-characteristic geometry, hodograph solves, and shock-front integration that
-support them.
+characteristic geometry that supports them.
 
 Modules:
   thermo          reduced van der Waals relations, loci, entropy landmarks
@@ -17,9 +16,6 @@ Modules:
   wavecurves      composite wave curves in the hodograph plane
   selfsimilar     self-similar ramp-flow assemblies (fan-shock-fan and
                   shock-fan-shock)
-  shockfront      curved shock-front integration driven by an upstream field
-  hodograph       Goursat solves on the inverted (invariant-plane) map
-  cli             command-line interface
 """
 
 __version__ = "0.1.0"

@@ -17,14 +17,16 @@ and at sonic states (q = c); both abort the integration.
 
 The same turning integral in speed, nu(q) = int sqrt(q^2-c^2)/(q c) dq with
 tau eliminated through the Bernoulli law, gives the potential-flow fan
-(sigma as a function of tau at frozen entropy), the Riemann invariants
-sigma +/- nu, and the total turning of a fan that expands to vacuum.
+(sigma as a function of tau at frozen entropy) and the Riemann invariants
+sigma +/- nu.  The total turning of a fan that expands to vacuum is the
+same integral taken in the volume variable u = tau^(-(gamma-1)/2), where
+the Bernoulli law gives q in closed form and the vacuum end u = 0 is a
+regular point of the integrand.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .thermo import (
@@ -33,7 +35,6 @@ from .thermo import (
     inflection_roots,
     pressure_tau,
     pressure_tautau,
-    tau_from_enthalpy_gap,
     tau_from_speed,
 )
 
@@ -48,24 +49,6 @@ class TargetTau:
 
     def signal(self, theta, q, tau, sigma):
         return tau - self.value
-
-
-@dataclass(frozen=True)
-class TargetTheta:
-    """Stop when the ray angle reaches `value`."""
-    value: float
-
-    def signal(self, theta, q, tau, sigma):
-        return theta - self.value
-
-
-@dataclass(frozen=True)
-class TargetSpeed:
-    """Stop when the flow speed reaches `value`."""
-    value: float
-
-    def signal(self, theta, q, tau, sigma):
-        return q - self.value
 
 
 @dataclass(frozen=True)
@@ -91,7 +74,7 @@ class FanSolution:
     """
 
     def __init__(self, theta_start, theta_end, direction, S, gas,
-                 dense, y0, nodes):
+                 dense, y0):
         self.theta_start = theta_start
         self.theta_end = theta_end
         self.direction = direction
@@ -99,7 +82,6 @@ class FanSolution:
         self.gas = gas
         self._dense = dense        # scipy OdeSolution, or None if zero-length
         self._y0 = y0
-        self.nodes = nodes         # theta values of the accepted steps
 
     def state(self, theta):
         """(q, tau, sigma, S) on the ray theta."""
@@ -124,6 +106,10 @@ class FanSolution:
 def _fan_rhs(S, gas):
     def rhs(theta, y):
         q, tau, sigma = y
+        if not tau > 1.0:
+            # a trial stage thrown past the covolume; NaN makes the step
+            # control reject the step and retry a shorter one
+            return (math.nan, math.nan, math.nan)
         pt = pressure_tau(tau, S, gas)
         ptt = pressure_tautau(tau, S, gas)
         c = tau * math.sqrt(-pt)
@@ -141,8 +127,9 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, stop, gas,
     Integrate a centered fan from the state (q0, tau0, sigma0, S0) on the
     ray theta0 until the `stop` predicate fires.
 
-    `stop` is one of TargetTau, TargetTheta, TargetSpeed, SlipLine;
-    `direction` is the sense in which theta advances (default decreasing).
+    `stop` is TargetTau or SlipLine; `direction` is the sense in which
+    theta advances (default decreasing).  The integrator is the 8th-order
+    Dormand-Prince pair DOP853 (rtol 1e-12, atol 1e-14) with dense output.
     The data must be centered (theta0 = sigma0 + arcsin(c0/q0)) and
     supersonic. Raises "inflection-hit" when p_tautau degenerates along
     the path and "sonic-degeneracy" when q reaches c.
@@ -161,7 +148,7 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, stop, gas,
     y0 = (q0, tau0, sigma0)
     if abs(stop.signal(theta0, q0, tau0, sigma0)) <= 1e-12 * (1.0 + abs(theta0)):
         return FanSolution(theta0, theta0, direction, S0, gas,
-                           dense=None, y0=y0, nodes=np.array([theta0]))
+                           dense=None, y0=y0)
 
     def stop_ev(theta, y):
         return stop.signal(theta, y[0], y[1], y[2])
@@ -183,7 +170,7 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, stop, gas,
         ev.terminal = True
 
     res = solve_ivp(_fan_rhs(S0, gas), (theta0, theta0 + direction * theta_span),
-                    y0, method="RK45", rtol=1e-12, atol=1e-14,
+                    y0, method="DOP853", rtol=1e-12, atol=1e-14,
                     dense_output=True,
                     events=(stop_ev, inflection_ev, sonic_ev))
     if res.status == -1:
@@ -220,7 +207,7 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, stop, gas,
             f"{theta_span} rad of theta0={theta0}")
     theta_end = float(res.t_events[0][0])
     return FanSolution(theta0, theta_end, direction, S0, gas,
-                       dense=res.sol, y0=y0, nodes=res.t)
+                       dense=res.sol, y0=y0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +234,13 @@ def vacuum_angle(q_d, tau_d, S_d, gas):
     to vacuum, as a (negative) offset from the flow direction at the fan
     foot: the vacuum ray sits at sigma_d + vacuum_angle(...).
 
-    The speed approaches q_lim = sqrt(q_d^2 + 2 h(tau_d, S_d)) (enthalpy
-    normalised to vanish at infinite volume) with an inverse-square-root
-    integrand; the substitution q = q_lim - t^2 removes the singularity.
+    Along the isentrope q dq = (c^2/tau) dtau, so the turning rate in
+    volume is c sqrt(q^2 - c^2)/(tau q^2), with q^2 = q_lim^2 - 2 h(tau)
+    from the Bernoulli law and q_lim^2 = q_d^2 + 2 h(tau_d, S_d) (enthalpy
+    normalised to vanish at infinite volume).  The integral is taken in
+    u = tau^(-(gamma-1)/2) over [0, tau_d^(-(gamma-1)/2)]: c/u stays finite
+    and the integrand tends to (2/(gamma-1)) sqrt(gamma S_d)/q_lim at the
+    vacuum end u = 0.
     Raises "divergent-limit" if the enthalpy has no finite vacuum limit,
     "sonic-degeneracy" if the foot state is not supersonic, and
     "out-of-window" if tau_d lies inside the nonconvex window (the
@@ -271,21 +262,22 @@ def vacuum_angle(q_d, tau_d, S_d, gas):
         raise ValueError(
             f"out-of-window: tau_d={tau_d} not beyond the nonconvex window "
             f"(tau2_i={tau2_i})")
-    pg = PotentialGas(gas=gas, S=S_d, bernoulli=0.5 * q_d**2 + h_d)
-    q_lim = pg.q_limit()
+    g = gas.gamma
+    k = 0.5 * (g - 1.0)
+    q_lim2 = q_d * q_d + 2.0 * h_d
 
-    def integrand(t):
-        q = q_lim - t * t
-        # enthalpy gap (q_lim^2 - q^2)/2 written without the cancellation
-        # that makes bernoulli - q^2/2 pure noise as t -> 0
-        gap = 0.5 * t * t * (2.0 * q_lim - t * t)
-        tau = tau_from_enthalpy_gap(gap, pg)
-        c = pg.c(tau)
-        return 2.0 * t * math.sqrt(q * q - c * c) / (q * c)
+    def integrand(u):
+        # w = 1/tau, r = 1/(tau-1): finite down to the vacuum end w = 0
+        w = u ** (1.0 / k)
+        r = w / (1.0 - w)
+        h = S_d * r ** (g - 1.0) * (g / (g - 1.0) + r) - 2.0 * w
+        q2 = q_lim2 - 2.0 * h
+        c_u2 = g * S_d * (1.0 - w) ** -(g + 1.0) - 2.0 * w ** (2.0 - g)
+        return math.sqrt(c_u2 * (q2 - c_u2 * u * u)) / q2
 
-    val, _ = quad(integrand, 0.0, math.sqrt(q_lim - q_d),
+    val, _ = quad(integrand, 0.0, tau_d ** -k,
                   epsabs=1e-13, epsrel=1e-12, limit=200)
-    return -val
+    return -val / k
 
 
 def pm_potential(tau, pgas, q_ref, sigma_ref, tau_ref):

@@ -214,8 +214,6 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
             f"wedge-angle-above-sigma_d: theta_w={theta_w} not below "
             f"sigma_d={sigma_d}")
     q_d = back.q
-    c_d = sound_speed(tau_d, S_d, gas)
-    theta_back = sigma_d + math.asin(c_d / q_d)
     alpha_v = sigma_d + vacuum_angle(q_d, tau_d, S_d, gas)
 
     meta = {"gas": gas, "S0": S0, "S_d": S_d, "tau_f_e": tau_fe,
@@ -225,7 +223,7 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
 
     if theta_w > alpha_v:
         try:
-            right = integrate_fan(q_d, tau_d, sigma_d, S_d, theta_back,
+            right = integrate_fan(q_d, tau_d, sigma_d, S_d, phi_d,
                                   SlipLine(theta_w), gas, theta_span=4.0)
         except ValueError as exc:
             raise ValueError(f"trailing-fan: {exc}") from exc
@@ -246,7 +244,7 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
         breakpoints = (alpha0, phi_d, alpha_w)
     else:
         try:
-            right = integrate_fan(q_d, tau_d, sigma_d, S_d, theta_back,
+            right = integrate_fan(q_d, tau_d, sigma_d, S_d, phi_d,
                                   TargetTau(CAVITATION_TAU), gas,
                                   theta_span=4.0)
         except ValueError as exc:

@@ -420,9 +420,21 @@ def liu_condition_check(tau_f, tau_b, pgas, n_grid=10000, slack=1e-10):
     if not tau_b < tau_f:
         raise ValueError(
             f"non-compressive-chord: requires tau_b={tau_b} < tau_f={tau_f}")
+    g, S = pgas.gas.gamma, pgas.S
+
+    def chord2(t):
+        # h(tau_f) - h(t) term by term: next to tau_f the two enthalpies
+        # agree to many digits and their plain difference is noise
+        x = np.log1p((tau_f - t) / (t - 1.0))
+        dh = (g * S / (g - 1.0) * (t - 1.0) ** (1.0 - g)
+              * np.expm1((1.0 - g) * x)
+              + S * (t - 1.0) ** -g * np.expm1(-g * x)
+              + 2.0 * (tau_f - t) / (tau_f * t))
+        return 2.0 * dh / ((tau_f - t) * (tau_f + t))
+
     tt = np.linspace(tau_b, tau_f, n_grid + 2)[1:-1]
-    chord_fb = _chord2(tau_b, tau_f, pgas)
-    chords = _chord2(tt, tau_f, pgas)
+    chord_fb = chord2(tau_b)
+    chords = chord2(tt)
     return bool(np.all(chords > chord_fb - slack * abs(chord_fb)))
 
 

@@ -28,10 +28,15 @@ adds a Bernoulli constant, wrapped in PotentialGas.
 
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.optimize import brentq
 
 BRENT_XTOL = 1e-13
 BRENT_MAXITER = 200
+# grid of the locus-crossing scan: steps taken outward from tau*, and the
+# steps evaluated per NumPy block
+SCAN_STEPS = 100000
+SCAN_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -352,20 +357,26 @@ def locus_intersections(S, gas):
     def f(t):
         return pressure(t, S, gas) - double_sonic_locus(t, gas)
 
-    # scan outward from tau* for the first sign change on each side
+    # scan outward from tau* for the first sign change on each side, on
+    # the grid tau* + k*step (k <= SCAN_STEPS) accumulated one step at a
+    # time and evaluated one block at a time
     def first_crossing(direction):
         step = direction * 0.01 * (tau_star - 1.0)
-        t_prev, f_prev = tau_star, f(tau_star)
-        for _ in range(100000):
-            t_next = t_prev + step
-            if t_next <= 1.0:
+        t_prev, above_prev = tau_star, f(tau_star) > 0.0
+        for start in range(0, SCAN_STEPS, SCAN_BLOCK):
+            n = min(SCAN_BLOCK, SCAN_STEPS - start)
+            tt = np.add.accumulate(np.r_[t_prev, np.full(n, step)])
+            below = np.flatnonzero(tt <= 1.0)
+            n_in = below[0] if below.size else n + 1
+            above = np.r_[above_prev, f(tt[1:n_in]) > 0.0]
+            change = np.flatnonzero(above[1:] != above[:-1])
+            if change.size:
+                a, b = sorted(tt[change[0]:change[0] + 2].tolist())
+                return brentq(f, a, b, xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
+            if n_in <= n:
                 raise ValueError(
                     f"no-intersection: no locus crossing below tau* at S={S}")
-            f_next = f(t_next)
-            if (f_prev > 0.0) != (f_next > 0.0):
-                a, b = sorted((t_prev, t_next))
-                return brentq(f, a, b, xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
-            t_prev, f_prev = t_next, f_next
+            t_prev, above_prev = float(tt[-1]), bool(above[-1])
         raise ValueError(f"no-intersection: no locus crossing at S={S}")
 
     return first_crossing(-1.0), first_crossing(+1.0)
@@ -482,34 +493,4 @@ def tau_from_speed(q, pgas):
     else:
         raise ValueError(
             f"stagnation-out-of-range: no volume with h = {target}")
-    return brentq(f, lo, hi, xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
-
-
-def tau_from_enthalpy_gap(gap, pgas):
-    """
-    Volume tau with h(tau) - h_limit = gap on the potential model.
-
-    Equivalent to tau_from_speed at q = sqrt(q_limit^2 - 2 gap), but takes
-    the gap itself so that callers near the cavitation limit can supply it
-    without the cancellation of bernoulli - q^2/2.  Requires gap > 0.
-    """
-    if gap <= 0.0:
-        raise ValueError(f"cavitation: enthalpy gap {gap} not positive")
-
-    def f(t):
-        return pgas.h(t) - pgas.h_limit() - gap
-
-    lo = 1.0 + 1e-12
-    hi = 2.0
-    if f(lo) < 0.0:
-        raise ValueError(
-            f"stagnation-out-of-range: no volume with enthalpy gap {gap}")
-    for _ in range(2000):
-        if f(hi) < 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise ValueError(
-            f"stagnation-out-of-range: no volume with enthalpy gap {gap}")
     return brentq(f, lo, hi, xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)

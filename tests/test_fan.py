@@ -1,9 +1,12 @@
 """Centered-fan layer: ODE invariants, turning integrals, vacuum limit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 
 from bztflow import fan, shocks, thermo
 
@@ -146,7 +149,8 @@ def test_downstream_fan_slip_stop():
 
 
 def test_fan_turning_matches_quadrature():
-    # same turning angle from the ODE and from the speed-integral route
+    # same turning from the ODE and from the speed-integral route, at the
+    # fan end and on interior rays
     phi_d, u_d, v_d, tau_d, S_d = downstream_foot()
     q_d = math.hypot(u_d, v_d)
     sigma_d = math.atan2(v_d, u_d)
@@ -161,6 +165,11 @@ def test_fan_turning_matches_quadrature():
     sigma_quad = sigma_d - fan.turning_angle(q_d, q_hat, pg)
     assert q_end == pytest.approx(q_hat, rel=1e-9)
     assert sigma_end == pytest.approx(sigma_quad, abs=1e-7)
+    for theta in np.linspace(sol.theta_start, sol.theta_end, 9)[1:-1]:
+        q, tau, sigma, _ = sol.state(theta)
+        sigma_hat, alpha_hat = fan.pm_potential(tau, pg, q_d, sigma_d, tau_d)
+        assert abs(sigma - sigma_hat) < 1e-10
+        assert abs(theta - alpha_hat) < 1e-10
 
 
 def test_vacuum_angle_bounds_the_wall_fan():
@@ -193,6 +202,54 @@ def test_vacuum_angle_guards():
                          TAU_D, S_D, G15)
     with pytest.raises(ValueError, match="out-of-window"):
         fan.vacuum_angle(1.0, 0.5 * (TAU1_I + TAU2_I), S98, G15)
+
+
+def speed_variable_vacuum_angle(q_d, tau_d, S_d, gas):
+    """Vacuum turning as the speed integral int sqrt(q^2-c^2)/(q c) dq up
+    to q_lim, with q = q_lim - t^2 and the volume found by root-finding on
+    the enthalpy gap (reference for fan.vacuum_angle)."""
+    pg = thermo.PotentialGas(
+        gas=gas, S=S_d,
+        bernoulli=0.5 * q_d**2 + thermo.enthalpy(tau_d, S_d, gas))
+    q_lim = pg.q_limit()
+
+    def tau_of_gap(gap):
+        def f(t):
+            return pg.h(t) - pg.h_limit() - gap
+        lo, hi = 1.0 + 1e-12, 2.0
+        while f(hi) >= 0.0:
+            lo, hi = hi, 2.0 * hi
+        return brentq(f, lo, hi, xtol=thermo.BRENT_XTOL,
+                      maxiter=thermo.BRENT_MAXITER)
+
+    def integrand(t):
+        q = q_lim - t * t
+        # the gap (q_lim^2 - q^2)/2 without the cancellation of
+        # bernoulli - q^2/2 as t -> 0
+        tau = tau_of_gap(0.5 * t * t * (2.0 * q_lim - t * t))
+        c = pg.c(tau)
+        return 2.0 * t * math.sqrt(q * q - c * c) / (q * c)
+
+    val, _ = quad(integrand, 0.0, math.sqrt(q_lim - q_d),
+                  epsabs=1e-13, epsrel=1e-12, limit=200)
+    return -val
+
+
+@pytest.mark.parametrize("gamma", [1.3, 1.6, 1.9])
+@pytest.mark.parametrize("mach", [1.0 + 1e-6, 3.0, 50.0])
+def test_vacuum_angle_matches_speed_integral(gamma, mach):
+    # foot states just above sonic, in between, and close to q_lim
+    gas = thermo.GasModel(gamma)
+    S_star, _, S_cr = thermo.critical_entropies(gas)
+    S = 0.5 * (S_cr + S_star)
+    _, tau2_i = thermo.inflection_roots(S, gas)
+    for tau_d in (1.5 * tau2_i, 1e3 * tau2_i):
+        q_d = mach * thermo.sound_speed(tau_d, S, gas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            got = fan.vacuum_angle(q_d, tau_d, S, gas)
+        ref = speed_variable_vacuum_angle(q_d, tau_d, S, gas)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

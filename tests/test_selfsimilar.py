@@ -253,6 +253,19 @@ def test_euler_vacuum_tail():
     assert rep.slip_residual == 0.0
 
 
+def test_euler_trailing_fan_starts_on_the_shock_ray():
+    # high-Mach cavitation case where the ray recomputed from the back
+    # state, sigma_d + arcsin(c_d/q_d), rounds above phi_d; a fan started
+    # there put the shock-back junction 1.16e-9 inside the fan
+    sol = ss.solve_euler_fsf(90.58529873840524, 1.0923046197754214,
+                             0.4102222434541033, -0.7227295075563864,
+                             GasModel(1.643981048464775))
+    assert sol.pieces[2].fan.solution.theta_start == sol.meta["phi_d"]
+    rep = ss.validate(sol)
+    assert rep.max_junction_gap < 1e-10
+    assert rep.ok
+
+
 @pytest.mark.parametrize("u0, tau0, S0, theta_w, msg", [
     (U0_R, TAU0_R, S98, 0.1, "assumption-A1-violated.*theta_w"),
     (U0_R, 6.0, S98, -0.5, "assumption-A1-violated.*tau0"),
@@ -350,6 +363,19 @@ def test_potential_degenerate_tail():
     assert tail.back.tau == tail.front.tau
     assert tail.kind == "double_sonic"
     assert ss.validate(sol).ok
+
+
+def test_potential_liu_check_next_to_the_front():
+    # flat isentrope at tau0 ~ 516: the back volumes next to tau_f carry
+    # enthalpy differences far below the enthalpies themselves
+    pgas = PotentialGas.from_state(GasModel(1.7695926455780864),
+                                   0.5015107946990929, 0.5001902721173039,
+                                   516.2033971219385, bernoulli=1.0)
+    sol = ss.solve_potential_sfs(0.5001902721173039, 516.2033971219385,
+                                 0.36898805709241045, pgas)
+    rep = ss.validate(sol)
+    assert rep.liu_ok
+    assert rep.ok
 
 
 def test_potential_scale_invariance():

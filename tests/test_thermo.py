@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from bztflow import thermo
 
@@ -197,6 +198,58 @@ def test_locus_intersections():
     assert tf < t1 < 8.0 < t2 < tb
     with pytest.raises(ValueError, match="no-intersection"):
         thermo.locus_intersections(1.5 * S_STAR_15, G15)
+
+
+def scalar_locus_intersections(S, gas):
+    """The locus scan one grid point at a time (reference for the blocked
+    scan of thermo.locus_intersections)."""
+    g = gas.gamma
+    tau_star = 4.0 / (2.0 - g)
+
+    def f(t):
+        return thermo.pressure(t, S, gas) - thermo.double_sonic_locus(t, gas)
+
+    def first_crossing(direction):
+        step = direction * 0.01 * (tau_star - 1.0)
+        t_prev, f_prev = tau_star, f(tau_star)
+        for _ in range(100000):
+            t_next = t_prev + step
+            if t_next <= 1.0:
+                raise ValueError(
+                    f"no-intersection: no locus crossing below tau* at S={S}")
+            f_next = f(t_next)
+            if (f_prev > 0.0) != (f_next > 0.0):
+                a, b = sorted((t_prev, t_next))
+                return brentq(f, a, b, xtol=thermo.BRENT_XTOL,
+                              maxiter=thermo.BRENT_MAXITER)
+            t_prev, f_prev = t_next, f_next
+        raise ValueError(f"no-intersection: no locus crossing at S={S}")
+
+    return first_crossing(-1.0), first_crossing(+1.0)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("gamma", [1.05, 1.3, 1.6, 1.9])
+def test_locus_scan_matches_scalar_scan(gamma):
+    # roots and messages bit for bit, across the no-intersection band
+    # just above S_cr and up to S*
+    gas = thermo.GasModel(gamma)
+    S_star, _, S_cr = thermo.critical_entropies(gas)
+    codes = set()
+    for frac in (1e-9, 0.01, 0.2, 0.5, 0.9, 0.999, 1.0 - 1e-9):
+        S = S_cr + frac * (S_star - S_cr)
+        got = outcome(thermo.locus_intersections, S, gas)
+        assert got == outcome(scalar_locus_intersections, S, gas)
+        codes.add("no-intersection" if isinstance(got, str) else "ok")
+    assert "ok" in codes
+    if gamma > 1.5:
+        assert "no-intersection" in codes
 
 
 def test_enthalpy_consistency():
