@@ -5,36 +5,46 @@ Centered simple waves (Prandtl-Meyer fans).
 A centered fan is a one-parameter family of states indexed by the ray angle
 theta = arctan(y/x): each ray is a straight characteristic tangent to the
 local sonic circle, which forces sigma + A = theta with A = arcsin(c/q) the
-Mach angle. Differentiating that constraint along the Bernoulli law turns
-the fan into an ODE system in theta for (q, tau, sigma) at frozen entropy:
+Mach angle.  At frozen entropy S and Bernoulli constant the fan is a
+closed-form integral along the isentrope: q^2 = q_lim^2 - 2 h(tau), and
+q dq = (c^2/tau) dtau turns the flow at the rate
 
-    q'     =  2 c p_tau cos(A) / (tau p_tautau)
-    tau'   = -2 q c cos(A) / (tau^2 p_tautau)
-    sigma' = -2 p_tau cos^2(A) / (tau p_tautau)
+    dsigma/dtau = -c sqrt(q^2 - c^2)/(tau q^2).
 
-The system degenerates at inflection points of the isentrope (p_tautau = 0)
-and at sonic states (q = c); both abort the integration.
+The Euler fan takes that integral in the volume variable
+u = tau^(-k), k = (gamma-1)/2, where u = 0 is vacuum.  With w = 1/tau,
+c_u^2 = c^2/u^2 = gamma S (1-w)^-(gamma+1) - 2 w^(2-gamma) and
+
+    dsigma/du = sqrt(c_u^2 (q^2 - c_u^2 u^2)) / (k q^2),
+
+the integrand stays finite up to and including the vacuum end.  It is
+fitted on adaptive Chebyshev panels in u and integrated term by term, so
+sigma(u) is a stored series and the ray theta(u) = sigma + arcsin(c/q) is
+monotone in u on a convex stretch of the isentrope.  A ray is mapped back
+to u by bisection on the panel nodes and safeguarded Newton steps.  The
+construction stops short of the inflection window of the isentrope
+(p_tautau = 0) and requires a supersonic foot.
 
 The same turning integral in speed, nu(q) = int sqrt(q^2-c^2)/(q c) dq with
 tau eliminated through the Bernoulli law, gives the potential-flow fan
 (sigma as a function of tau at frozen entropy) and the Riemann invariants
-sigma +/- nu.  The total turning of a fan that expands to vacuum is the
-same integral taken in the volume variable u = tau^(-(gamma-1)/2), where
-the Bernoulli law gives q in closed form and the vacuum end u = 0 is a
-regular point of the integrand.
+sigma +/- nu.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from scipy.integrate import quad, solve_ivp
+import numpy as np
+from numpy.polynomial import chebyshev
+# solve_ivp stays bound here: the benchmark tracer wraps fan.solve_ivp
+from scipy.integrate import quad, solve_ivp  # noqa: F401
 
 from .thermo import (
     PotentialGas,
     enthalpy,
     inflection_roots,
     pressure_tau,
-    pressure_tautau,
     tau_from_speed,
 )
 
@@ -64,75 +74,270 @@ class SlipLine:
 # ---------------------------------------------------------------------------
 # Euler fan
 
-INFLECTION_GUARD = 1e-10
+# Chebyshev-Lobatto points per panel and the cap on the panel count.  A
+# panel is accepted when its last two coefficients fall below TAIL_TOL of
+# the integrand scale, or when their product with the half-width (the
+# panel's error in radians) stays within BUDGET_TOL of the scale times the
+# whole u interval, or of one radian if that is larger.  The budget ends
+# refinement where rounding noise, not resolution, sets the tail: near a
+# sonic foot q^2 - c^2 cancels, and a short fan's turning is far below
+# what a double resolves in sigma.
+PANEL_POINTS = 17
+MAX_PANELS = 512
+TAIL_TOL = 1e-13
+BUDGET_TOL = 1e-15
+NEWTON_STEPS = 6
+
+_M = PANEL_POINTS - 1
+_X = -np.cos(np.pi * np.arange(PANEL_POINTS) / _M)          # ascending
+_T = np.cos(np.outer(np.arccos(_X), np.arange(PANEL_POINTS + 1)))
+_HALF = np.ones(PANEL_POINTS)
+_HALF[[0, -1]] = 0.5
+# values at _X -> Chebyshev coefficients (discrete orthogonality)
+_FIT = (2.0 / _M) * _HALF[:, None] * _T[:, :PANEL_POINTS].T * _HALF
+_XS = _X.tolist()
+
+
+def _forms(lw, g, S, q_lim2, xp):
+    """Closed forms at lw = log(w), w = 1/tau: (c_u^2, q^2, P) with
+    c_u^2 = c^2/u^2, q^2 from the Bernoulli law and P = tau^(gamma+2)
+    p_tautau.  `xp` is math for scalars or numpy for arrays."""
+    w = xp.exp(lw)
+    omw = -xp.expm1(lw)              # 1 - w without cancellation near tau=1
+    r = w / omw
+    h = S * r ** (g - 1.0) * (g / (g - 1.0) + r) - 2.0 * w
+    w2g = w ** (2.0 - g)
+    c_u2 = g * S * omw ** -(g + 1.0) - 2.0 * w2g
+    P = g * (g + 1.0) * S * omw ** -(g + 2.0) - 6.0 * w2g
+    return c_u2, q_lim2 - 2.0 * h, P
+
+
+def _tau_of(lw):
+    return math.exp(-lw) if lw > -700.0 else math.inf
+
+
+def _clenshaw(c0, rest, x):
+    """sum c_k T_k(x) with rest = (c_n, ..., c_1)."""
+    b1 = b2 = 0.0
+    x2 = x + x
+    for c in rest:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return c0 + x * b1 - b2
+
+
+class _Turning:
+    """sigma(u) on Chebyshev panels from the foot u_hi down to u_lo, with
+    the ray theta(u) tabulated at the panel nodes.  A point is addressed
+    as (panel p, x) with u = mid_p + hw_p x."""
+
+    def __init__(self, u_lo, u_hi, sigma0, S, q_lim2, gas):
+        g = gas.gamma
+        self.g, self.k, self.S, self.q_lim2 = g, 0.5 * (g - 1.0), S, q_lim2
+        k = self.k
+        span = u_hi - u_lo
+
+        def integrand(mid, hw, x):
+            u = mid + hw * x
+            with np.errstate(divide="ignore"):
+                c_u2, q2, P = _forms(np.log(u) / k, g, S, q_lim2, np)
+            m2 = q2 - c_u2 * u * u
+            if not (np.all(c_u2 > 0.0) and np.all(m2 > -1e-12 * q2)):
+                raise ValueError(
+                    "sonic-degeneracy: q reached c along the fan")
+            m2 = np.maximum(m2, 0.0)
+            return np.sqrt(c_u2 * m2) / (k * q2), u, c_u2, q2, P, m2
+
+        # adaptive panels; every round evaluates all pending panels at once
+        done = []
+        edges = np.linspace(u_lo, u_hi, 5)
+        pending = np.stack([edges[:-1], edges[1:]], axis=1)
+        scale = 0.0
+        while len(pending):
+            mid = 0.5 * (pending[:, 0] + pending[:, 1])
+            hw = 0.5 * (pending[:, 1] - pending[:, 0])
+            f = integrand(mid[:, None], hw[:, None], _X)[0]
+            scale = max(scale, float(np.max(f)))
+            coef = f @ _FIT.T
+            tail = np.abs(coef[:, -1]) + np.abs(coef[:, -2])
+            ok = ((tail <= TAIL_TOL * scale)
+                  | (tail * hw <= BUDGET_TOL * max(scale * span, 1.0)))
+            done.append(np.column_stack([pending[ok], coef[ok]]))
+            split = pending[~ok]
+            pending = np.concatenate(
+                [np.column_stack([split[:, 0], mid[~ok]]),
+                 np.column_stack([mid[~ok], split[:, 1]])])
+            if sum(map(len, done)) + len(pending) > MAX_PANELS:
+                raise ValueError(
+                    f"no-convergence: fan integrand needs more than "
+                    f"{MAX_PANELS} panels on u in [{u_lo}, {u_hi}]")
+        panels = np.concatenate(done)
+        panels = panels[np.argsort(panels[:, 0])]
+        a, b, coef = panels[:, 0], panels[:, 1], panels[:, 2:]
+        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
+
+        # sigma series: antiderivative per panel, chained down from the foot
+        G = chebyshev.chebint(coef, axis=1) * hw[:, None]
+        top, bottom = G.sum(axis=1), G @ (-1.0) ** np.arange(G.shape[1])
+        drop = top - bottom
+        sigma_top = sigma0 - (np.cumsum(drop[::-1])[::-1] - drop)
+        G[:, 0] += sigma_top - top
+
+        # nodes ascending in u: each panel's points but its top, then the
+        # foot as the top of the last panel
+        f, u, c_u2, q2, P, m2 = (
+            np.append(v[:, :-1].ravel(), v[-1, -1])
+            for v in integrand(mid[:, None], hw[:, None], _X))
+        sig = G @ _T.T
+        sig = np.append(sig[:, :-1].ravel(), sigma_top[-1])
+        self.sigmas = sig.tolist()
+        self.rates = f.tolist()
+        # c/q rounds above 1 where q^2 - c^2 was clamped at a sonic foot
+        self.thetas = (sig + np.arcsin(np.minimum(np.sqrt(c_u2 / q2) * u,
+                                                  1.0))).tolist()
+        with np.errstate(divide="ignore"):
+            self.slopes = (P / (2.0 * k * np.sqrt(c_u2 * m2))).tolist()
+        self.panels = [(m_, h_, c[0], c[:0:-1])
+                       for m_, h_, c in zip(mid.tolist(), hw.tolist(),
+                                            G.tolist())]
+
+    def point(self, p, x):
+        """(sigma, theta, dtheta/du, dsigma/du, q^2, log w) at x on panel
+        p."""
+        g, k = self.g, self.k
+        mid, hw, c0, rest = self.panels[p]
+        u = mid + hw * x
+        lw = math.log(u) / k if u > 0.0 else -math.inf
+        c_u2, q2, P = _forms(lw, g, self.S, self.q_lim2, math)
+        m2 = max(q2 - c_u2 * u * u, 0.0)
+        root = math.sqrt(c_u2 * m2)
+        sigma = _clenshaw(c0, rest, x)
+        theta = sigma + math.asin(min(math.sqrt(c_u2 / q2) * u, 1.0))
+        dtheta = P / (2.0 * k * root) if root > 0.0 else math.inf
+        return sigma, theta, dtheta, root / (k * q2), q2, lw
+
+    def solve(self, target, values, slopes, pick):
+        """The point where the quantity tabulated at the nodes by `values`
+        (increasing in u, with derivative `slopes`) equals target; pick
+        selects (value, derivative) from point().  Returns point() there."""
+        i = min(max(bisect_right(values, target) - 1, 0), len(values) - 2)
+        p, j = divmod(i, _M)
+        hw = self.panels[p][1]
+        lo, hi = _XS[j], _XS[j + 1]
+        v_lo, v_hi = values[i], values[i + 1]
+        s_lo, s_hi = slopes[i] * hw, slopes[i + 1] * hw
+        dv = v_hi - v_lo
+        t = min(max((target - v_lo) / dv, 0.0), 1.0) if dv > 0.0 else 0.5
+        x = lo + t * (hi - lo)
+        if s_lo > 0.0 and s_hi > 0.0:
+            # cubic Hermite of x over the value
+            t2, t3 = t * t, t * t * t
+            xh = ((2 * t3 - 3 * t2 + 1) * lo + (t3 - 2 * t2 + t) * dv / s_lo
+                  + (3 * t2 - 2 * t3) * hi + (t3 - t2) * dv / s_hi)
+            if lo <= xh <= hi:
+                x = xh
+        # resolved once the value is within its own rounding, or the step
+        # within the rounding of x
+        v_tol = 1e-14 * (1.0 + abs(target))
+        x_tol = 1e-13 * (hi - lo) + 4e-16
+        for _ in range(NEWTON_STEPS):
+            pt = self.point(p, x)
+            value, slope = pick(pt)
+            if value < target:
+                lo = x
+            else:
+                hi = x
+            step = (target - value) / (slope * hw) if slope > 0.0 else 0.0
+            if abs(step) <= x_tol or abs(target - value) <= v_tol:
+                break
+            x += step
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+        return pt
+
+
+def _theta_pick(pt):
+    return pt[1], pt[2]
+
+
+def _sigma_pick(pt):
+    return pt[0], pt[3]
 
 
 class FanSolution:
     """
-    Dense-output centered fan: theta in [theta_end, theta_start] (or the
-    reverse), entropy frozen at S, with state(theta) -> (q, tau, sigma, S).
+    Centered fan from the foot ray theta_start down to theta_end, entropy
+    frozen at S, with state(theta) -> (q, tau, sigma, S).  Rays between the
+    two ends are mapped to the volume variable through the stored turning
+    series; q and tau then follow in closed form, so the Bernoulli law and
+    the ray tangency hold on every ray.  The end states are stored as
+    built.
     """
 
-    def __init__(self, theta_start, theta_end, direction, S, gas,
-                 dense, y0):
+    def __init__(self, theta_start, theta_end, S, gas, foot, end,
+                 turning=None):
         self.theta_start = theta_start
         self.theta_end = theta_end
-        self.direction = direction
         self.S = S
         self.gas = gas
-        self._dense = dense        # scipy OdeSolution, or None if zero-length
-        self._y0 = y0
+        self._foot = foot          # (q, tau, sigma) on theta_start
+        self._end = end            # (q, tau, sigma) on theta_end
+        self._turning = turning    # _Turning, or None if zero-length
 
     def state(self, theta):
         """(q, tau, sigma, S) on the ray theta."""
-        lo = min(self.theta_start, self.theta_end)
-        hi = max(self.theta_start, self.theta_end)
+        lo, hi = self.theta_end, self.theta_start
         tol = 1e-12 * (1.0 + hi - lo)
         if not (lo - tol <= theta <= hi + tol):
             raise ValueError(
                 f"theta-out-of-range: {theta} outside [{lo}, {hi}]")
-        if self._dense is None:
-            q, tau, sigma = self._y0
+        tr = self._turning
+        if theta >= hi or tr is None or theta >= tr.thetas[-1]:
+            q, tau, sigma = self._foot
+        elif theta <= lo:
+            q, tau, sigma = self._end
         else:
-            q, tau, sigma = self._dense(min(max(theta, lo), hi))
-        return float(q), float(tau), float(sigma), self.S
+            sigma, _, _, _, q2, lw = tr.solve(theta, tr.thetas, tr.slopes,
+                                              _theta_pick)
+            q, tau = math.sqrt(q2), _tau_of(lw)
+        return q, tau, sigma, self.S
 
     def velocity(self, theta):
         """(u, v) on the ray theta."""
         q, _, sigma, _ = self.state(theta)
         return q * math.cos(sigma), q * math.sin(sigma)
 
-
-def _fan_rhs(S, gas):
-    def rhs(theta, y):
-        q, tau, sigma = y
-        if not tau > 1.0:
-            # a trial stage thrown past the covolume; NaN makes the step
-            # control reject the step and retry a shorter one
-            return (math.nan, math.nan, math.nan)
-        pt = pressure_tau(tau, S, gas)
-        ptt = pressure_tautau(tau, S, gas)
-        c = tau * math.sqrt(-pt)
-        sinA = c / q
-        cosA = math.sqrt(max(0.0, 1.0 - sinA * sinA))
-        return (2.0 * c * pt * cosA / (tau * ptt),
-                -2.0 * q * c * cosA / (tau**2 * ptt),
-                -2.0 * pt * cosA * cosA / (tau * ptt))
-    return rhs
+    def slip_line(self, theta_w):
+        """The same fan ended on the ray where the flow direction reaches
+        theta_w.  Raises "no-convergence" when theta_w lies outside the
+        directions the fan passes through."""
+        tr = self._turning
+        sigma_end, sigma0 = self._end[2], self._foot[2]
+        if tr is None or not sigma_end <= theta_w < sigma0:
+            raise ValueError(
+                f"no-convergence: slip line theta_w={theta_w} outside the "
+                f"fan's flow directions [{sigma_end}, {sigma0}]")
+        sigma, theta, _, _, q2, lw = tr.solve(theta_w, tr.sigmas, tr.rates,
+                                              _sigma_pick)
+        return FanSolution(self.theta_start, theta, self.S, self.gas,
+                           self._foot, (math.sqrt(q2), _tau_of(lw), sigma),
+                           tr)
 
 
-def integrate_fan(q0, tau0, sigma0, S0, theta0, stop, gas,
-                  direction=-1, theta_span=math.pi):
+def integrate_fan(q0, tau0, sigma0, S0, theta0, stop, gas):
     """
-    Integrate a centered fan from the state (q0, tau0, sigma0, S0) on the
-    ray theta0 until the `stop` predicate fires.
+    Build the centered fan from the state (q0, tau0, sigma0, S0) on the
+    ray theta0, expanding (theta decreasing) until the `stop` predicate
+    fires.
 
-    `stop` is TargetTau or SlipLine; `direction` is the sense in which
-    theta advances (default decreasing).  The integrator is the 8th-order
-    Dormand-Prince pair DOP853 (rtol 1e-12, atol 1e-14) with dense output.
-    The data must be centered (theta0 = sigma0 + arcsin(c0/q0)) and
-    supersonic. Raises "inflection-hit" when p_tautau degenerates along
-    the path and "sonic-degeneracy" when q reaches c.
+    `stop` is TargetTau (TargetTau(math.inf) runs to vacuum, where the end
+    ray is the flow direction) or SlipLine, the root of sigma(u) = theta_w
+    on the fan built to vacuum.  The turning is the u-integral of the
+    module docstring on adaptive Chebyshev panels.  The data must be
+    centered (theta0 = sigma0 + arcsin(c0/q0)) and supersonic.  Raises
+    "sonic-degeneracy" for a foot at or below sonic, "not-centered",
+    "inflection-hit" when [tau0, tau_end] meets the inflection window of
+    the isentrope, and "no-convergence" when the stop lies behind the foot
+    or the panels exceed MAX_PANELS.
     """
     pt0 = pressure_tau(tau0, S0, gas)
     c0 = tau0 * math.sqrt(-pt0)
@@ -145,69 +350,38 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, stop, gas,
             f"not-centered: theta0={theta0} differs from sigma0+A0="
             f"{sigma0 + A0}")
 
-    y0 = (q0, tau0, sigma0)
+    foot = (q0, tau0, sigma0)
     if abs(stop.signal(theta0, q0, tau0, sigma0)) <= 1e-12 * (1.0 + abs(theta0)):
-        return FanSolution(theta0, theta0, direction, S0, gas,
-                           dense=None, y0=y0)
+        return FanSolution(theta0, theta0, S0, gas, foot, foot)
 
-    def stop_ev(theta, y):
-        return stop.signal(theta, y[0], y[1], y[2])
+    slip = isinstance(stop, SlipLine)
+    tau_end = math.inf if slip else stop.value
+    if not tau_end > tau0:
+        raise ValueError(
+            f"no-convergence: stop {stop} lies behind the foot tau0={tau0}; "
+            f"a fan expands")
+    try:
+        tau1_i, tau2_i = inflection_roots(S0, gas)
+    except ValueError:
+        tau1_i = tau2_i = None      # convex isentrope: no window
+    if tau1_i is not None and tau0 <= tau2_i and tau_end >= tau1_i:
+        raise ValueError(
+            f"inflection-hit: [{tau0}, {tau_end}] meets the p_tautau <= 0 "
+            f"window [{tau1_i}, {tau2_i}]")
 
-    # signed so that the signal stays negative once the band is crossed,
-    # however large the step that crossed it
-    ptt_sign = math.copysign(1.0, pressure_tautau(tau0, S0, gas))
-
-    def inflection_ev(theta, y):
-        q, tau, sigma = y
-        return (ptt_sign * pressure_tautau(tau, S0, gas)
-                - INFLECTION_GUARD * abs(pressure_tau(tau, S0, gas)) / tau)
-
-    def sonic_ev(theta, y):
-        q, tau, sigma = y
-        return q - tau * math.sqrt(-pressure_tau(tau, S0, gas))
-
-    for ev in (stop_ev, inflection_ev, sonic_ev):
-        ev.terminal = True
-
-    res = solve_ivp(_fan_rhs(S0, gas), (theta0, theta0 + direction * theta_span),
-                    y0, method="DOP853", rtol=1e-12, atol=1e-14,
-                    dense_output=True,
-                    events=(stop_ev, inflection_ev, sonic_ev))
-    if res.status == -1:
-        # Step-size underflow.  The usual cause is the fold at the inflection
-        # locus, where dtau/dtheta diverges and the stepper stalls a little
-        # before the guard event can cross zero.  Attribute the failure by
-        # looking at where the integration died.
-        q_end, tau_end, _ = res.y[:, -1]
+    k = 0.5 * (gas.gamma - 1.0)
+    q_lim2 = q0 * q0 + 2.0 * enthalpy(tau0, S0, gas)
+    tr = _Turning(tau_end ** -k, tau0 ** -k, sigma0, S0, q_lim2, gas)
+    sigma_end = tr.sigmas[0]
+    if math.isinf(tau_end):
+        end, theta_end = (math.sqrt(q_lim2), tau_end, sigma_end), sigma_end
+    else:
+        q_end = math.sqrt(q_lim2 - 2.0 * enthalpy(tau_end, S0, gas))
         c_end = tau_end * math.sqrt(-pressure_tau(tau_end, S0, gas))
-        try:
-            t1i, t2i = inflection_roots(S0, gas)
-        except ValueError:
-            t1i = t2i = None
-        if t1i is not None and min(abs(tau_end - t1i),
-                                   abs(tau_end - t2i)) <= 1e-6 * tau_end:
-            raise ValueError(
-                f"inflection-hit: integration stalled at tau={tau_end} "
-                f"against the p_tautau = 0 locus")
-        if abs(q_end - c_end) <= 1e-6 * q_end:
-            raise ValueError(
-                f"sonic-degeneracy: integration stalled at q={q_end} "
-                f"with c={c_end}")
-        raise ValueError(f"no-convergence: {res.message}")
-    if res.t_events[1].size:
-        raise ValueError(
-            f"inflection-hit: p_tautau degenerate at theta="
-            f"{res.t_events[1][0]}")
-    if res.t_events[2].size:
-        raise ValueError(
-            f"sonic-degeneracy: q reached c at theta={res.t_events[2][0]}")
-    if not res.t_events[0].size:
-        raise ValueError(
-            f"no-convergence: stop {stop} never fired within "
-            f"{theta_span} rad of theta0={theta0}")
-    theta_end = float(res.t_events[0][0])
-    return FanSolution(theta0, theta_end, direction, S0, gas,
-                       dense=res.sol, y0=y0)
+        end = (q_end, tau_end, sigma_end)
+        theta_end = sigma_end + math.asin(c_end / q_end)
+    sol = FanSolution(theta0, theta_end, S0, gas, foot, end, tr)
+    return sol.slip_line(stop.theta_w) if slip else sol
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +408,9 @@ def vacuum_angle(q_d, tau_d, S_d, gas):
     to vacuum, as a (negative) offset from the flow direction at the fan
     foot: the vacuum ray sits at sigma_d + vacuum_angle(...).
 
-    Along the isentrope q dq = (c^2/tau) dtau, so the turning rate in
-    volume is c sqrt(q^2 - c^2)/(tau q^2), with q^2 = q_lim^2 - 2 h(tau)
-    from the Bernoulli law and q_lim^2 = q_d^2 + 2 h(tau_d, S_d) (enthalpy
-    normalised to vanish at infinite volume).  The integral is taken in
-    u = tau^(-(gamma-1)/2) over [0, tau_d^(-(gamma-1)/2)]: c/u stays finite
-    and the integrand tends to (2/(gamma-1)) sqrt(gamma S_d)/q_lim at the
-    vacuum end u = 0.
+    It is the end ray of the fan built from sigma = 0 to u = 0 by
+    integrate_fan, where the Mach angle vanishes and the ray is the flow
+    direction.
     Raises "divergent-limit" if the enthalpy has no finite vacuum limit,
     "sonic-degeneracy" if the foot state is not supersonic, and
     "out-of-window" if tau_d lies inside the nonconvex window (the
@@ -262,22 +432,8 @@ def vacuum_angle(q_d, tau_d, S_d, gas):
         raise ValueError(
             f"out-of-window: tau_d={tau_d} not beyond the nonconvex window "
             f"(tau2_i={tau2_i})")
-    g = gas.gamma
-    k = 0.5 * (g - 1.0)
-    q_lim2 = q_d * q_d + 2.0 * h_d
-
-    def integrand(u):
-        # w = 1/tau, r = 1/(tau-1): finite down to the vacuum end w = 0
-        w = u ** (1.0 / k)
-        r = w / (1.0 - w)
-        h = S_d * r ** (g - 1.0) * (g / (g - 1.0) + r) - 2.0 * w
-        q2 = q_lim2 - 2.0 * h
-        c_u2 = g * S_d * (1.0 - w) ** -(g + 1.0) - 2.0 * w ** (2.0 - g)
-        return math.sqrt(c_u2 * (q2 - c_u2 * u * u)) / q2
-
-    val, _ = quad(integrand, 0.0, tau_d ** -k,
-                  epsabs=1e-13, epsrel=1e-12, limit=200)
-    return -val / k
+    return integrate_fan(q_d, tau_d, 0.0, S_d, math.asin(c_d / q_d),
+                         TargetTau(math.inf), gas).theta_end
 
 
 def pm_potential(tau, pgas, q_ref, sigma_ref, tau_ref):

@@ -29,8 +29,7 @@ from .shocks import (FlowState, ObliqueShockSolution, classify,
                      double_sonic_back_state, liu_condition_check,
                      oblique_back_velocity, rh_residuals_euler,
                      rh_residuals_potential)
-from .fan import SlipLine, TargetTau, integrate_fan, riemann_invariants, \
-    vacuum_angle
+from .fan import TargetTau, integrate_fan, riemann_invariants
 from .wavecurves import (ramp_context, shock_fan_shock_branch,
                          solve_wedge_state, tail_shock_solution)
 
@@ -46,26 +45,20 @@ class _Vacuum:
 
 VACUUM = _Vacuum()
 
-# volume at which a fan running to cavitation is cut off; the ray there
-# sits within a few 1e-6 of the quadrature vacuum ray (the approach is
-# quarter-power in the volume, so pushing further buys little)
-CAVITATION_TAU = 1e24
-
 
 class EulerFanPiece:
-    """Adapter around a dense FanSolution: states keyed by the ray."""
+    """Adapter around a FanSolution: states keyed by the ray, each found
+    from the fan's stored turning series."""
 
     def __init__(self, solution):
         self.solution = solution
 
     def state_at(self, theta):
         sol = self.solution
-        lo = min(sol.theta_start, sol.theta_end)
-        hi = max(sol.theta_start, sol.theta_end)
-        # clamping covers the 1e-12-level mismatch between the stored
-        # breakpoint and the integrator endpoint, and the tail of a
-        # cavitation fan below the cutoff volume
-        q, tau, sigma, S = sol.state(min(max(theta, lo), hi))
+        # clamping covers the 1e-12-level mismatch between a stored
+        # breakpoint and the fan's end ray
+        q, tau, sigma, S = sol.state(min(max(theta, sol.theta_end),
+                                         sol.theta_start))
         return FlowState(q * math.cos(sigma), q * math.sin(sigma), tau, S)
 
 
@@ -191,7 +184,7 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
 
     try:
         left = integrate_fan(u0, tau0, 0.0, S0, alpha0,
-                             TargetTau(tau_fe), gas, theta_span=4.0)
+                             TargetTau(tau_fe), gas)
     except ValueError as exc:
         raise ValueError(f"leading-fan: {exc}") from exc
     phi_d = left.theta_end
@@ -214,52 +207,48 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
             f"wedge-angle-above-sigma_d: theta_w={theta_w} not below "
             f"sigma_d={sigma_d}")
     q_d = back.q
-    alpha_v = sigma_d + vacuum_angle(q_d, tau_d, S_d, gas)
+    # the trailing fan runs to vacuum once; its end ray is the vacuum ray
+    try:
+        right = integrate_fan(q_d, tau_d, sigma_d, S_d, phi_d,
+                              TargetTau(math.inf), gas)
+    except ValueError as exc:
+        raise ValueError(f"trailing-fan: {exc}") from exc
+    alpha_v = right.theta_end
 
     meta = {"gas": gas, "S0": S0, "S_d": S_d, "tau_f_e": tau_fe,
             "tau_d": tau_d, "B0": 0.5 * u0 * u0 + enthalpy(tau0, S0, gas),
             "alpha0": alpha0, "phi_d": phi_d, "sigma_d": sigma_d,
             "alpha_v": alpha_v}
+    head = (Piece("constant", 0.5 * math.pi, alpha0, state=state0),
+            Piece("fan", alpha0, phi_d, fan=EulerFanPiece(left)))
 
     if theta_w > alpha_v:
         try:
-            right = integrate_fan(q_d, tau_d, sigma_d, S_d, phi_d,
-                                  SlipLine(theta_w), gas, theta_span=4.0)
+            right = right.slip_line(theta_w)
         except ValueError as exc:
             raise ValueError(f"trailing-fan: {exc}") from exc
         alpha_w = right.theta_end
         q_w, tau_w, _, _ = right.state(alpha_w)
         # the wall state keeps the slip speed and volume and is aligned
-        # with the wall exactly; the event residual lands in the junction
+        # with the wall exactly; the root residual lands in the junction
         # gap, orders below its tolerance
         wall = FlowState(q_w * math.cos(theta_w), q_w * math.sin(theta_w),
                          tau_w, S_d)
         meta["alpha_w"] = alpha_w
-        pieces = (
-            Piece("constant", 0.5 * math.pi, alpha0, state=state0),
-            Piece("fan", alpha0, phi_d, fan=EulerFanPiece(left)),
+        pieces = head + (
             Piece("fan", phi_d, alpha_w, fan=EulerFanPiece(right)),
             Piece("constant", alpha_w, theta_w, state=wall),
         )
         breakpoints = (alpha0, phi_d, alpha_w)
     else:
-        try:
-            right = integrate_fan(q_d, tau_d, sigma_d, S_d, phi_d,
-                                  TargetTau(CAVITATION_TAU), gas,
-                                  theta_span=4.0)
-        except ValueError as exc:
-            raise ValueError(f"trailing-fan: {exc}") from exc
-        theta_cav = right.theta_end
-        meta["theta_cav"] = theta_cav
+        meta["theta_cav"] = alpha_v
         meta["q_lim"] = math.sqrt(q_d * q_d
                                   + 2.0 * enthalpy(tau_d, S_d, gas))
-        pieces = (
-            Piece("constant", 0.5 * math.pi, alpha0, state=state0),
-            Piece("fan", alpha0, phi_d, fan=EulerFanPiece(left)),
-            Piece("fan", phi_d, theta_cav, fan=EulerFanPiece(right)),
-            Piece("vacuum", theta_cav, theta_w),
+        pieces = head + (
+            Piece("fan", phi_d, alpha_v, fan=EulerFanPiece(right)),
+            Piece("vacuum", alpha_v, theta_w),
         )
-        breakpoints = (alpha0, phi_d, theta_cav)
+        breakpoints = (alpha0, phi_d, alpha_v)
 
     return SelfSimilarSolution("euler", theta_w, breakpoints, pieces,
                                ((phi_d, shock),), meta)

@@ -1,4 +1,4 @@
-"""Centered-fan layer: ODE invariants, turning integrals, vacuum limit."""
+"""Centered-fan layer: fan invariants, turning integrals, vacuum limit."""
 
 import math
 import warnings
@@ -109,7 +109,7 @@ def test_fan_state_out_of_range():
 
 def test_inflection_hit():
     # pushing the expansion past the locus crossing runs into the
-    # inflection volume, where the ODE degenerates
+    # inflection volume, where the ray stops being monotone in the volume
     with pytest.raises(ValueError, match="inflection-hit"):
         upstream_fan(stop=fan.TargetTau(TAU1_I + 0.5))
 
@@ -149,8 +149,8 @@ def test_downstream_fan_slip_stop():
 
 
 def test_fan_turning_matches_quadrature():
-    # same turning from the ODE and from the speed-integral route, at the
-    # fan end and on interior rays
+    # same turning from the volume-variable fan and from the speed-integral
+    # route, at the fan end and on interior rays
     phi_d, u_d, v_d, tau_d, S_d = downstream_foot()
     q_d = math.hypot(u_d, v_d)
     sigma_d = math.atan2(v_d, u_d)
@@ -163,8 +163,8 @@ def test_fan_turning_matches_quadrature():
         bernoulli=0.5 * q_d**2 + thermo.enthalpy(tau_d, S_d, G15))
     q_hat = pg.speed_of_tau(tau_target)
     sigma_quad = sigma_d - fan.turning_angle(q_d, q_hat, pg)
-    assert q_end == pytest.approx(q_hat, rel=1e-9)
-    assert sigma_end == pytest.approx(sigma_quad, abs=1e-7)
+    assert q_end == pytest.approx(q_hat, rel=1e-12)
+    assert sigma_end == pytest.approx(sigma_quad, abs=1e-12)
     for theta in np.linspace(sol.theta_start, sol.theta_end, 9)[1:-1]:
         q, tau, sigma, _ = sol.state(theta)
         sigma_hat, alpha_hat = fan.pm_potential(tau, pg, q_d, sigma_d, tau_d)
@@ -250,6 +250,90 @@ def test_vacuum_angle_matches_speed_integral(gamma, mach):
             got = fan.vacuum_angle(q_d, tau_d, S, gas)
         ref = speed_variable_vacuum_angle(q_d, tau_d, S, gas)
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def mpmath_vacuum_angle(q_d, tau_d, S_d, gamma):
+    """Vacuum turning -int_0^u_d sqrt(c_u^2 (q^2 - c_u^2 u^2))/(k q^2) du
+    at 40 digits, split at 1e-6, 1e-3, 1/2 and 1 - 1e-6 of u_d so that the
+    vacuum end and the near-sonic foot each sit at a panel end."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        g, S, tau0 = mp.mpf(gamma), mp.mpf(S_d), mp.mpf(tau_d)
+        k = (g - 1) / 2
+
+        def h(tau):
+            return (g * S / ((g - 1) * (tau - 1) ** (g - 1))
+                    + S / (tau - 1) ** g - 2 / tau)
+
+        q_lim2 = mp.mpf(q_d) ** 2 + 2 * h(tau0)
+
+        def integrand(u):
+            if u == 0:
+                return mp.sqrt(g * S / q_lim2) / k
+            w = u ** (1 / k)
+            c_u2 = g * S * (1 - w) ** -(g + 1) - 2 * w ** (2 - g)
+            q2 = q_lim2 - 2 * h(1 / w)
+            return mp.sqrt(c_u2 * (q2 - c_u2 * u * u)) / (k * q2)
+
+        u_d = tau0 ** -k
+        cuts = [0, mp.mpf("1e-6") * u_d, mp.mpf("1e-3") * u_d, u_d / 2,
+                (1 - mp.mpf("1e-6")) * u_d, u_d]
+        return float(-mp.quad(integrand, cuts))
+
+
+@pytest.mark.parametrize("gamma", [1.3, 1.6, 1.9])
+def test_vacuum_angle_near_sonic_matches_mpmath(gamma):
+    # foot Mach - 1 = 2.4e-8: q^2 - c^2 cancels at the foot, where a
+    # QUADPACK integral in u was off by up to 2.7e-12
+    gas = thermo.GasModel(gamma)
+    S_star, _, S_cr = thermo.critical_entropies(gas)
+    S = 0.5 * (S_cr + S_star)
+    _, tau2_i = thermo.inflection_roots(S, gas)
+    tau_d = 1.5 * tau2_i
+    q_d = (1.0 + 2.4e-8) * thermo.sound_speed(tau_d, S, gas)
+    ref = mpmath_vacuum_angle(q_d, tau_d, S, gamma)
+    got = fan.vacuum_angle(q_d, tau_d, S, gas)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def mpmath_fan_end_ray(q0, tau0, tau_end, S, gamma):
+    """End ray sigma + arcsin(c/q) of the fan from (q0, tau0) with
+    sigma0 = 0, from the turning rate c sqrt(q^2 - c^2)/(tau q^2)
+    integrated in tau at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        g, S_, t0, t1 = (mp.mpf(v) for v in (gamma, S, tau0, tau_end))
+
+        def h(tau):
+            return (g * S_ / ((g - 1) * (tau - 1) ** (g - 1))
+                    + S_ / (tau - 1) ** g - 2 / tau)
+
+        def c2(tau):
+            return tau ** 2 * (g * S_ / (tau - 1) ** (g + 1) - 2 / tau ** 3)
+
+        q_lim2 = mp.mpf(q0) ** 2 + 2 * h(t0)
+
+        def rate(tau):
+            q2 = q_lim2 - 2 * h(tau)
+            return mp.sqrt(c2(tau) * (q2 - c2(tau))) / (tau * q2)
+
+        sigma = -mp.quad(rate, mp.linspace(t0, t1, 5))
+        return float(sigma + mp.asin(mp.sqrt(c2(t1) / (q_lim2 - 2 * h(t1)))))
+
+
+def test_fan_near_the_covolume_matches_mpmath():
+    # tau0 - 1 = 5e-6 at Mach 50: next to the covolume c changes on a
+    # scale of 1e-6 in u
+    gas = thermo.GasModel(1.3)
+    S_star, _, S_cr = thermo.critical_entropies(gas)
+    S = 0.5 * (S_cr + S_star)
+    tau0, tau_end = 1.0 + 5e-6, 1.0 + 1e-4
+    c0 = thermo.sound_speed(tau0, S, gas)
+    q0 = 50.0 * c0
+    sol = fan.integrate_fan(q0, tau0, 0.0, S, math.asin(c0 / q0),
+                            fan.TargetTau(tau_end), gas)
+    ref = mpmath_fan_end_ray(q0, tau0, tau_end, S, 1.3)
+    assert sol.theta_end == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

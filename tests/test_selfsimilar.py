@@ -174,7 +174,7 @@ def test_euler_evaluate_matches_fan_probes():
     assert st_r.q == pytest.approx(Q_MR_R, rel=1e-9)
     assert st_r.sigma == pytest.approx(SIGMA_MR_R, abs=1e-9)
     assert st_r.tau == pytest.approx(TAU_MR_R, rel=1e-8)
-    # the point sampler and the dense fan output are the same curve
+    # the point sampler and the fan's own state are the same curve
     q, tau, sigma, _ = sol.pieces[1].fan.solution.state(THETA_ML_R)
     assert st_l.u == q * math.cos(sigma)
     assert st_l.v == q * math.sin(sigma)
@@ -239,9 +239,8 @@ def test_euler_vacuum_tail():
     assert [p.kind for p in sol.pieces] == ["constant", "fan", "fan",
                                             "vacuum"]
     assert sol.meta["q_lim"] == pytest.approx(Q_LIM_VAC, rel=1e-10)
-    # the fan is cut at a volume where its ray has essentially reached
-    # the vacuum ray; the approach is quarter-power, hence the loose gate
-    assert sol.meta["theta_cav"] == pytest.approx(ALPHA_V_VAC, abs=1e-5)
+    # the trailing fan ends at u = 0, where its ray is the vacuum ray
+    assert sol.meta["theta_cav"] == pytest.approx(ALPHA_V_VAC, abs=1e-9)
     assert ss.evaluate(sol, *_ray(-1.35)) is ss.VACUUM
     seam = sol.meta["theta_cav"]
     st = ss.evaluate(sol, *_ray(seam + 1e-9))
@@ -264,6 +263,32 @@ def test_euler_trailing_fan_starts_on_the_shock_ray():
     rep = ss.validate(sol)
     assert rep.max_junction_gap < 1e-10
     assert rep.ok
+
+
+# expansion ramps from the euler_sweep benchmark, each ending in a
+# cavitation sector: the fan-end rays must be centred to rounding and the
+# vacuum seam must sit at q_lim exactly
+@pytest.mark.parametrize("gamma, S0, tau0, u0, theta_w", [
+    # fan-end Mach 10^3: the front-side RH residual amplifies a centring
+    # drift of the leading fan's end ray by 2q/c
+    (1.8866991098970174, 0.6564061954639853, 1.0936795514040591,
+     143.48667217679193, -0.12430030903537248),
+    (1.5768896032124757, 0.3765098758317232, 1.0326431085312135,
+     331.99362956299865, -0.4775396200819754),
+    # vacuum seam: a fan cut off at a finite volume missed q_lim by 4.7e-9
+    (1.3360958501696587, 0.31050999921896705, 2.051044280350358,
+     2.0094336369501598, -1.4900646264412416),
+    # tau0 near the covolume at u0 ~ 1250, where u = tau^-k is close to 1
+    # and the turning integrand is steep in u
+    (1.5073551986366511, 0.3565272813276997, 1.0116930860384317,
+     1252.2290060538976, -1.2064364376972951),
+])
+def test_euler_sweep_regressions(gamma, S0, tau0, u0, theta_w):
+    sol = ss.solve_euler_fsf(u0, tau0, S0, theta_w, GasModel(gamma))
+    rep = ss.validate(sol)
+    assert rep.ok
+    assert rep.max_rh_residual < 1e-12
+    assert rep.vacuum_match == 0.0
 
 
 @pytest.mark.parametrize("u0, tau0, S0, theta_w, msg", [
