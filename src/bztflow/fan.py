@@ -387,6 +387,11 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, stop, gas):
 # ---------------------------------------------------------------------------
 # turning integrals on one isentrope
 
+# (node, weight) of the 3-point Gauss-Legendre rule on [-1, 1]
+_GL3 = ((-math.sqrt(0.6), 5.0 / 9.0), (0.0, 8.0 / 9.0),
+        (math.sqrt(0.6), 5.0 / 9.0))
+
+
 def turning_angle(q_from, q_to, pgas):
     """Turning integral int sqrt(q^2 - c^2)/(q c) dq from q_from to q_to,
     with tau eliminated through the Bernoulli law of pgas."""
@@ -397,6 +402,12 @@ def turning_angle(q_from, q_to, pgas):
             raise ValueError(f"subsonic: q={q} at or below c={c}")
         return math.sqrt(q * q - c * c) / (q * c)
 
+    if abs(q_to - q_from) <= 1e-9 * max(q_from, q_to):
+        # on so short an interval QUADPACK reads the rounding of the
+        # speed-to-volume root as bad integrand behaviour; the smooth
+        # integrand is exact to rounding under a 3-point Gauss-Legendre rule
+        mid, half = 0.5 * (q_from + q_to), 0.5 * (q_to - q_from)
+        return half * sum(w * nu_prime(mid + half * x) for x, w in _GL3)
     val, _ = quad(nu_prime, q_from, q_to, epsabs=1e-13, epsrel=1e-12,
                   limit=200)
     return val

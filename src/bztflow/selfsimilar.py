@@ -30,7 +30,9 @@ from .shocks import (FlowState, ObliqueShockSolution, classify,
                      oblique_back_velocity, rh_residuals_euler,
                      rh_residuals_potential)
 from .fan import TargetTau, integrate_fan, riemann_invariants
-from .wavecurves import (ramp_context, shock_fan_shock_branch,
+# ramp_context stays bound here: the benchmark tracer wraps
+# selfsimilar.ramp_context
+from .wavecurves import (ramp_context, shock_fan_shock_branch,  # noqa: F401
                          solve_wedge_state, tail_shock_solution)
 
 
@@ -264,12 +266,16 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
     isentrope of pgas onto a wall rising at theta_w, with the wall state
     picked on the composite branch of the wave curve.
 
+    The composite branch comes from the wave-curve memo, so walls solved
+    on one incoming state after its deflection range share one build of
+    the branch, and the ramp context is the one the branch carries.
+
     Window and admissibility failures propagate from the wave-curve
     layer ("subsonic", "out-of-window", "mach-reflection-regime",
     "bernoulli-mismatch", "no-root").
     """
-    ctx = ramp_context(u0, tau0, pgas)
     branch = shock_fan_shock_branch(u0, tau0, pgas)
+    ctx = branch.context
     tau_w = solve_wedge_state(theta_w, branch)
 
     head_front = FlowState(u0, 0.0, tau0, pgas.S)

@@ -326,7 +326,7 @@ def tangent_chord_limit(pgas):
     Beyond tau_c every back volume below the front gives an admissible
     single shock.
     """
-    tau1_i, tau2_i = inflection_roots(pgas.S, pgas.gas)
+    tau1_i, tau2_i = pgas.inflection_pair
 
     def gap(t):
         return _chord2(tau1_i, t, pgas) - pgas.p_tau(tau1_i)
@@ -350,7 +350,7 @@ def post_sonic_tau_potential(tau_f, pgas):
     ("out-of-window" otherwise); the back volume is the unique root of the
     tangency gap between the inflection volumes.
     """
-    tau1_i, tau2_i = inflection_roots(pgas.S, pgas.gas)
+    tau1_i, tau2_i = pgas.inflection_pair
     tau_c = tangent_chord_limit(pgas)
     if not tau2_i < tau_f < tau_c:
         raise ValueError(
@@ -372,7 +372,7 @@ def pre_sonic_tau_potential(tau_f, pgas):
     ("out-of-window" otherwise). The defining function has a double root
     at tau_f itself; the returned root is the isolated one below tau1_i.
     """
-    tau1_i, tau2_i = inflection_roots(pgas.S, pgas.gas)
+    tau1_i, tau2_i = pgas.inflection_pair
     if not tau1_i < tau_f < tau2_i:
         raise ValueError(
             f"out-of-window: tau_f={tau_f} outside (tau1_i={tau1_i}, "

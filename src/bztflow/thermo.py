@@ -27,6 +27,7 @@ adds a Bernoulli constant, wrapped in PotentialGas.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -433,10 +434,11 @@ class PotentialGas:
     def c(self, tau):
         return sound_speed(tau, self.S, self.gas)
 
-    def kappa(self, tau):
-        """Curvature ratio -2 p_tau / (tau p_tautau + 2 p_tau)."""
-        pt, ptt = self.p_tau(tau), self.p_tautau(tau)
-        return -2.0 * pt / (tau * ptt + 2.0 * pt)
+    @cached_property
+    def inflection_pair(self):
+        """(tau1_i, tau2_i) of the frozen isentrope, solved on first use and
+        kept on this instance (equality and hashing see only the fields)."""
+        return inflection_roots(self.S, self.gas)
 
     def h_limit(self):
         """Enthalpy in the vacuum limit tau -> infinity."""

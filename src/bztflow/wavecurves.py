@@ -16,12 +16,18 @@ the nonconvex window of its isentrope, the reachable back states in the
 
 Everything lives on one isentrope and the Bernoulli constant of the
 supplied potential model is conserved across every front, so speed alone
-determines the volume throughout.  Branches are immutable once built;
-`state` re-evaluates the defining relations at any parameter value, so
-queries do not degrade to interpolation unless a branch was assembled
-from bare arrays.
+determines the volume throughout.  Branches are immutable once built,
+their sample arrays read-only; `state` re-evaluates the defining
+relations at any parameter value, so queries do not degrade to
+interpolation unless a branch was assembled from bare arrays.
+
+The composite branch of the last incoming state is memoised: the
+deflection range of a state and the wall solves on it
+(`solve_potential_sfs`, which takes its context from the branch) reuse
+one build of the branch and one `ramp_context`.
 """
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, replace
@@ -39,7 +45,7 @@ from .shocks import (
     post_sonic_tau_potential,
     pre_sonic_tau_potential,
 )
-from .thermo import inflection_roots, tau_from_speed
+from .thermo import tau_from_speed
 
 # relative width below which a tail shock is treated as zero strength
 _TAIL_EPS = 1e-12
@@ -130,7 +136,7 @@ def ramp_context(u0, tau0, pgas):
     c0 = pgas.c(tau0)
     if not u0 > c0:
         raise ValueError(f"subsonic: u0={u0} not above sound speed c={c0}")
-    tau1_i, tau2_i = inflection_roots(pgas.S, pgas.gas)
+    tau1_i, tau2_i = pgas.inflection_pair
     tau_po = post_sonic_tau_potential(tau0, pgas)
     tau_pr_po = pre_sonic_tau_potential(tau_po, pgas)
 
@@ -203,6 +209,9 @@ def _assemble(tag, label, rng, grid, fn, ctx):
     aa = np.empty(grid.size)
     for k, t in enumerate(grid):
         uu[k], vv[k], aa[k] = fn(t)
+    # a memoised branch is handed to every caller of its incoming state
+    for arr in (grid, uu, vv, aa):
+        arr.setflags(write=False)
     return WaveCurveBranch(tag=tag, param_label=label, param_range=rng,
                            params=grid, u=uu, v=vv, angle=aa, context=ctx)
 
@@ -243,7 +252,20 @@ def shock_fan_branch(u0, tau0, pgas, n=512):
 def shock_fan_shock_branch(u0, tau0, pgas, n=512):
     """Composite branch: back states of front-sonic tail shocks whose
     fronts run along the fan branch.  At tau_f = tau1_i the tail has zero
-    strength and the branch meets the fan branch continuously."""
+    strength and the branch meets the fan branch continuously.
+
+    The branch last built is kept, keyed by value on (u0, tau0, pgas, n):
+    a wall-angle study reads one incoming state's branch once for its
+    deflection range and again for every wall, and all of them get the
+    same read-only branch.
+    """
+    return _shock_fan_shock_branch(u0, tau0, pgas, n)
+
+
+# one entry serves the analysis-then-walls access pattern of one incoming
+# state and keeps memory flat over a sweep of many states
+@functools.lru_cache(maxsize=1)
+def _shock_fan_shock_branch(u0, tau0, pgas, n):
     ctx = ramp_context(u0, tau0, pgas)
     _require_supersonic_post_state(ctx)
     grid = _graded_grid(ctx.tau1_i, ctx.tau_po, n)

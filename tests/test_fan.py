@@ -387,6 +387,45 @@ def test_pm_potential_monotone_and_tangent():
         assert abs(du * math.cos(alp) + dv * math.sin(alp)) < 1e-6 * q
 
 
+def _flat_isentrope_found_case():
+    # potential_sweep seed 109 state 10 (tau0 ~ 516): the composite-branch
+    # node tau_po - 1e-8 (tau_po - tau1_i) sits 3.5e-15 of q from the
+    # anchor speed q_po, where QUADPACK raised "extremely bad integrand
+    # behavior" on the rounding of the speed-to-volume root
+    pg = thermo.PotentialGas.from_state(
+        thermo.GasModel(1.7695926455780864), 0.5015107946990929,
+        0.5001902721173039, 516.2033971219385, bernoulli=1.0)
+    tau_po = shocks.post_sonic_tau_potential(516.2033971219385, pg)
+    tau1_i, _ = pg.inflection_pair
+    node = tau_po - 1e-8 * (tau_po - tau1_i)
+    return pg, pg.speed_of_tau(tau_po), pg.speed_of_tau(node)
+
+
+@pytest.mark.parametrize("case", ["found", "0.9e-9", "-1e-10", "1e-13"])
+def test_turning_angle_on_short_intervals(case):
+    if case == "found":
+        pg, q_from, q_to = _flat_isentrope_found_case()
+    else:
+        pg, q_from, _ = potential_anchor()
+        q_to = q_from * (1.0 + float(case))
+    d = q_to - q_from
+    assert 0.0 < abs(d) <= 1e-9 * max(q_from, q_to)
+    # reference: the mean of the integrand over widened intervals about the
+    # same midpoint, taken by QUADPACK, differs from its value at the
+    # midpoint by O(w^2); two widths a decade apart cancel that term
+    mid = 0.5 * (q_from + q_to)
+
+    def mean(w):
+        a, b = mid - 0.5 * w, mid + 0.5 * w
+        return fan.turning_angle(a, b, pg) / (b - a)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        short = fan.turning_angle(q_from, q_to, pg)
+        ref = (100.0 * mean(1e-8 * q_from) - mean(1e-7 * q_from)) / 99.0
+    assert short / d == pytest.approx(ref, rel=1e-9)
+
+
 def test_riemann_invariants_sum_and_fan_invariance():
     pg, q_ref, tau_ref = potential_anchor()
     anchored = thermo.PotentialGas.from_state(G15, S98, q_ref, tau_ref,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bztflow import selfsimilar as ss
+from bztflow import wavecurves as wc
 from bztflow.shocks import VelocityDecomposition, rh_residuals_euler
 from bztflow.thermo import GasModel, PotentialGas, sound_speed
 
@@ -401,6 +402,34 @@ def test_potential_liu_check_next_to_the_front():
     rep = ss.validate(sol)
     assert rep.liu_ok
     assert rep.ok
+
+
+def test_potential_wall_study_builds_the_branch_once(monkeypatch):
+    # a wall-angle study: deflection range, then two walls
+    counts = {"_assemble": 0, "ramp_context": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, name in ((wc, "_assemble"), (wc, "ramp_context"),
+                         (ss, "ramp_context")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, counting(name, original))
+    wc._shock_fan_shock_branch.cache_clear()
+    pgas = _pgas()
+    branch = wc.shock_fan_shock_branch(U0_P, TAU0_P, pgas)
+    sigma_m, sigma_M = wc.deflection_range(branch)
+    sols = [ss.solve_potential_sfs(U0_P, TAU0_P,
+                                   sigma_m + f * (sigma_M - sigma_m), pgas)
+            for f in (0.25, 0.75)]
+    assert counts == {"_assemble": 1, "ramp_context": 1}
+    for sol in sols:
+        assert sol.meta["branch"] is branch
+        assert sol.meta["context"] is branch.context
+        assert ss.validate(sol).ok
 
 
 def test_potential_scale_invariance():

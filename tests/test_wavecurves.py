@@ -399,3 +399,71 @@ def test_tail_predicates(branches):
     ij = branches["ij"]
     assert wc.tail_tangent_acute(ij, TAU_W_MID)
     assert wc.tail_back_supersonic(ij, TAU_W_MID)
+
+
+# ---------------------------------------------------------------------------
+# the composite-branch memo
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_memo_hit_matches_a_cold_build(pgas):
+    hit = wc.shock_fan_shock_branch(U0, TAU0, pgas)
+    assert wc.shock_fan_shock_branch(U0, TAU0, pgas) is hit
+    wc._shock_fan_shock_branch.cache_clear()
+    cold = wc.shock_fan_shock_branch(U0, TAU0, pgas)
+    assert cold is not hit
+    assert cold.context == hit.context
+    assert cold.param_range == hit.param_range
+    for name in ("params", "u", "v", "angle"):
+        assert np.array_equal(getattr(cold, name), getattr(hit, name))
+
+
+def test_memo_rebuilds_for_a_new_state_or_size(pgas, monkeypatch):
+    assembled = _count_calls(monkeypatch, wc, "_assemble")
+    wc._shock_fan_shock_branch.cache_clear()
+    base = wc.shock_fan_shock_branch(U0, TAU0, pgas)
+    # another incoming state on the same isentrope and Bernoulli constant
+    tau0 = 0.99 * TAU0
+    moved = wc.shock_fan_shock_branch(pgas.speed_of_tau(tau0), tau0, pgas)
+    coarse = wc.shock_fan_shock_branch(pgas.speed_of_tau(tau0), tau0, pgas,
+                                       n=256)
+    assert len(assembled) == 3
+    assert moved.context.tau0 == tau0 != base.context.tau0
+    assert moved.context.tau_po != base.context.tau_po
+    assert coarse.params.size < moved.params.size
+    assert wc.shock_fan_shock_branch(pgas.speed_of_tau(tau0), tau0, pgas,
+                                     n=256) is coarse
+    assert len(assembled) == 3
+
+
+def test_branch_arrays_are_read_only(branches):
+    for key in ("bp", "pi", "ij", "jn"):
+        for name in ("params", "u", "v", "angle"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(branches[key], name)[0] = 0.0
+
+
+def test_inflection_pair_solved_once_per_model(monkeypatch):
+    solves = _count_calls(monkeypatch, thermo, "inflection_roots")
+    pg = thermo.PotentialGas.from_state(G15, S98, U0, TAU0, bernoulli=1.0)
+    wc._shock_fan_shock_branch.cache_clear()
+    ij = wc.shock_fan_shock_branch(U0, TAU0, pg)
+    wc.polar_branch_II(U0, TAU0, pg)
+    assert len(solves) == 1
+    assert pg.inflection_pair == (ij.context.tau1_i, ij.context.tau2_i)
+    assert ij.context.tau1_i == pytest.approx(TAU1_I, rel=1e-12)
+    # the stored pair is invisible to equality and hashing
+    twin = thermo.PotentialGas.from_state(G15, S98, U0, TAU0, bernoulli=1.0)
+    assert twin == pg and hash(twin) == hash(pg)
+    assert len(solves) == 1
