@@ -79,7 +79,10 @@ class PotentialFanPiece:
 
     def state_at(self, theta):
         ctx = self.context
-        if theta >= self.alpha_head:
+        # rays within rounding of the head ray (a stored breakpoint can sit
+        # just below alpha_head) take the head state: the ray angle is
+        # nearly stationary in the volume next to the inflection pair
+        if theta >= self.alpha_head - 1e-12 * (1.0 + abs(theta)):
             t = ctx.tau_po
         elif theta <= self.alpha_tail:
             t = self.tau_tail

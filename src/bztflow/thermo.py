@@ -20,7 +20,12 @@ module. Two loci organise that structure:
 They coincide, tangentially, at tau* = 4/(2-gamma). The entropy value through
 that tangency point, S*, is the largest entropy whose isentrope still has
 inflection points; S_cr < S* is the smallest entropy whose isentrope stays in
-the hyperbolic region (p_tau < 0 everywhere).
+the hyperbolic region (p_tau < 0 everywhere), reached at tau_cr = 3/(2-gamma).
+Both are closed forms.  The entropy S_hat(tau) of the double-sonic locus rises
+from 0 at tau = 1 to S* at tau*, then falls to a minimum S_b at a closed-form
+tau_m before rising again, so the crossings of an isentrope with that locus
+are single bracketed roots (locus_intersections); for gamma above about 1.404,
+S_b > S_cr and isentropes in (S_cr, S_b] have no back crossing.
 
 Euler flow carries (tau, S) states; potential flow freezes one isentrope and
 adds a Bernoulli constant, wrapped in PotentialGas.
@@ -29,15 +34,10 @@ adds a Bernoulli constant, wrapped in PotentialGas.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
 from scipy.optimize import brentq
 
 BRENT_XTOL = 1e-13
 BRENT_MAXITER = 200
-# grid of the locus-crossing scan: steps taken outward from tau*, and the
-# steps evaluated per NumPy block
-SCAN_STEPS = 100000
-SCAN_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -94,13 +94,6 @@ def pressure_tautau(tau, S, gas):
     return g * (g + 1.0) * S / (tau - 1.0) ** (g + 2.0) - 6.0 / tau**4
 
 
-def pressure_tautautau(tau, S, gas):
-    """d3 p / d tau3 at fixed S."""
-    g = gas.gamma
-    return (-g * (g + 1.0) * (g + 2.0) * S / (tau - 1.0) ** (g + 3.0)
-            + 24.0 / tau**5)
-
-
 def pressure_S(tau, S, gas):
     """d p / d S at fixed tau."""
     return 1.0 / (tau - 1.0) ** gas.gamma
@@ -110,12 +103,6 @@ def pressure_tauS(tau, S, gas):
     """d2 p / d tau d S."""
     g = gas.gamma
     return -g / (tau - 1.0) ** (g + 1.0)
-
-
-def pressure_tautauS(tau, S, gas):
-    """d3 p / d tau2 d S."""
-    g = gas.gamma
-    return g * (g + 1.0) / (tau - 1.0) ** (g + 2.0)
 
 
 def entropy_of(p, tau, gas):
@@ -232,7 +219,14 @@ def eta_hat(tau, gas):
     return 2.0 / den
 
 
-def critical_entropies(gas, newton_tol=1e-14, max_iter=80):
+def _tangency(gas):
+    """(tau*, S*): the tangency volume 4/(2-gamma) of the loci and the
+    entropy through it."""
+    tau_star = 4.0 / (2.0 - gas.gamma)
+    return tau_star, inflection_entropy(tau_star, gas)
+
+
+def critical_entropies(gas):
     """
     The two organising entropy values of the gas.
 
@@ -243,67 +237,15 @@ def critical_entropies(gas, newton_tol=1e-14, max_iter=80):
       S_cr: entropy whose isentrope is tangent to the p_tau = 0 boundary; for
             S above it, p_tau < 0 for every tau > 1.
 
-    S_cr is located by a damped Newton iteration on {p_tau = 0, p_tautau = 0}
-    seeded at tau_star, with a bisection fallback on the p_tau = 0 envelope.
+    Both are closed forms.  S_cr is the maximum of the p_tau = 0 envelope
+    S = 2 (tau-1)^(gamma+1) / (gamma tau^3), reached at
+    tau_cr = 3/(2-gamma), where p_tautau vanishes too.
     """
     g = gas.gamma
-    tau_star = 4.0 / (2.0 - g)
-    S_star = inflection_entropy(tau_star, gas)
-
-    def newton(tau, S):
-        # damped Newton on F(tau, S) = (p_tau, p_tautau); the seed point
-        # sits where p_tautau has a double root in tau, which makes the
-        # Jacobian near-singular there, so steps are capped and iterates
-        # escaping a sane volume window are declared failed (the residuals
-        # also vanish in the spurious tau -> infinity limit)
-        for _ in range(max_iter):
-            f1 = pressure_tau(tau, S, gas)
-            f2 = pressure_tautau(tau, S, gas)
-            if abs(f1) < newton_tol and abs(f2) < newton_tol:
-                return tau, S, True
-            j11 = pressure_tautau(tau, S, gas)
-            j12 = pressure_tauS(tau, S, gas)
-            j21 = pressure_tautautau(tau, S, gas)
-            j22 = pressure_tautauS(tau, S, gas)
-            det = j11 * j22 - j12 * j21
-            if det == 0.0:
-                return tau, S, False
-            dtau = -(f1 * j22 - f2 * j12) / det
-            dS = -(j11 * f2 - j21 * f1) / det
-            cap = max(abs(dtau) / (0.3 * (tau - 1.0)), abs(dS) / (0.3 * S))
-            if cap > 1.0:
-                dtau /= cap
-                dS /= cap
-            lam, n0 = 1.0, abs(f1) + abs(f2)
-            while lam > 1e-12:
-                t_new, S_new = tau + lam * dtau, S + lam * dS
-                if t_new > 1.0 and S_new > 0.0:
-                    n1 = (abs(pressure_tau(t_new, S_new, gas))
-                          + abs(pressure_tautau(t_new, S_new, gas)))
-                    if n1 < n0:
-                        break
-                lam *= 0.5
-            tau, S = tau + lam * dtau, S + lam * dS
-            if not (1.0 < tau < 100.0 * tau_star and 0.0 < S):
-                return tau, S, False
-        return tau, S, False
-
-    tau, S, ok = newton(tau_star, S_star)
-    if not ok:
-        # fallback: S_cr is the maximum over tau of the p_tau = 0 envelope
-        # S = 2 (tau-1)^(gamma+1) / (gamma tau^3); bisect on its derivative
-        # sign change, then polish with the same Newton from that point
-        def denv(t):
-            return (g + 1.0) * t - 3.0 * (t - 1.0)
-        t_cr = brentq(denv, 1.0 + 1e-12, 100.0 * tau_star,
-                      xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
-        S_env = 2.0 * (t_cr - 1.0) ** (g + 1.0) / (g * t_cr**3)
-        tau, S, ok = newton(t_cr, S_env)
-        if not ok:
-            raise RuntimeError(
-                "critical-entropy-solve-failed: no convergence for "
-                f"gamma={g}")
-    return S_star, tau_star, S
+    tau_star, S_star = _tangency(gas)
+    tau_cr = 3.0 / (2.0 - g)
+    S_cr = 2.0 * (tau_cr - 1.0) ** (g + 1.0) / (g * tau_cr**3)
+    return S_star, tau_star, S_cr
 
 
 def inflection_roots(S, gas):
@@ -313,9 +255,7 @@ def inflection_roots(S, gas):
     Raises ValueError("no-inflection...") when S >= S* (the pair has
     coalesced) or S <= 0.
     """
-    g = gas.gamma
-    tau_star = 4.0 / (2.0 - g)
-    S_star = inflection_entropy(tau_star, gas)
+    tau_star, S_star = _tangency(gas)
     if S <= 0.0 or S >= S_star:
         raise ValueError(
             f"no-inflection: S={S} outside (0, S*={S_star}); the isentrope "
@@ -345,12 +285,20 @@ def locus_intersections(S, gas):
     double-sonic locus, taken as the first crossing on each side of tau*.
     They bracket the inflection pair: tau_f_e < tau1 < tau* < tau2 < tau_b_e.
 
-    Raises ValueError("no-intersection...") when S is not below S* (no
-    crossings adjacent to tau*).
+    On the isentrope p - d = (S - S_hat(tau)) / (tau-1)^gamma, and
+    S_hat' vanishes for tau > 1 only at tau* and at
+    tau_m = (3 gamma - 2 + sqrt(5 gamma^2 - 4)) / ((gamma-1)(2-gamma)):
+    S_hat rises from 0 at tau = 1 to S* at tau*, then falls to its minimum
+    S_b = S_hat(tau_m).  So tau_f_e is the one root of p - d on (1, tau*),
+    and a back crossing exists exactly when S > S_b, as the one root on
+    (tau*, tau_m).  S_b lies above S_cr for gamma above about 1.404, where
+    it closes the window on a band of entropies.
+
+    Raises ValueError("no-intersection...") when S is not in (0, S*) or
+    not above S_b (no crossings adjacent to tau*).
     """
     g = gas.gamma
-    tau_star = 4.0 / (2.0 - g)
-    S_star = inflection_entropy(tau_star, gas)
+    tau_star, S_star = _tangency(gas)
     if not 0.0 < S < S_star:
         raise ValueError(
             f"no-intersection: S={S} not in (0, S*={S_star})")
@@ -358,29 +306,14 @@ def locus_intersections(S, gas):
     def f(t):
         return pressure(t, S, gas) - double_sonic_locus(t, gas)
 
-    # scan outward from tau* for the first sign change on each side, on
-    # the grid tau* + k*step (k <= SCAN_STEPS) accumulated one step at a
-    # time and evaluated one block at a time
-    def first_crossing(direction):
-        step = direction * 0.01 * (tau_star - 1.0)
-        t_prev, above_prev = tau_star, f(tau_star) > 0.0
-        for start in range(0, SCAN_STEPS, SCAN_BLOCK):
-            n = min(SCAN_BLOCK, SCAN_STEPS - start)
-            tt = np.add.accumulate(np.r_[t_prev, np.full(n, step)])
-            below = np.flatnonzero(tt <= 1.0)
-            n_in = below[0] if below.size else n + 1
-            above = np.r_[above_prev, f(tt[1:n_in]) > 0.0]
-            change = np.flatnonzero(above[1:] != above[:-1])
-            if change.size:
-                a, b = sorted(tt[change[0]:change[0] + 2].tolist())
-                return brentq(f, a, b, xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
-            if n_in <= n:
-                raise ValueError(
-                    f"no-intersection: no locus crossing below tau* at S={S}")
-            t_prev, above_prev = float(tt[-1]), bool(above[-1])
+    tau_m = ((3.0 * g - 2.0 + (5.0 * g * g - 4.0) ** 0.5)
+             / ((g - 1.0) * (2.0 - g)))
+    if not f(tau_m) > 0.0:
         raise ValueError(f"no-intersection: no locus crossing at S={S}")
-
-    return first_crossing(-1.0), first_crossing(+1.0)
+    return (brentq(f, 1.0 + 1e-12, tau_star, xtol=BRENT_XTOL,
+                   maxiter=BRENT_MAXITER),
+            brentq(f, tau_star, tau_m, xtol=BRENT_XTOL,
+                   maxiter=BRENT_MAXITER))
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,23 @@ def test_potential_liu_check_next_to_the_front():
     assert rep.ok
 
 
+@pytest.mark.parametrize("frac", [0.25, 0.75])
+def test_potential_head_junction_next_to_the_inflection_pair(frac):
+    # potential_sweep seed 209 state 15: tau_po sits just below tau2_i, so
+    # the head ray phi_po lies below the fan's alpha_head by rounding
+    u0, tau0 = 0.17157264654955476, 16.767528467586786
+    pgas = PotentialGas.from_state(GasModel(1.7211201174184678),
+                                   0.4642651727077509, u0, tau0,
+                                   bernoulli=1.0)
+    sigma_m, sigma_M = wc.deflection_range(
+        wc.shock_fan_shock_branch(u0, tau0, pgas))
+    sol = ss.solve_potential_sfs(u0, tau0,
+                                 sigma_m + frac * (sigma_M - sigma_m), pgas)
+    rep = ss.validate(sol)
+    assert rep.max_junction_gap < 1e-12
+    assert rep.ok
+
+
 def test_potential_wall_study_builds_the_branch_once(monkeypatch):
     # a wall-angle study: deflection range, then two walls
     counts = {"_assemble": 0, "ramp_context": 0}

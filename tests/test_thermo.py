@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from bztflow import thermo
 
@@ -70,16 +70,10 @@ def test_pressure_partials_match_finite_differences():
         assert thermo.pressure_tautau(tau, S, gas) == pytest.approx(
             central(lambda t: thermo.pressure_tau(t, S, gas), tau),
             rel=1e-6, abs=1e-9)
-        assert thermo.pressure_tautautau(tau, S, gas) == pytest.approx(
-            central(lambda t: thermo.pressure_tautau(t, S, gas), tau),
-            rel=1e-6, abs=1e-8)
         assert thermo.pressure_S(tau, S, gas) == pytest.approx(
             central(lambda s: thermo.pressure(tau, s, gas), S), rel=1e-9)
         assert thermo.pressure_tauS(tau, S, gas) == pytest.approx(
             central(lambda s: thermo.pressure_tau(tau, s, gas), S), rel=1e-9)
-        assert thermo.pressure_tautauS(tau, S, gas) == pytest.approx(
-            central(lambda s: thermo.pressure_tautau(tau, s, gas), S),
-            rel=1e-9)
 
 
 def test_loci_difference_identity():
@@ -201,8 +195,8 @@ def test_locus_intersections():
 
 
 def scalar_locus_intersections(S, gas):
-    """The locus scan one grid point at a time (reference for the blocked
-    scan of thermo.locus_intersections)."""
+    """Reference: scan outward from tau* in steps of 1% of tau* - 1 for the
+    first sign change of p - d on each side, refined by brentq."""
     g = gas.gamma
     tau_star = 4.0 / (2.0 - g)
 
@@ -237,19 +231,118 @@ def outcome(fn, *args):
 
 @pytest.mark.parametrize("gamma", [1.05, 1.3, 1.6, 1.9])
 def test_locus_scan_matches_scalar_scan(gamma):
-    # roots and messages bit for bit, across the no-intersection band
-    # just above S_cr and up to S*
+    # same messages across the no-intersection band just above S_cr and up
+    # to S*; roots to 1e-12, except next to S*, where the crossing is
+    # nearly a double root at tau* and p - d must change sign within 1e-9
+    # of the returned root
     gas = thermo.GasModel(gamma)
     S_star, _, S_cr = thermo.critical_entropies(gas)
     codes = set()
     for frac in (1e-9, 0.01, 0.2, 0.5, 0.9, 0.999, 1.0 - 1e-9):
         S = S_cr + frac * (S_star - S_cr)
         got = outcome(thermo.locus_intersections, S, gas)
-        assert got == outcome(scalar_locus_intersections, S, gas)
+        ref = outcome(scalar_locus_intersections, S, gas)
         codes.add("no-intersection" if isinstance(got, str) else "ok")
+        if isinstance(got, str) or isinstance(ref, str):
+            assert got == ref
+        elif frac < 0.999999:
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        else:
+            def gap(t):
+                return (thermo.pressure(t, S, gas)
+                        - thermo.double_sonic_locus(t, gas))
+            for t in got:
+                assert gap(t * (1.0 - 1e-9)) * gap(t * (1.0 + 1e-9)) < 0.0
     assert "ok" in codes
     if gamma > 1.5:
         assert "no-intersection" in codes
+
+
+GAMMAS = [1.01, 1.05, 1.2, 1.3, 1.45, 1.5, 1.7, 1.9, 1.98, 1.999]
+
+
+def back_window(g):
+    """(tau_m, S_b): where the double-sonic entropy S_hat has its minimum
+    beyond tau*, from the quadratic factor of S_hat'."""
+    tau_m = ((3.0 * g - 2.0 + math.sqrt(5.0 * g * g - 4.0))
+             / ((g - 1.0) * (2.0 - g)))
+    return tau_m, thermo.double_sonic_entropy(tau_m, thermo.GasModel(g))
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_double_sonic_entropy_stationary_points(gamma):
+    # S_hat' vanishes at tau = 1, tau* and tau_m (40-digit derivative of
+    # S_hat written out independently of the package), and S_hat rises on
+    # (1, tau*), falls on (tau*, tau_m) and rises beyond
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        g = mp.mpf(gamma)
+
+        def S_hat(t):
+            d = ((2 - g) ** 2 * t**3 - (2 - g) * (4 - 3 * g) * t**2
+                 - 8 * (g - 1) * t - 4) / (2 * g * (g + 1) * t**4)
+            return (d + 1 / t**2) * (t - 1) ** g
+
+        tau_star = 4 / (2 - g)
+        tau_m = (3 * g - 2 + mp.sqrt(5 * g * g - 4)) / ((g - 1) * (2 - g))
+        assert float(tau_m) == pytest.approx(back_window(gamma)[0],
+                                             rel=1e-14)
+        scale = S_hat(tau_star) / tau_star
+        assert abs(mp.diff(S_hat, 1, direction=1)) < 1e-30
+        for t in (tau_star, tau_m):
+            assert abs(mp.diff(S_hat, t)) < 1e-30 * scale
+        signs = [mp.sign(mp.diff(S_hat, t)) for t in
+                 (1 + (tau_star - 1) / 3, (tau_star + tau_m) / 2, 2 * tau_m)]
+    assert signs == [1, -1, 1]
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_back_crossing_band_edge(gamma):
+    # a back crossing exists exactly above S_b = S_hat(tau_m), below tau_m
+    gas = thermo.GasModel(gamma)
+    tau_m, S_b = back_window(gamma)
+    with pytest.raises(ValueError, match="no-intersection: no locus "
+                                         "crossing at S="):
+        thermo.locus_intersections(S_b * (1.0 - 1e-9), gas)
+    tau_f, tau_b = thermo.locus_intersections(S_b * (1.0 + 1e-9), gas)
+    assert 1.0 < tau_f < 4.0 / (2.0 - gamma) < tau_b < tau_m
+
+
+def test_no_band_at_low_gamma():
+    # S_b < S_cr below gamma ~ 1.404: every S in the window has both
+    # crossings
+    gas = thermo.GasModel(1.3)
+    _, _, S_cr = thermo.critical_entropies(gas)
+    assert back_window(1.3)[1] < S_cr
+    tau_f, tau_b = thermo.locus_intersections(S_cr * (1.0 + 1e-12), gas)
+    assert tau_f < tau_b
+
+
+@pytest.mark.parametrize("gamma", list(np.linspace(1.01, 1.99, 8))
+                         + [1.907, 1.93, 1.9598852648632432, 1.98, 1.999,
+                            2.0 - 2e-6])
+def test_critical_entropy_is_the_envelope_peak(gamma):
+    # S_cr is the maximum over tau of the p_tau = 0 envelope
+    # 2 (tau-1)^(gamma+1) / (gamma tau^3), and p_tau = p_tautau = 0 at
+    # (tau_cr, S_cr) to rounding of their terms
+    gas = thermo.GasModel(float(gamma))
+    g = gas.gamma
+    _, _, S_cr = thermo.critical_entropies(gas)
+
+    def envelope(t):
+        return 2.0 * (t - 1.0) ** (g + 1.0) / (g * t**3)
+
+    tau_cr = 3.0 / (2.0 - g)
+    peak = minimize_scalar(lambda t: -envelope(t), bounds=(1.0, 10.0 * tau_cr),
+                           method="bounded",
+                           options={"xatol": 1e-9 * tau_cr})
+    assert S_cr == pytest.approx(-peak.fun, rel=1e-12)
+    grid = tau_cr * np.linspace(0.5, 2.0, 301)
+    assert max(envelope(t) for t in grid) <= S_cr * (1.0 + 1e-14)
+    assert (abs(thermo.pressure_tau(tau_cr, S_cr, gas))
+            < 1e-14 * 2.0 / tau_cr**3)
+    assert (abs(thermo.pressure_tautau(tau_cr, S_cr, gas))
+            < 1e-14 * 6.0 / tau_cr**4)
 
 
 def test_enthalpy_consistency():
