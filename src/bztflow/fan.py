@@ -25,10 +25,12 @@ to u by bisection on the panel nodes and safeguarded Newton steps.  The
 construction stops short of the inflection window of the isentrope
 (p_tautau = 0) and requires a supersonic foot.
 
-The same turning integral in speed, nu(q) = int sqrt(q^2-c^2)/(q c) dq with
-tau eliminated through the Bernoulli law, gives the potential-flow fan
-(sigma as a function of tau at frozen entropy) and the Riemann invariants
-sigma +/- nu.
+The potential-flow fan (sigma as a function of tau at frozen entropy) and
+the Riemann invariants sigma +/- nu take the same integral in tau itself,
+by QUADPACK on the closed-form rate above (turning_in_volume), so no
+quadrature node maps a speed back to a volume.  turning_angle keeps the
+speed-keyed form nu(q) = int sqrt(q^2-c^2)/(q c) dq, with tau eliminated
+through the Bernoulli law, as a public function and a test reference.
 """
 
 import math
@@ -394,7 +396,10 @@ _GL3 = ((-math.sqrt(0.6), 5.0 / 9.0), (0.0, 8.0 / 9.0),
 
 def turning_angle(q_from, q_to, pgas):
     """Turning integral int sqrt(q^2 - c^2)/(q c) dq from q_from to q_to,
-    with tau eliminated through the Bernoulli law of pgas."""
+    with tau eliminated through the Bernoulli law of pgas at every node.
+    The speed-keyed public form: pm_potential and riemann_invariants take
+    the same integral in the volume (turning_in_volume), and the tests keep
+    this one as their reference."""
     def nu_prime(q):
         tau = tau_from_speed(q, pgas)
         c = pgas.c(tau)
@@ -447,12 +452,32 @@ def vacuum_angle(q_d, tau_d, S_d, gas):
                          TargetTau(math.inf), gas).theta_end
 
 
+def turning_in_volume(tau_from, tau_to, pgas):
+    """Turning integral int c sqrt(q^2 - c^2)/(tau q^2) dtau from tau_from
+    to tau_to on the isentrope of pgas, with q^2 = 2 (bernoulli - h(tau))
+    in closed form.  Equal to turning_angle between the speeds of the two
+    volumes.  Raises "subsonic" at a node where q is not above c."""
+    def rate(tau):
+        q2 = 2.0 * (pgas.bernoulli - pgas.h(tau))
+        c = pgas.c(tau)
+        if q2 <= c * c:
+            raise ValueError(f"subsonic: q={math.sqrt(max(q2, 0.0))} at "
+                             f"or below c={c} at tau={tau}")
+        return c * math.sqrt(q2 - c * c) / (tau * q2)
+
+    val, _ = quad(rate, tau_from, tau_to, epsabs=1e-13, epsrel=1e-12,
+                  limit=200)
+    return val
+
+
 def pm_potential(tau, pgas, q_ref, sigma_ref, tau_ref):
     """
     Potential-flow fan on the isentrope of pgas, anchored at the state
     (q_ref, sigma_ref, tau_ref): returns (sigma_hat, alpha_hat) at volume
     tau, where sigma_hat is the flow direction after the turning integral
-    and alpha_hat = sigma_hat + arcsin(c/q) the ray angle.
+    and alpha_hat = sigma_hat + arcsin(c/q) the ray angle.  The integral is
+    taken in the volume from tau_ref to tau (turning_in_volume), so no
+    speed is mapped back to a volume.
     """
     anchored = PotentialGas.from_state(pgas.gas, pgas.S, q_ref, tau_ref,
                                        bernoulli=pgas.bernoulli)
@@ -461,14 +486,15 @@ def pm_potential(tau, pgas, q_ref, sigma_ref, tau_ref):
     if q_hat <= c_hat:
         raise ValueError(f"subsonic: q={q_hat} at or below c={c_hat} "
                          f"at tau={tau}")
-    sigma_hat = sigma_ref - turning_angle(q_ref, q_hat, anchored)
+    sigma_hat = sigma_ref - turning_in_volume(tau_ref, tau, anchored)
     return sigma_hat, sigma_hat + math.asin(c_hat / q_hat)
 
 
 def riemann_invariants(u, v, pgas):
     """
     (r_plus, r_minus) = sigma +/- nu(q) with nu the turning integral from
-    the reference speed pgas.q_ref on the isentrope of pgas.
+    the reference speed pgas.q_ref on the isentrope of pgas, taken in the
+    volume between the two roots of the Bernoulli law (turning_in_volume).
 
     Raises "subsonic" when the state is not supersonic and
     "no-reference-speed" when pgas carries no positive q_ref.
@@ -483,5 +509,5 @@ def riemann_invariants(u, v, pgas):
     if q <= c:
         raise ValueError(f"subsonic: q={q} at or below c={c}")
     sigma = math.atan2(v, u)
-    nu = turning_angle(pgas.q_ref, q, pgas)
+    nu = turning_in_volume(tau_from_speed(pgas.q_ref, pgas), tau, pgas)
     return sigma + nu, sigma - nu

@@ -378,9 +378,10 @@ def pre_sonic_tau_potential(tau_f, pgas):
             f"out-of-window: tau_f={tau_f} outside (tau1_i={tau1_i}, "
             f"tau2_i={tau2_i})")
     slope_f = pgas.p_tau(tau_f)
+    h_f = pgas.h(tau_f)
 
     def g4(t):
-        return (2.0 * pgas.h(tau_f) - 2.0 * pgas.h(t)
+        return (2.0 * h_f - 2.0 * pgas.h(t)
                 - slope_f * (tau_f**2 - t**2))
 
     # Just above tau1_i the isolated root merges into the double root at

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,9 +297,9 @@ def test_vacuum_angle_near_sonic_matches_mpmath(gamma):
     assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
-def mpmath_fan_end_ray(q0, tau0, tau_end, S, gamma):
-    """End ray sigma + arcsin(c/q) of the fan from (q0, tau0) with
-    sigma0 = 0, from the turning rate c sqrt(q^2 - c^2)/(tau q^2)
+def mpmath_fan_end(q0, tau0, sigma0, tau_end, S, gamma):
+    """(sigma, sigma + arcsin(c/q)) at tau_end of the fan from the state
+    (q0, tau0, sigma0), from the turning rate c sqrt(q^2 - c^2)/(tau q^2)
     integrated in tau at 40 digits."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
@@ -317,8 +318,9 @@ def mpmath_fan_end_ray(q0, tau0, tau_end, S, gamma):
             q2 = q_lim2 - 2 * h(tau)
             return mp.sqrt(c2(tau) * (q2 - c2(tau))) / (tau * q2)
 
-        sigma = -mp.quad(rate, mp.linspace(t0, t1, 5))
-        return float(sigma + mp.asin(mp.sqrt(c2(t1) / (q_lim2 - 2 * h(t1)))))
+        sigma = mp.mpf(sigma0) - mp.quad(rate, mp.linspace(t0, t1, 5))
+        ray = sigma + mp.asin(mp.sqrt(c2(t1) / (q_lim2 - 2 * h(t1))))
+        return float(sigma), float(ray)
 
 
 def test_fan_near_the_covolume_matches_mpmath():
@@ -332,7 +334,7 @@ def test_fan_near_the_covolume_matches_mpmath():
     q0 = 50.0 * c0
     sol = fan.integrate_fan(q0, tau0, 0.0, S, math.asin(c0 / q0),
                             fan.TargetTau(tau_end), gas)
-    ref = mpmath_fan_end_ray(q0, tau0, tau_end, S, 1.3)
+    _, ref = mpmath_fan_end(q0, tau0, 0.0, tau_end, S, 1.3)
     assert sol.theta_end == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -426,6 +428,66 @@ def test_turning_angle_on_short_intervals(case):
     assert short / d == pytest.approx(ref, rel=1e-9)
 
 
+def test_turning_in_volume_matches_turning_angle():
+    # the volume integral against the speed-keyed reference on long
+    # intervals of the fixture isentrope, both ways round
+    pg, q_ref, tau_ref = potential_anchor()
+    for tau in (TAU1_I + 0.25, 0.5 * (TAU1_I + tau_ref), 2.0 * tau_ref,
+                50.0 * tau_ref):
+        nu = fan.turning_in_volume(tau_ref, tau, pg)
+        ref = fan.turning_angle(q_ref, pg.speed_of_tau(tau), pg)
+        assert nu == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert fan.turning_in_volume(tau, tau_ref, pg) == pytest.approx(
+            -nu, rel=1e-14, abs=0.0)
+
+
+# (gamma, S, q_po, sigma_po, tau_po, tau1_i) of the post-sonic point of the
+# compression fixture (u0 = 0.32, tau0 = 25.0066) and of potential_sweep
+# seed 204 state 12 (tau_po within 0.2% of tau1_i) and seed 209 state 15
+# (tau_po just below tau2_i)
+PO_POINTS = {
+    "fixture": (1.5, S98, 0.21812603958935026, 0.5305811595595423,
+                7.481738396911067, 6.222021767887086),
+    "204/12": (1.5610382502898574, 0.3679710887428113, 1.2147794364531164,
+               0.2579312290701425, 6.899250263238171, 6.886071314060558),
+    "209/15": (1.7211201174184678, 0.4642651727077509, 0.17151554001667524,
+               0.0007960895446974813, 16.730067033786284,
+               12.394356025920228),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PO_POINTS))
+def test_pm_potential_matches_mpmath(case):
+    # against the volume integral at 40 digits; a speed-keyed integral
+    # with a root solve at every node was off by up to 1.3e-14 rad here
+    g, S, q_po, sigma_po, tau_po, tau1_i = PO_POINTS[case]
+    pg = thermo.PotentialGas(gas=thermo.GasModel(g), S=S, bernoulli=1.0)
+    for f in (0.05, 0.5, 0.95):
+        tau = tau1_i + f * (tau_po - tau1_i)
+        sigma, _ = fan.pm_potential(tau, pg, q_po, sigma_po, tau_po)
+        ref, _ = mpmath_fan_end(q_po, tau_po, sigma_po, tau, S, g)
+        assert sigma == pytest.approx(ref, rel=0.0, abs=2e-15)
+
+
+def test_potential_fan_maps_no_speed_to_a_volume(monkeypatch):
+    # pm_potential integrates in the volume; riemann_invariants solves the
+    # Bernoulli law only for the state and the reference speed
+    calls = []
+    root = fan.tau_from_speed
+
+    def counted(q, pgas):
+        calls.append(q)
+        return root(q, pgas)
+
+    monkeypatch.setattr(fan, "tau_from_speed", counted)
+    pg, q_ref, tau_ref = potential_anchor()
+    sigma, _ = fan.pm_potential(TAU1_I + 0.25, pg, q_ref, -0.1, tau_ref)
+    assert calls == []
+    q = pg.speed_of_tau(TAU1_I + 0.25)
+    fan.riemann_invariants(q * math.cos(sigma), q * math.sin(sigma), pg)
+    assert len(calls) == 2
+
+
 def test_riemann_invariants_sum_and_fan_invariance():
     pg, q_ref, tau_ref = potential_anchor()
     anchored = thermo.PotentialGas.from_state(G15, S98, q_ref, tau_ref,
@@ -481,3 +543,7 @@ def test_riemann_invariants_guards():
     bare = thermo.PotentialGas(gas=G15, S=S98, bernoulli=1.0)
     with pytest.raises(ValueError, match="no-reference-speed"):
         fan.riemann_invariants(q_ref, 0.0, bare)
+    # a subsonic reference speed: the integral crosses the sonic volume
+    slow = replace(anchored, q_ref=0.45 * q_ref)
+    with pytest.raises(ValueError, match="subsonic"):
+        fan.riemann_invariants(q_ref, 0.0, slow)
