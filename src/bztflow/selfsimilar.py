@@ -283,9 +283,8 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
 
     head_front = FlowState(u0, 0.0, tau0, pgas.S)
     head_back = FlowState(ctx.u_po, ctx.v_po, ctx.tau_po, pgas.S)
-    n_po = ctx.normal_speed(ctx.tau_po)
     head = ObliqueShockSolution(front=head_front, back=head_back,
-                                phi=ctx.phi_po, m=n_po / tau0, kind="")
+                                phi=ctx.phi_po, m=ctx.n_po / tau0, kind="")
     head = replace(head, kind=classify(head, pgas.gas))
 
     tail = tail_shock_solution(branch, tau_w)

@@ -16,11 +16,12 @@ sonic shock families live:
 
 The Euler solvers work with (tau, S) pairs and the full jump set; the
 potential-flow solvers fix one isentrope and replace the normal momentum
-balance by the Bernoulli invariant, so the chord is taken in the
-squared-volume chart and admissibility reduces to a chord comparison
-(Liu's extended entropy condition).
+balance by the Bernoulli invariant, with one cancellation-free chord flux
+in the squared-volume chart, Liu's chord comparison for admissibility and
+the front-sonic tangency solved with its double root divided out.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -311,12 +312,26 @@ def post_sonic_back_state_euler(tau_f, S_f, gas, n_steps=24, max_iter=60):
 
 
 # ---------------------------------------------------------------------------
-# sonic shock families, potential side (one frozen isentrope; chords taken
-# in the squared-volume chart: slope (2h(tau_f)-2h(tau_b))/(tau_f^2-tau_b^2))
+# sonic shock families, potential side (one frozen isentrope, on which
+# h = a1 (tau-1)^p1 + a2 (tau-1)^p2 - 2/tau + h_ref)
 
-def _chord2(tau_b, tau_f, pgas):
-    return ((2.0 * pgas.h(tau_f) - 2.0 * pgas.h(tau_b))
-            / (tau_f**2 - tau_b**2))
+def _enthalpy_powers(pgas):
+    g, S = pgas.gas.gamma, pgas.S
+    return (g * S / (g - 1.0), 1.0 - g), (S, -g)
+
+
+def mass_flux_squared_potential(tau_a, tau_b, pgas, xp=math):
+    """
+    Squared mass flux m^2 = -(2h(tau_a) - 2h(tau_b))/(tau_a^2 - tau_b^2)
+    of the chord between two volumes of the isentrope (minus its slope in
+    the squared-volume chart), with h(tau_a) - h(tau_b) taken term by term
+    through expm1/log1p. `xp` is math for scalars or numpy for arrays.
+    """
+    x = xp.log1p((tau_a - tau_b) / (tau_b - 1.0))
+    dh = 2.0 * (tau_a - tau_b) / (tau_a * tau_b)
+    for a, p in _enthalpy_powers(pgas):
+        dh = dh + a * (tau_b - 1.0) ** p * xp.expm1(p * x)
+    return -2.0 * dh / ((tau_a - tau_b) * (tau_a + tau_b))
 
 
 def tangent_chord_limit(pgas):
@@ -327,9 +342,10 @@ def tangent_chord_limit(pgas):
     single shock.
     """
     tau1_i, tau2_i = pgas.inflection_pair
+    sonic = -pgas.p_tau(tau1_i)
 
     def gap(t):
-        return _chord2(tau1_i, t, pgas) - pgas.p_tau(tau1_i)
+        return sonic - mass_flux_squared_potential(t, tau1_i, pgas)
 
     hi = 2.0 * tau2_i
     for _ in range(200):
@@ -358,55 +374,66 @@ def post_sonic_tau_potential(tau_f, pgas):
             f"tau_c={tau_c})")
 
     def gap(t):
-        return _chord2(t, tau_f, pgas) - pgas.p_tau(t)
+        return -mass_flux_squared_potential(tau_f, t, pgas) - pgas.p_tau(t)
 
     return brentq(gap, tau1_i, tau2_i, xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
+
+
+@functools.lru_cache(maxsize=8)
+def _binomial_series(p):
+    # C(p, k), k = 19 ... 2: ((1+y)^p - 1 - p y)/y^2 to rounding for |y| <= 0.1
+    c = [0.5 * p * (p - 1.0)]
+    for k in range(2, 19):
+        c.append(c[-1] * (p - k) / (k + 1))
+    return tuple(reversed(c))
 
 
 def pre_sonic_tau_potential(tau_f, pgas):
     """
     Back volume tau_pr below the nonconvex window whose chord from tau_f
-    is tangent at the front point (front side sonic).
+    is tangent at the front point (front side sonic); tau_f must lie
+    strictly between the inflection volumes ("out-of-window" otherwise).
 
-    Valid for tau_f strictly between the inflection volumes
-    ("out-of-window" otherwise). The defining function has a double root
-    at tau_f itself; the returned root is the isolated one below tau1_i.
+    g4(t) = 2h(tau_f) - 2h(t) - p_tau(tau_f)(tau_f^2 - t^2) has a double
+    root at tau_f, which tau_pr merges into as tau_f falls to tau1_i. The
+    deflated G = g4/(tau_f - t)^2 = p_tau(tau_f) - 2h[tau_f, tau_f, t]
+    keeps a simple root up to tau1_i, so no expansion about the inflection
+    point is needed. Each term a (tau-1)^p of h adds a x^(p-2) phi2 to the
+    divided difference, x = tau_f - 1, y = (t - tau_f)/x, with
+    phi2 = ((1+y)^p - 1 - p y)/y^2 from expm1/log1p for |y| > 0.1 and its
+    binomial series below; -2/tau adds -2/(t tau_f^2). The solve runs on
+    G ((t-1)/x)^gamma, which stays bounded as t -> 1 where G -> -inf.
     """
     tau1_i, tau2_i = pgas.inflection_pair
     if not tau1_i < tau_f < tau2_i:
         raise ValueError(
             f"out-of-window: tau_f={tau_f} outside (tau1_i={tau1_i}, "
             f"tau2_i={tau2_i})")
-    slope_f = pgas.p_tau(tau_f)
-    h_f = pgas.h(tau_f)
+    x = tau_f - 1.0
+    (a1, p1), (a2, p2) = _enthalpy_powers(pgas)
+    c1, c2 = 2.0 * a1 * x ** (p1 - 2.0), 2.0 * a2 * x ** (p2 - 2.0)
+    series = [c1 * b1 + c2 * b2 for b1, b2 in
+              zip(_binomial_series(p1), _binomial_series(p2))]
+    base, k = pgas.p_tau(tau_f), 4.0 / tau_f**2
 
-    def g4(t):
-        return (2.0 * h_f - 2.0 * pgas.h(t)
-                - slope_f * (tau_f**2 - t**2))
+    def scaled_G(t):
+        y = (t - tau_f) / x
+        if y < -0.1:
+            lg = math.log1p(y)
+            e2 = math.expm1(p2 * lg)          # (1+y)^-gamma - 1
+            d = (c1 * (math.expm1(p1 * lg) - p1 * y)
+                 + c2 * (e2 - p2 * y)) / (y * y)
+            return (base + k / t - d) / (1.0 + e2)
+        d = 0.0
+        for c in series:
+            d = d * y + c
+        return (base + k / t - d) * (1.0 + y) ** -p2
 
-    # Just above tau1_i the isolated root merges into the double root at
-    # tau_f and the chord defect between them is sub-noise (it scales with
-    # the cube of the distance to tau1_i), so no bracket can resolve it.
-    # Expanding the defect about the inflection point, where the
-    # squared-volume chart has zero curvature, puts the root at
-    # 3 tau1_i^2 - 2 tau_f^2 in that chart; inside the ill-conditioned
-    # collar this expansion is the more accurate route.
-    band = tau_f - tau1_i
-    if band <= 3e-5 * tau1_i:
-        return math.sqrt(3.0 * tau1_i**2 - 2.0 * tau_f**2)
-    lo = 1.0 + 1e-9 * (tau1_i - 1.0)
-    for _ in range(200):
-        if g4(lo) < 0.0:
-            break
-        lo = 1.0 + 0.1 * (lo - 1.0)
-    else:
-        raise ValueError(f"no-convergence: no bracket for tau_pr({tau_f})")
-    if g4(tau1_i) > 0.0:
-        return brentq(g4, lo, tau1_i, xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
-    if band <= 1e-3 * tau1_i:
-        return math.sqrt(3.0 * tau1_i**2 - 2.0 * tau_f**2)
-    raise ValueError(f"no-convergence: no sign change below tau1_i for "
-                     f"tau_pr({tau_f})")
+    if not scaled_G(tau1_i) > 0.0:     # lost to rounding next to tau1_i
+        raise ValueError(f"no-convergence: no sign change below tau1_i for "
+                         f"tau_pr({tau_f})")
+    return brentq(scaled_G, 1.0 + 1e-9 * (tau1_i - 1.0), tau1_i,
+                  xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
 
 
 def liu_condition_check(tau_f, tau_b, pgas, n_grid=10000, slack=1e-10):
@@ -421,22 +448,9 @@ def liu_condition_check(tau_f, tau_b, pgas, n_grid=10000, slack=1e-10):
     if not tau_b < tau_f:
         raise ValueError(
             f"non-compressive-chord: requires tau_b={tau_b} < tau_f={tau_f}")
-    g, S = pgas.gas.gamma, pgas.S
-
-    def chord2(t):
-        # h(tau_f) - h(t) term by term: next to tau_f the two enthalpies
-        # agree to many digits and their plain difference is noise
-        x = np.log1p((tau_f - t) / (t - 1.0))
-        dh = (g * S / (g - 1.0) * (t - 1.0) ** (1.0 - g)
-              * np.expm1((1.0 - g) * x)
-              + S * (t - 1.0) ** -g * np.expm1(-g * x)
-              + 2.0 * (tau_f - t) / (tau_f * t))
-        return 2.0 * dh / ((tau_f - t) * (tau_f + t))
-
-    tt = np.linspace(tau_b, tau_f, n_grid + 2)[1:-1]
-    chord_fb = chord2(tau_b)
-    chords = chord2(tt)
-    return bool(np.all(chords > chord_fb - slack * abs(chord_fb)))
+    tt = np.linspace(tau_b, tau_f, n_grid + 2)[:-1]
+    m2 = mass_flux_squared_potential(tau_f, tt, pgas, xp=np)
+    return bool(np.all(m2[1:] < m2[0] + slack * abs(m2[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +534,13 @@ def rh_residuals_euler(sol, gas):
 def rh_residuals_potential(sol, pgas):
     """
     The three jump-relation residuals (mass, tangential velocity,
-    Bernoulli) of a potential-flow shock, scaled as in
-    rh_residuals_euler.
+    Bernoulli) of a potential-flow shock, scaled as in rh_residuals_euler;
+    the Bernoulli pair by the larger q^2, as h has a free offset.
     """
     f, b = sol.front, sol.back
     df = VelocityDecomposition.of(f.u, f.v, sol.phi)
     db = VelocityDecomposition.of(b.u, b.v, sol.phi)
-    pairs = (
-        (df.N / f.tau, db.N / b.tau),
-        (df.L, db.L),
-        (0.5 * f.q**2 + pgas.h(f.tau), 0.5 * b.q**2 + pgas.h(b.tau)),
-    )
-    return tuple((x - y) / max(abs(x), abs(y), 1e-30) for x, y in pairs)
+    pairs = ((df.N / f.tau, db.N / b.tau), (df.L, db.L))
+    bern = ((0.5 * f.q**2 + pgas.h(f.tau)) - (0.5 * b.q**2 + pgas.h(b.tau)))
+    return (tuple((x - y) / max(abs(x), abs(y), 1e-30) for x, y in pairs)
+            + (bern / max(f.q**2, b.q**2, 1e-30),))

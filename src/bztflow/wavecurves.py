@@ -41,9 +41,11 @@ from .shocks import (
     FlowState,
     ObliqueShockSolution,
     classify,
+    mass_flux_squared_potential,
     oblique_back_velocity,
     post_sonic_tau_potential,
     pre_sonic_tau_potential,
+    shock_angle,
 )
 from .thermo import tau_from_speed
 
@@ -53,6 +55,15 @@ _TAIL_EPS = 1e-12
 
 # ---------------------------------------------------------------------------
 # shared geometry of one incoming state
+
+
+def _normal_speed(tau_f, tau_b, pgas):
+    m2 = mass_flux_squared_potential(tau_f, tau_b, pgas)
+    if m2 <= 0.0:
+        raise ValueError(
+            f"expansive-chord: no compressive flux from tau_f={tau_f} "
+            f"to tau_b={tau_b}")
+    return tau_f * math.sqrt(m2)
 
 
 @dataclass(frozen=True)
@@ -66,26 +77,16 @@ class RampWaveContext:
     tau2_i: float
     tau_po: float
     tau_pr_po: float
+    n_po: float
     u_po: float
     v_po: float
     q_po: float
     sigma_po: float
     phi_po: float
 
-    def normal_speed(self, tau_b):
-        """Normal speed of the incoming flow across a shock to volume tau_b."""
-        pg = self.pgas
-        m2 = -((2.0 * pg.h(self.tau0) - 2.0 * pg.h(tau_b))
-               / (self.tau0**2 - tau_b**2))
-        if m2 <= 0.0:
-            raise ValueError(
-                f"expansive-chord: no compressive flux from tau0={self.tau0} "
-                f"to tau_b={tau_b}")
-        return self.tau0 * math.sqrt(m2)
-
     def polar_state(self, tau_b):
         """(u, v, phi) of the single shock with back volume tau_b."""
-        nf = self.normal_speed(tau_b)
+        nf = _normal_speed(self.tau0, tau_b, self.pgas)
         s = nf / self.u0
         if s > 1.0:
             raise ValueError(
@@ -139,10 +140,7 @@ def ramp_context(u0, tau0, pgas):
     tau1_i, tau2_i = pgas.inflection_pair
     tau_po = post_sonic_tau_potential(tau0, pgas)
     tau_pr_po = pre_sonic_tau_potential(tau_po, pgas)
-
-    m2 = -((2.0 * pgas.h(tau0) - 2.0 * pgas.h(tau_po))
-           / (tau0**2 - tau_po**2))
-    n_po = tau0 * math.sqrt(m2)
+    n_po = _normal_speed(tau0, tau_po, pgas)
     if n_po >= u0:
         raise ValueError(
             f"mach-reflection-regime: u0={u0} not above the normal speed "
@@ -151,9 +149,9 @@ def ramp_context(u0, tau0, pgas):
     u_po, v_po = oblique_back_velocity(u0, 0.0, phi_po, tau0, tau_po)
     return RampWaveContext(
         u0=u0, tau0=tau0, pgas=pgas, tau1_i=tau1_i, tau2_i=tau2_i,
-        tau_po=tau_po, tau_pr_po=tau_pr_po, u_po=u_po, v_po=v_po,
-        q_po=math.hypot(u_po, v_po), sigma_po=math.atan2(v_po, u_po),
-        phi_po=phi_po)
+        tau_po=tau_po, tau_pr_po=tau_pr_po, n_po=n_po, u_po=u_po,
+        v_po=v_po, q_po=math.hypot(u_po, v_po),
+        sigma_po=math.atan2(v_po, u_po), phi_po=phi_po)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +162,8 @@ def ramp_context(u0, tau0, pgas):
 class WaveCurveBranch:
     """One sampled branch; params ascend.  `angle` holds the shock
     inclination phi on the polar branches and the ray angle alpha_hat on
-    the fan-based ones."""
+    the fan-based ones; `evaluator` gives (u, v, angle) at any param."""
 
-    tag: str
     param_label: str
     param_range: tuple
     params: np.ndarray
@@ -174,36 +171,30 @@ class WaveCurveBranch:
     v: np.ndarray
     angle: np.ndarray
     context: RampWaveContext = None
+    evaluator: object = None
 
     def state(self, param):
         """(u, v, angle) at any parameter value, re-evaluated from the
-        defining relations when the branch carries its context and
+        defining relations when the branch carries its evaluator and
         spline-interpolated otherwise."""
-        if self.context is not None:
-            if self.tag in ("polar_I", "polar_II"):
-                return self.context.polar_state(param)
-            if self.tag == "shock_fan":
-                return self.context.fan_state(param)
-            if self.tag == "shock_fan_shock":
-                return self.context.tail_state(param)
-            raise ValueError(f"unknown-tag: {self.tag}")
+        if self.evaluator is not None:
+            return self.evaluator(param)
         return (float(CubicSpline(self.params, self.u)(param)),
                 float(CubicSpline(self.params, self.v)(param)),
                 float(CubicSpline(self.params, self.angle)(param)))
 
 
-def _graded_grid(lo, hi, n, open_lo=False, open_hi=False):
+def _graded_grid(lo, hi, n, open_hi=False):
     # uniform nodes plus geometric clustering toward both ends, so that
     # spline queries stay accurate where the branch turns fastest
     w = hi - lo
-    a = lo + (1e-9 * w if open_lo else 0.0)
     b = hi - (1e-9 * w if open_hi else 0.0)
     offs = w * np.logspace(-8.0, -2.0, 7)
-    pts = np.concatenate((np.linspace(a, b, n), a + offs, b - offs))
+    pts = np.concatenate((np.linspace(lo, b, n), lo + offs, b - offs))
     return np.unique(pts)
 
 
-def _assemble(tag, label, rng, grid, fn, ctx):
+def _assemble(label, rng, grid, fn, ctx):
     uu = np.empty(grid.size)
     vv = np.empty(grid.size)
     aa = np.empty(grid.size)
@@ -212,8 +203,8 @@ def _assemble(tag, label, rng, grid, fn, ctx):
     # a memoised branch is handed to every caller of its incoming state
     for arr in (grid, uu, vv, aa):
         arr.setflags(write=False)
-    return WaveCurveBranch(tag=tag, param_label=label, param_range=rng,
-                           params=grid, u=uu, v=vv, angle=aa, context=ctx)
+    return WaveCurveBranch(param_label=label, param_range=rng, params=grid,
+                           u=uu, v=vv, angle=aa, context=ctx, evaluator=fn)
 
 
 def polar_branch_I(u0, tau0, pgas, n=512):
@@ -226,8 +217,8 @@ def polar_branch_I(u0, tau0, pgas, n=512):
     """
     ctx = ramp_context(u0, tau0, pgas)
     grid = _graded_grid(ctx.tau_po, tau0, n, open_hi=True)
-    return _assemble("polar_I", "tau_b", (ctx.tau_po, tau0), grid,
-                     ctx.polar_state, ctx)
+    return _assemble("tau_b", (ctx.tau_po, tau0), grid, ctx.polar_state,
+                     ctx)
 
 
 def _require_supersonic_post_state(ctx):
@@ -245,8 +236,8 @@ def shock_fan_branch(u0, tau0, pgas, n=512):
     ctx = ramp_context(u0, tau0, pgas)
     _require_supersonic_post_state(ctx)
     grid = _graded_grid(ctx.tau1_i, ctx.tau_po, n)
-    return _assemble("shock_fan", "tau", (ctx.tau1_i, ctx.tau_po), grid,
-                     ctx.fan_state, ctx)
+    return _assemble("tau", (ctx.tau1_i, ctx.tau_po), grid, ctx.fan_state,
+                     ctx)
 
 
 def shock_fan_shock_branch(u0, tau0, pgas, n=512):
@@ -269,8 +260,8 @@ def _shock_fan_shock_branch(u0, tau0, pgas, n):
     ctx = ramp_context(u0, tau0, pgas)
     _require_supersonic_post_state(ctx)
     grid = _graded_grid(ctx.tau1_i, ctx.tau_po, n)
-    return _assemble("shock_fan_shock", "tau_f", (ctx.tau1_i, ctx.tau_po),
-                     grid, ctx.tail_state, ctx)
+    return _assemble("tau_f", (ctx.tau1_i, ctx.tau_po), grid,
+                     ctx.tail_state, ctx)
 
 
 def polar_branch_II(u0, tau0, pgas, n=512):
@@ -278,7 +269,7 @@ def polar_branch_II(u0, tau0, pgas, n=512):
     (where the deflection vanishes) up to the back volume of the
     front-sonic shock seated at P."""
     ctx = ramp_context(u0, tau0, pgas)
-    f = lambda t: ctx.normal_speed(t) - u0
+    f = lambda t: _normal_speed(tau0, t, pgas) - u0
     lo = 1.0 + 1e-9
     hi = ctx.tau_pr_po * (1.0 - 1e-12)
     if not f(lo) > 0.0 > f(hi):
@@ -286,9 +277,12 @@ def polar_branch_II(u0, tau0, pgas, n=512):
             f"empty-branch: the normal speed never falls below u0={u0} "
             f"ahead of tau_b={ctx.tau_pr_po}")
     tau_n = brentq(f, lo, hi, xtol=1e-13)
+    # step off the detached side, where polar_state would reject the root
+    while f(tau_n) > 0.0:
+        tau_n = math.nextafter(tau_n, hi)
     grid = _graded_grid(tau_n, ctx.tau_pr_po, n, open_hi=True)
-    return _assemble("polar_II", "tau_b", (tau_n, ctx.tau_pr_po), grid,
-                     ctx.polar_state, ctx)
+    return _assemble("tau_b", (tau_n, ctx.tau_pr_po), grid, ctx.polar_state,
+                     ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +429,17 @@ def polar_gradient(u, v, u_f, v_f, pgas):
     return G, G_u, G_v
 
 
+def _context(branch):
+    if branch.context is None:
+        raise ValueError("no-context: branch was built from bare arrays")
+    return branch.context
+
+
 def _front_polar_state(ctx, tau_f, tau_b):
     # polar of the oblique fan-branch state at volume tau_f: pick the
     # inclination whose normal component matches the chord flux to tau_b
     u_hat, v_hat, _ = ctx.fan_state(tau_f)
-    pg = ctx.pgas
-    m2 = -((2.0 * pg.h(tau_f) - 2.0 * pg.h(tau_b)) / (tau_f**2 - tau_b**2))
-    q_hat = math.hypot(u_hat, v_hat)
-    nf = tau_f * math.sqrt(m2)
-    phi = math.atan2(v_hat, u_hat) + math.asin(nf / q_hat)
+    phi = shock_angle(u_hat, v_hat, _normal_speed(tau_f, tau_b, ctx.pgas))
     return oblique_back_velocity(u_hat, v_hat, phi, tau_f, tau_b)
 
 
@@ -452,9 +448,7 @@ def polar_tangency_check(branch_IJ, tau_w, pgas):
     tangent of the shock polar of the fan-branch front state through the
     same back point.  The two curves touch, so the defect measures only
     the finite-difference error."""
-    ctx = branch_IJ.context
-    if ctx is None:
-        raise ValueError("no-context: branch was built from bare arrays")
+    ctx = _context(branch_IJ)
     lo, hi = branch_IJ.param_range
     if not lo < tau_w < hi:
         raise ValueError(f"out-of-window: tau_w={tau_w} not inside "
@@ -477,9 +471,7 @@ def polar_tangency_check(branch_IJ, tau_w, pgas):
 def tail_tangent_acute(branch_IJ, tau_w, step=1e-6):
     """True when the angle between the backward tangent -(u', v') of the
     composite branch and the state vector (u, v) at tau_w is acute."""
-    ctx = branch_IJ.context
-    if ctx is None:
-        raise ValueError("no-context: branch was built from bare arrays")
+    ctx = _context(branch_IJ)
     u, v, _ = ctx.tail_state(tau_w)
     up, vp, _ = ctx.tail_state(tau_w + step)
     um, vm, _ = ctx.tail_state(tau_w - step)
@@ -490,9 +482,7 @@ def tail_tangent_acute(branch_IJ, tau_w, step=1e-6):
 
 def tail_back_supersonic(branch_IJ, tau_w):
     """True when the back state of the tail shock at tau_w is supersonic."""
-    ctx = branch_IJ.context
-    if ctx is None:
-        raise ValueError("no-context: branch was built from bare arrays")
+    ctx = _context(branch_IJ)
     u, v, _ = ctx.tail_state(tau_w)
     return math.hypot(u, v) > ctx.pgas.c(ctx.tail_back_volume(tau_w))
 
@@ -500,9 +490,7 @@ def tail_back_supersonic(branch_IJ, tau_w):
 def tail_shock_solution(branch_IJ, tau_f):
     """The tail shock at parameter tau_f as a resolved oblique shock on
     the branch isentrope (front on the fan branch, front-sonic flux)."""
-    ctx = branch_IJ.context
-    if ctx is None:
-        raise ValueError("no-context: branch was built from bare arrays")
+    ctx = _context(branch_IJ)
     u_hat, v_hat, alpha_hat = ctx.fan_state(tau_f)
     tau_pr = ctx.tail_back_volume(tau_f)
     u_b, v_b, _ = ctx.tail_state(tau_f)

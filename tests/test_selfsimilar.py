@@ -363,6 +363,19 @@ def test_potential_validation_report():
     assert rep.wall_supersonic
 
 
+@pytest.mark.parametrize("bernoulli", [-0.5, 0.0, 1e-6, 1.0, 5.0])
+def test_potential_validation_independent_of_bernoulli_constant(bernoulli):
+    # the Bernoulli constant only shifts the enthalpy, so neither the
+    # solution nor its jump residuals may depend on it
+    pgas = PotentialGas.from_state(G15, S98, U0_P, TAU0_P,
+                                   bernoulli=bernoulli)
+    sol = ss.solve_potential_sfs(U0_P, TAU0_P, THETA_W_P, pgas)
+    rep = ss.validate(sol)
+    assert rep.ok
+    assert rep.max_rh_residual < 1e-12
+    assert sol.meta["tau_w"] == pytest.approx(TAU_W_MID, rel=1e-10)
+
+
 def test_potential_evaluate_inside_fan():
     sol = _potential_sol()
     st_ = ss.evaluate(sol, *_ray(ALPHA_HAT_MID + 1e-9))

@@ -257,6 +257,56 @@ def test_pre_sonic_potential_slope_negative():
     assert b < a
 
 
+def mpmath_pre_sonic_root(tau_f, gamma, S, lo, hi):
+    """Root of g4(t)/(tau_f - t)^2 on (lo, hi) by bisection to 40 digits,
+    from the enthalpy of the reduced van der Waals gas at 80 digits: next
+    to tau1_i, g4 loses about three times the digits of the relative
+    distance to it."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        g, S, tf = mp.mpf(gamma), mp.mpf(S), mp.mpf(tau_f)
+
+        def h(t):
+            return (g * S / (g - 1) * (t - 1) ** (1 - g)
+                    + S * (t - 1) ** (-g) - 2 / t)
+
+        h_f = h(tf)
+        p_tau_f = -g * S * (tf - 1) ** (-g - 1) + 2 / tf**3
+
+        def deflated(t):
+            return ((2 * h_f - 2 * h(t) - p_tau_f * (tf**2 - t**2))
+                    / (tf - t) ** 2)
+
+        a, b = mp.mpf(lo), mp.mpf(hi)
+        assert deflated(a) < 0 < deflated(b)
+        while b - a > mp.mpf(10) ** -40 * b:
+            mid = (a + b) / 2
+            if deflated(mid) < 0:
+                a = mid
+            else:
+                b = mid
+        return float((a + b) / 2)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 1.3, 1.8])
+def test_pre_sonic_potential_matches_mpmath(gamma):
+    # across the window, down to 1e-12 of its width above tau1_i, where the
+    # wanted root merges with the double root at tau_f
+    if gamma == 1.5:
+        pg = pgas98()
+    else:
+        gas = thermo.GasModel(gamma)
+        S_star, _, S_cr = thermo.critical_entropies(gas)
+        pg = thermo.PotentialGas(gas=gas, S=0.5 * (S_star + S_cr))
+    tau1_i, tau2_i = pg.inflection_pair
+    for frac in (1e-12, 1e-8, 3e-5, 1e-4, 1e-3, 0.5, 0.999):
+        tau_f = tau1_i + frac * (tau2_i - tau1_i)
+        ref = mpmath_pre_sonic_root(tau_f, gamma, pg.S,
+                                    1.0 + 1e-3 * (tau1_i - 1.0), tau1_i)
+        assert shocks.pre_sonic_tau_potential(tau_f, pg) == pytest.approx(
+            ref, rel=1e-13)
+
+
 def test_composed_window_stays_below_first_inflection():
     pg = pgas98()
     for tau_f in (TAU2_I + 2.0, TAU_F_MID_PO, TAU_C - 2.0):

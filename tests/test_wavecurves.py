@@ -90,6 +90,7 @@ def test_context_matches_oracle(pgas):
     ctx = wc.ramp_context(U0, TAU0, pgas)
     assert ctx.tau_po == pytest.approx(TAU_PO, rel=1e-12)
     assert ctx.tau_pr_po == pytest.approx(TAU_PR_PO, rel=1e-10)
+    assert ctx.n_po == pytest.approx(N_PO, rel=1e-12)
     assert ctx.u_po == pytest.approx(U_PO, rel=1e-12)
     assert ctx.v_po == pytest.approx(V_PO, rel=1e-12)
     assert ctx.q_po == pytest.approx(Q_PO, rel=1e-12)
@@ -248,6 +249,18 @@ def test_strong_polar_junction(branches):
     assert math.hypot(u1 - u2, v1 - v2) < 1e-7
 
 
+@pytest.mark.parametrize("frac", [1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9])
+def test_composite_deflection_free_of_rounding_noise(branches, frac):
+    # nudging tau_f by a few ulps may move sigma_IJ only at rounding level,
+    # also next to tau1_i where the tail's pre-sonic root merges with the
+    # double root at tau_f
+    ctx = branches["ij"].context
+    tau_f = ctx.tau1_i + frac * (ctx.tau_po - ctx.tau1_i)
+    sigma = [math.atan2(*ctx.tail_state(tau_f * (1.0 + k * 1e-15))[1::-1])
+             for k in range(5)]
+    assert max(abs(s - sigma[0]) for s in sigma) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # strong polar branch
 
@@ -269,6 +282,18 @@ def test_polar_branch_II_admissible(branches, pgas):
         for r in shocks.rh_residuals_potential(sol, pgas):
             assert abs(r) < 1e-10
         assert shocks.liu_condition_check(TAU0, jn.params[k], pgas)
+
+
+def test_polar_branch_II_starts_attached():
+    # the normal point must stay on the attached side of u0 after rounding
+    for u0 in np.linspace(0.30, 0.34, 41):
+        pg = thermo.PotentialGas.from_state(G15, S98, float(u0), TAU0,
+                                            bernoulli=1.0)
+        jn = wc.polar_branch_II(float(u0), TAU0, pg, n=8)
+        # the deflection grows like the root of the distance to the normal
+        # point, so a volume within xtol of it deflects by ~1e-8
+        assert abs(jn.v[0]) < 1e-7
+        assert jn.angle[0] <= 0.5 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +352,7 @@ def test_deflection_range(branches):
 def test_deflection_range_constant_branch():
     q = np.linspace(0.2, 0.3, 64)
     b = wc.WaveCurveBranch(
-        tag="shock_fan_shock", param_label="tau_f", param_range=(0.0, 1.0),
+        param_label="tau_f", param_range=(0.0, 1.0),
         params=np.linspace(0.0, 1.0, 64), u=q * math.cos(0.3),
         v=q * math.sin(0.3), angle=np.zeros(64))
     sm, sM = wc.deflection_range(b)
