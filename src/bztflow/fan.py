@@ -25,17 +25,20 @@ to u by bisection on the panel nodes and safeguarded Newton steps.  The
 construction stops short of the inflection window of the isentrope
 (p_tautau = 0) and requires a supersonic foot.
 
-The potential-flow fan (sigma as a function of tau at frozen entropy) and
-the Riemann invariants sigma +/- nu take the same integral in tau itself,
-by QUADPACK on the closed-form rate above (turning_in_volume), so no
-quadrature node maps a speed back to a volume.  turning_angle keeps the
-speed-keyed form nu(q) = int sqrt(q^2-c^2)/(q c) dq, with tau eliminated
-through the Bernoulli law, as a public function and a test reference.
+The attached fan of potential flow is the same series
+(wavecurves.RampWaveContext.turning), inside the inflection window where
+the ray angle falls as u rises (falling_ray).  The Riemann invariants
+sigma +/- nu take the turning integral in tau itself, by QUADPACK on the
+closed-form rate above (turning_in_volume), independent of any series;
+pm_potential, the same integral between two fan volumes, is the reference
+the series is tested against.  turning_angle keeps the speed-keyed form
+nu(q) = int sqrt(q^2-c^2)/(q c) dq as a test reference.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -256,9 +259,44 @@ class _Turning:
                 x = 0.5 * (lo + hi)
         return pt
 
+    def shift(self, d):
+        """Add d to sigma and to every ray (a change of the anchor)."""
+        self.sigmas = [s + d for s in self.sigmas]
+        self.thetas = [t + d for t in self.thetas]
+        self.panels = [(m, h, c0 + d, rest)
+                       for m, h, c0, rest in self.panels]
+
+    @cached_property
+    def _lower_edges(self):
+        return [m - h for m, h, _, _ in self.panels]
+
+    def sigma_at(self, u):
+        """sigma at u, by Clenshaw on the panel holding u."""
+        p = max(bisect_right(self._lower_edges, u) - 1, 0)
+        mid, hw, c0, rest = self.panels[p]
+        return _clenshaw(c0, rest, (u - mid) / hw)
+
+    @cached_property
+    def _falling(self):
+        # -theta and -dtheta/du at the nodes, increasing in u where the ray
+        # angle falls as u rises
+        return [-t for t in self.thetas], [-s for s in self.slopes]
+
+    def falling_ray(self, theta):
+        """(q, tau, sigma) on the ray theta of a fan inside the inflection
+        window, where p_tautau < 0 and theta falls as u rises."""
+        values, slopes = self._falling
+        sigma, _, _, _, q2, lw = self.solve(-theta, values, slopes,
+                                            _falling_theta_pick)
+        return math.sqrt(q2), _tau_of(lw), sigma
+
 
 def _theta_pick(pt):
     return pt[1], pt[2]
+
+
+def _falling_theta_pick(pt):
+    return -pt[1], -pt[2]
 
 
 def _sigma_pick(pt):
@@ -476,8 +514,9 @@ def pm_potential(tau, pgas, q_ref, sigma_ref, tau_ref):
     (q_ref, sigma_ref, tau_ref): returns (sigma_hat, alpha_hat) at volume
     tau, where sigma_hat is the flow direction after the turning integral
     and alpha_hat = sigma_hat + arcsin(c/q) the ray angle.  The integral is
-    taken in the volume from tau_ref to tau (turning_in_volume), so no
-    speed is mapped back to a volume.
+    taken in the volume from tau_ref to tau (turning_in_volume).  A
+    reference outside the hot path: the wave curves and the assembled
+    solutions read the stored series (RampWaveContext.turning) instead.
     """
     anchored = PotentialGas.from_state(pgas.gas, pgas.S, q_ref, tau_ref,
                                        bernoulli=pgas.bernoulli)
@@ -494,7 +533,8 @@ def riemann_invariants(u, v, pgas):
     """
     (r_plus, r_minus) = sigma +/- nu(q) with nu the turning integral from
     the reference speed pgas.q_ref on the isentrope of pgas, taken in the
-    volume between the two roots of the Bernoulli law (turning_in_volume).
+    volume (turning_in_volume) from pgas.tau_ref, the volume of q_ref kept
+    on the model, to the root of the Bernoulli law at q.
 
     Raises "subsonic" when the state is not supersonic and
     "no-reference-speed" when pgas carries no positive q_ref.
@@ -509,5 +549,5 @@ def riemann_invariants(u, v, pgas):
     if q <= c:
         raise ValueError(f"subsonic: q={q} at or below c={c}")
     sigma = math.atan2(v, u)
-    nu = turning_in_volume(tau_from_speed(pgas.q_ref, pgas), tau, pgas)
+    nu = turning_in_volume(pgas.tau_ref, tau, pgas)
     return sigma + nu, sigma - nu

@@ -21,8 +21,6 @@ residuals without raising.
 import math
 from dataclasses import dataclass, field, replace
 
-from scipy.optimize import brentq
-
 from .thermo import (critical_entropies, enthalpy, locus_intersections,
                      sound_speed)
 from .shocks import (FlowState, ObliqueShockSolution, classify,
@@ -67,8 +65,9 @@ class EulerFanPiece:
 class PotentialFanPiece:
     """Fan behind the leading shock of a ramp context, keyed by the ray.
 
-    The ray angle increases with the volume on the attached-fan window,
-    so the volume on a given ray is recovered by bracketed root finding.
+    The ray angle increases with the volume on the attached-fan window;
+    a ray between the two ends is mapped to the volume on the context's
+    stored turning series, and the end rays take the end states.
     """
 
     def __init__(self, context, tau_tail):
@@ -87,8 +86,9 @@ class PotentialFanPiece:
         elif theta <= self.alpha_tail:
             t = self.tau_tail
         else:
-            t = brentq(lambda tt: ctx.fan_state(tt)[2] - theta,
-                       self.tau_tail, ctx.tau_po, xtol=1e-13)
+            q, t, sigma = ctx.turning.falling_ray(theta)
+            return FlowState(q * math.cos(sigma), q * math.sin(sigma), t,
+                             ctx.pgas.S)
         u, v, _ = ctx.fan_state(t)
         return FlowState(u, v, t, ctx.pgas.S)
 

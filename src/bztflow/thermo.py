@@ -373,6 +373,12 @@ class PotentialGas:
         kept on this instance (equality and hashing see only the fields)."""
         return inflection_roots(self.S, self.gas)
 
+    @cached_property
+    def tau_ref(self):
+        """Volume of the reference speed q_ref, solved on first use and kept
+        on this instance like inflection_pair."""
+        return tau_from_speed(self.q_ref, self)
+
     def h_limit(self):
         """Enthalpy in the vacuum limit tau -> infinity."""
         return self.h_ref

@@ -24,7 +24,8 @@ interpolation unless a branch was assembled from bare arrays.
 The composite branch of the last incoming state is memoised: the
 deflection range of a state and the wall solves on it
 (`solve_potential_sfs`, which takes its context from the branch) reuse
-one build of the branch and one `ramp_context`.
+one build of the branch and one `ramp_context`, whose attached fan is a
+turning series built on first use (`RampWaveContext.turning`).
 """
 
 import functools
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, minimize_scalar
 
-from .fan import pm_potential
+from .fan import _Turning
 from .shocks import (
     FlowState,
     ObliqueShockSolution,
@@ -47,7 +48,7 @@ from .shocks import (
     pre_sonic_tau_potential,
     shock_angle,
 )
-from .thermo import tau_from_speed
+from .thermo import enthalpy, tau_from_speed
 
 # relative width below which a tail shock is treated as zero strength
 _TAIL_EPS = 1e-12
@@ -96,15 +97,30 @@ class RampWaveContext:
         u, v = oblique_back_velocity(self.u0, 0.0, phi, self.tau0, tau_b)
         return u, v, phi
 
-    def fan_state(self, tau):
-        """(u, v, alpha_hat) on the fan branch at volume tau."""
+    @functools.cached_property
+    def turning(self):
+        """The attached fan from P down to the lower inflection state as a
+        stored turning series (fan._Turning in u = tau^(-k)), anchored so
+        that sigma(tau_po) = sigma_po.  Built on first use and kept on this
+        instance; equality and hashing see only the fields."""
         pg = self.pgas
-        sigma_hat, alpha_hat = pm_potential(tau, pg, self.q_po,
-                                            self.sigma_po, self.tau_po)
+        k = 0.5 * (pg.gas.gamma - 1.0)
+        q_lim2 = self.q_po**2 + 2.0 * enthalpy(self.tau_po, pg.S, pg.gas)
+        tr = _Turning(self.tau_po**-k, self.tau1_i**-k, 0.0, pg.S, q_lim2,
+                      pg.gas)
+        tr.shift(self.sigma_po - tr.sigmas[0])
+        return tr
+
+    def fan_state(self, tau):
+        """(u, v, alpha_hat) on the fan branch at volume tau: sigma_hat from
+        the stored series, the speed from the Bernoulli law."""
+        pg = self.pgas
+        tr = self.turning
+        sigma_hat = tr.sigma_at(tau**-tr.k)
         q_hat = math.sqrt(self.q_po**2
                           + 2.0 * (pg.h(self.tau_po) - pg.h(tau)))
         return q_hat * math.cos(sigma_hat), q_hat * math.sin(sigma_hat), \
-            alpha_hat
+            sigma_hat + math.asin(pg.c(tau) / q_hat)
 
     def tail_back_volume(self, tau_f):
         if tau_f <= self.tau1_i * (1.0 + _TAIL_EPS):

@@ -471,7 +471,8 @@ def test_pm_potential_matches_mpmath(case):
 
 def test_potential_fan_maps_no_speed_to_a_volume(monkeypatch):
     # pm_potential integrates in the volume; riemann_invariants solves the
-    # Bernoulli law only for the state and the reference speed
+    # Bernoulli law only for the state and the reference speed, and the
+    # reference volume once per model (PotentialGas.tau_ref)
     calls = []
     root = fan.tau_from_speed
 
@@ -480,12 +481,15 @@ def test_potential_fan_maps_no_speed_to_a_volume(monkeypatch):
         return root(q, pgas)
 
     monkeypatch.setattr(fan, "tau_from_speed", counted)
+    monkeypatch.setattr(thermo, "tau_from_speed", counted)
     pg, q_ref, tau_ref = potential_anchor()
     sigma, _ = fan.pm_potential(TAU1_I + 0.25, pg, q_ref, -0.1, tau_ref)
     assert calls == []
     q = pg.speed_of_tau(TAU1_I + 0.25)
     fan.riemann_invariants(q * math.cos(sigma), q * math.sin(sigma), pg)
     assert len(calls) == 2
+    fan.riemann_invariants(q * math.cos(sigma), q * math.sin(sigma), pg)
+    assert len(calls) == 3
 
 
 def test_riemann_invariants_sum_and_fan_invariance():

@@ -3,10 +3,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from bztflow import fan, shocks, thermo
 from bztflow import selfsimilar as ss
 from bztflow import wavecurves as wc
 from bztflow.shocks import VelocityDecomposition, rh_residuals_euler
@@ -462,6 +465,69 @@ def test_potential_wall_study_builds_the_branch_once(monkeypatch):
         assert ss.validate(sol).ok
 
 
+def _reference_fan_state(ctx, theta, tau_tail):
+    # the ray by bracketed root finding on one QUADPACK turning integral
+    # per trial volume, the speed from the Bernoulli law
+    pg = ctx.pgas
+
+    def ray(tau):
+        return fan.pm_potential(tau, pg, ctx.q_po, ctx.sigma_po,
+                                ctx.tau_po)[1] - theta
+
+    tau = brentq(ray, tau_tail, ctx.tau_po, xtol=1e-13)
+    sigma, _ = fan.pm_potential(tau, pg, ctx.q_po, ctx.sigma_po, ctx.tau_po)
+    q = pg.speed_of_tau(tau)
+    return q * math.cos(sigma), q * math.sin(sigma)
+
+
+# 110 rays per fan sector, clustered toward both of its ends
+_RAY_FRACTIONS = np.concatenate((np.logspace(-12.0, -1.0, 12),
+                                 np.linspace(0.15, 0.85, 86),
+                                 1.0 - np.logspace(-9.0, -1.0, 12)))
+
+
+@pytest.mark.parametrize("wall", [0.02, 0.25, 0.75, 0.98])
+def test_potential_fan_rays_on_the_series(wall):
+    pgas = _pgas()
+    sigma_m, sigma_M = wc.deflection_range(
+        wc.shock_fan_shock_branch(U0_P, TAU0_P, pgas))
+    sol = ss.solve_potential_sfs(U0_P, TAU0_P,
+                                 sigma_m + wall * (sigma_M - sigma_m), pgas)
+    piece = sol.pieces[1]
+    ctx, tau_tail = piece.fan.context, piece.fan.tau_tail
+    for f in _RAY_FRACTIONS:
+        theta = piece.theta_lo + f * (piece.theta_hi - piece.theta_lo)
+        st_ = piece.state_at(theta)
+        A = math.asin(pgas.c(st_.tau) / st_.q)
+        assert abs(st_.sigma + A - theta) <= 2e-12
+        u, v = _reference_fan_state(ctx, theta, tau_tail)
+        assert max(abs(st_.u - u), abs(st_.v - v)) <= 1e-11
+
+
+def test_potential_fan_queries_make_no_quadrature_or_root_solve(monkeypatch):
+    # a fresh context builds its fan series on the first fan state; neither
+    # the build nor any fan state or ray query integrates or root-solves
+    ctx = wc.ramp_context(U0_P, TAU0_P, _pgas())
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((fan, "quad"), (thermo, "brentq"),
+                         (shocks, "brentq"), (wc, "brentq")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    piece = ss.PotentialFanPiece(ctx, TAU_W_MID)
+    for tau in np.linspace(ctx.tau1_i, ctx.tau_po, 9):
+        ctx.fan_state(tau)
+    for f in np.linspace(0.0, 1.0, 9):
+        piece.state_at(piece.alpha_tail
+                       + f * (piece.alpha_head - piece.alpha_tail))
+    assert calls == []
+
+
 def test_potential_scale_invariance():
     sol = _potential_sol()
     for theta in (1.1, 0.85, ALPHA_HAT_MID + 1e-3, 0.62):
@@ -496,3 +562,100 @@ def test_validate_flags_perturbed_potential_tail():
     rep = ss.validate(tampered)
     assert not rep.ok
     assert rep.max_rh_residual > 1e-7
+
+
+# ---------------------------------------------------------------------------
+# sonic shocks are envelopes of one characteristic family: on each sonic
+# side of a shock the shock angle is sigma + A of that side
+
+_SONIC_SIDES = {"post_sonic": ("back",), "pre_sonic": ("front",),
+                "double_sonic": ("front", "back")}
+
+
+def _envelope_defects(sol, sound):
+    out = []
+    for _, sh in sol.shocks:
+        for side in _SONIC_SIDES[sh.kind]:
+            s = getattr(sh, side)
+            out.append(abs(sh.phi - s.sigma - math.asin(sound(s) / s.q)))
+    return out
+
+
+def _euler_sound(sol):
+    gas = sol.meta["gas"]
+    return lambda s: sound_speed(s.tau, s.S, gas)
+
+
+def _potential_sound(sol):
+    return lambda s: sol.meta["pgas"].c(s.tau)
+
+
+# potential_sweep seed 101 states 0-7: (gamma, S, u0, tau0, the walls at
+# 0.25 and 0.75 of the deflection range); bernoulli = 1
+ENVELOPE_POTENTIAL = (
+    (1.3377524472773075, 0.31660110026887894, 0.6775941292441715,
+     8.76579587647143, (0.12647456417255085, 0.14013306712661422)),
+    (1.6320580437779426, 0.40331458556676186, 1.1747716769393315,
+     22.492042219255413, (0.07296237369733685, 0.07993607265043587)),
+    (1.5252908838912844, 0.35521778540238763, 0.732848669722499,
+     50.992508981413145, (0.37383986911754097, 0.37623135864926)),
+    (1.8945228805765508, 0.6710872824513578, 0.1839505596413434,
+     56.49128097539, (0.07372962673992711, 0.08274103455507105)),
+    (1.7122967276722192, 0.45628349644467203, 0.6813765224538733,
+     32.05932839737054, (0.11193510254877928, 0.1158129898924008)),
+    (1.4180644404143095, 0.32347821771796936, 1.0658772427586036,
+     23.859198472012505, (0.22434752454071788, 0.23396671805812633)),
+    (1.8248316058889031, 0.564395415654342, 0.5032281662321374,
+     51.80165666891527, (0.08892105053735364, 0.09385785452153783)),
+    (1.4555262910202145, 0.34071400329497115, 0.31789645029754865,
+     8.20685587064079, (0.08800475669909007, 0.11460206377442257)),
+)
+
+# the first eight euler_sweep seed 101 cases that validate:
+# (gamma, S0, u0, tau0, theta_w)
+ENVELOPE_EULER = (
+    (1.4278233706951142, 0.3253662505590287, 3.965115093582234,
+     2.446711022889649, -1.2937426367280664),
+    (1.7126110004261137, 0.45727936977967243, 0.28340439599476497,
+     6.807778152813785, -0.772831173371871),
+    (1.45748669244349, 0.33673664321563995, 0.8544739689013846,
+     4.781802932077905, -0.21558533949187192),
+    (1.763367569260299, 0.5001379854797502, 4.718339410332149,
+     2.462830996527007, -0.8592631910751954),
+    (1.8914581997320055, 0.6648825568901905, 2.924494794642899,
+     5.722116762514961, -1.0555439440535523),
+    (1.6231722267344595, 0.40378544634316194, 0.5962748074779649,
+     6.570851305627347, -0.5766937658844292),
+    (1.3360958501696587, 0.31050999921896705, 2.0094336369501598,
+     2.051044280350358, -1.4900646264412416),
+    (1.536207677423954, 0.3665222844816711, 1.486029690334826,
+     4.787167119027838, -1.4675491234601674),
+)
+
+
+def test_sonic_shocks_are_characteristic_envelopes_on_the_fixtures():
+    for sol in (_euler_sol(), _vacuum_sol()):
+        assert max(_envelope_defects(sol, _euler_sound(sol))) <= 1e-12
+    sol = _potential_sol()
+    defects = _envelope_defects(sol, _potential_sound(sol))
+    assert len(defects) == 2 and max(defects) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ENVELOPE_POTENTIAL)
+def test_potential_sonic_shocks_are_characteristic_envelopes(case):
+    g, S, u0, tau0, walls = case
+    pgas = PotentialGas.from_state(GasModel(g), S, u0, tau0, bernoulli=1.0)
+    for theta_w in walls:
+        sol = ss.solve_potential_sfs(u0, tau0, theta_w, pgas)
+        assert ss.validate(sol).ok
+        assert max(_envelope_defects(sol, _potential_sound(sol))) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ENVELOPE_EULER)
+def test_euler_sonic_shocks_are_characteristic_envelopes(case):
+    g, S0, u0, tau0, theta_w = case
+    sol = ss.solve_euler_fsf(u0, tau0, S0, theta_w, GasModel(g))
+    assert ss.validate(sol).ok
+    # the double-sonic shock: both sides
+    defects = _envelope_defects(sol, _euler_sound(sol))
+    assert len(defects) == 2 and max(defects) <= 1e-12

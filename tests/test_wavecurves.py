@@ -193,6 +193,34 @@ def test_fan_branch_tangency_identities(branches, pgas):
         assert abs(du * math.cos(a) + dv * math.sin(a)) / t < 1e-6
 
 
+# (gamma, S, u0, tau0) of the compression fixture and of potential_sweep
+# seed 204 state 12 (tau_po within 0.2% of tau1_i) and seed 209 state 15
+# (tau_po just below tau2_i); bernoulli = 1
+RAMP_STATES = {
+    "fixture": (1.5, S98, U0, TAU0),
+    "204/12": (1.5610382502898574, 0.3679710887428113, 1.2616522840482773,
+               121.4331245414606),
+    "209/15": (1.7211201174184678, 0.4642651727077509, 0.17157264654955476,
+               16.767528467586786),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAMP_STATES))
+def test_fan_series_matches_pm_potential(case):
+    # the context's stored series against one QUADPACK turning integral
+    # per volume, from the inflection state to P
+    g, S, u0, tau0 = RAMP_STATES[case]
+    pg = thermo.PotentialGas.from_state(thermo.GasModel(g), S, u0, tau0,
+                                        bernoulli=1.0)
+    ctx = wc.ramp_context(u0, tau0, pg)
+    for tau in np.linspace(ctx.tau1_i, ctx.tau_po, 41):
+        sigma, alpha = fan.pm_potential(tau, pg, ctx.q_po, ctx.sigma_po,
+                                        ctx.tau_po)
+        u, v, alpha_hat = ctx.fan_state(tau)
+        assert abs(math.atan2(v, u) - sigma) <= 1e-14
+        assert abs(alpha_hat - alpha) <= 1e-14
+
+
 def test_subsonic_post_state():
     u0 = N_PO * (1.0 + 1e-13)
     pg = thermo.PotentialGas.from_state(G15, S98, u0, TAU0, bernoulli=1.0)
