@@ -41,6 +41,9 @@ from .thermo import (
     tau_from_speed,
 )
 
+# largest |d+ S| at which a field counts as isentropic
+ENTROPY_GRADIENT_TOL = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # frames
@@ -347,7 +350,7 @@ def decomposition_residual_potential(field, point, h):
     return r_plus, r_minus
 
 
-def decomposition_residual_euler_isentropic(field, point, h, tol=1e-8):
+def decomposition_residual_euler_isentropic(field, point, h):
     """Residuals of the density decompositions on an isentropic Euler field.
 
     With K = tau^4 p_tautau/(4 c^2 cos^2 A) and the coupling coefficient
@@ -357,18 +360,20 @@ def decomposition_residual_euler_isentropic(field, point, h, tol=1e-8):
         d+ d- rho = K [ (d- rho)^2 + (phi - 1) d- rho d+ rho ],
 
     valid only when the entropy terms drop out: raises
-    "entropy-gradient-present" if |d+ S| at the point exceeds tol. The
-    field should also be irrotational; a vortical field simply leaves a
-    nonvanishing residual. Returns (r_plus, r_minus) for the two lines.
+    "entropy-gradient-present" if |d+ S| at the point exceeds
+    ENTROPY_GRADIENT_TOL. The field should also be irrotational; a
+    vortical field simply leaves a nonvanishing residual. Returns
+    (r_plus, r_minus) for the two lines.
     """
     x0, y0 = point
 
     S_of = lambda x, y: field.state(x, y)[3]
     dpS = dbar(field, S_of, "plus", h)(x0, y0)
-    if abs(dpS) > tol:
+    if abs(dpS) > ENTROPY_GRADIENT_TOL:
         raise ValueError(
-            f"entropy-gradient-present: |d+S|={abs(dpS)} exceeds {tol}; "
-            "the reduced decomposition does not apply")
+            f"entropy-gradient-present: |d+S|={abs(dpS)} exceeds "
+            f"{ENTROPY_GRADIENT_TOL}; the reduced decomposition does not "
+            "apply")
 
     dp = dbar(field, field.density, "plus", h)
     dm = dbar(field, field.density, "minus", h)

@@ -20,14 +20,16 @@ c_u^2 = c^2/u^2 = gamma S (1-w)^-(gamma+1) - 2 w^(2-gamma) and
 the integrand stays finite up to and including the vacuum end.  It is
 fitted on adaptive Chebyshev panels in u and integrated term by term, so
 sigma(u) is a stored series and the ray theta(u) = sigma + arcsin(c/q) is
-monotone in u on a convex stretch of the isentrope.  A ray is mapped back
-to u by bisection on the panel nodes and safeguarded Newton steps.  The
-construction stops short of the inflection window of the isentrope
-(p_tautau = 0) and requires a supersonic foot.
+monotone in u wherever p_tautau keeps one sign.  The ray is tabulated at
+the panel nodes once, oriented to rise with u; a ray, or a flow angle, is
+mapped back to u by bisection on that table and safeguarded Newton steps.
+integrate_fan builds a fan from its foot to an end volume and stops short
+of the inflection window of the isentrope (p_tautau = 0); a wall end is
+the root FanSolution.slip_line takes on the fan built to vacuum.
 
 The attached fan of potential flow is the same series
 (wavecurves.RampWaveContext.turning), inside the inflection window where
-the ray angle falls as u rises (falling_ray).  The Riemann invariants
+the ray angle falls as u rises.  The Riemann invariants
 sigma +/- nu take the turning integral in tau itself, by QUADPACK on the
 closed-form rate above (turning_in_volume), independent of any series;
 pm_potential, the same integral between two fan volumes, is the reference
@@ -37,7 +39,6 @@ nu(q) = int sqrt(q^2-c^2)/(q c) dq as a test reference.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,28 +53,6 @@ from .thermo import (
     pressure_tau,
     tau_from_speed,
 )
-
-
-# ---------------------------------------------------------------------------
-# stop predicates (first-class values; `signal` crosses zero at the stop)
-
-@dataclass(frozen=True)
-class TargetTau:
-    """Stop when tau reaches `value`."""
-    value: float
-
-    def signal(self, theta, q, tau, sigma):
-        return tau - self.value
-
-
-@dataclass(frozen=True)
-class SlipLine:
-    """Stop when the flow direction aligns with a wall at angle `theta_w`
-    through the fan centre (v = u tan(theta_w))."""
-    theta_w: float
-
-    def signal(self, theta, q, tau, sigma):
-        return sigma - self.theta_w
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +111,9 @@ def _clenshaw(c0, rest, x):
 
 class _Turning:
     """sigma(u) on Chebyshev panels from the foot u_hi down to u_lo, with
-    the ray theta(u) tabulated at the panel nodes.  A point is addressed
-    as (panel p, x) with u = mid_p + hw_p x."""
+    sigma and the ray tabulated at the panel nodes, the ray as sign * theta
+    so that it rises with u (sign -1 inside the inflection window).  A
+    point is addressed as (panel p, x) with u = mid_p + hw_p x."""
 
     def __init__(self, u_lo, u_hi, sigma0, S, q_lim2, gas):
         g = gas.gamma
@@ -197,16 +177,18 @@ class _Turning:
         self.sigmas = sig.tolist()
         self.rates = f.tolist()
         # c/q rounds above 1 where q^2 - c^2 was clamped at a sonic foot
-        self.thetas = (sig + np.arcsin(np.minimum(np.sqrt(c_u2 / q2) * u,
-                                                  1.0))).tolist()
+        theta = sig + np.arcsin(np.minimum(np.sqrt(c_u2 / q2) * u, 1.0))
+        self.sign = s = 1.0 if theta[-1] >= theta[0] else -1.0
+        self.rays = (s * theta).tolist()
         with np.errstate(divide="ignore"):
-            self.slopes = (P / (2.0 * k * np.sqrt(c_u2 * m2))).tolist()
+            self.ray_slopes = (s * (P / (2.0 * k * np.sqrt(c_u2 * m2)))
+                               ).tolist()
         self.panels = [(m_, h_, c[0], c[:0:-1])
                        for m_, h_, c in zip(mid.tolist(), hw.tolist(),
                                             G.tolist())]
 
     def point(self, p, x):
-        """(sigma, theta, dtheta/du, dsigma/du, q^2, log w) at x on panel
+        """(sigma, theta, dsigma/du, dtheta/du, q^2, log w) at x on panel
         p."""
         g, k = self.g, self.k
         mid, hw, c0, rest = self.panels[p]
@@ -218,12 +200,16 @@ class _Turning:
         sigma = _clenshaw(c0, rest, x)
         theta = sigma + math.asin(min(math.sqrt(c_u2 / q2) * u, 1.0))
         dtheta = P / (2.0 * k * root) if root > 0.0 else math.inf
-        return sigma, theta, dtheta, root / (k * q2), q2, lw
+        return sigma, theta, root / (k * q2), dtheta, q2, lw
 
-    def solve(self, target, values, slopes, pick):
-        """The point where the quantity tabulated at the nodes by `values`
-        (increasing in u, with derivative `slopes`) equals target; pick
-        selects (value, derivative) from point().  Returns point() there."""
+    def solve(self, target, col):
+        """point() where its column col (0: sigma, 1: the ray theta) equals
+        target.  The search runs on that column's node table, which rises
+        with u: sigma, or the ray times self.sign, so target and the values
+        read from point() are multiplied by the same sign."""
+        values, slopes, sign = ((self.rays, self.ray_slopes, self.sign)
+                                if col else (self.sigmas, self.rates, 1.0))
+        target = sign * target
         i = min(max(bisect_right(values, target) - 1, 0), len(values) - 2)
         p, j = divmod(i, _M)
         hw = self.panels[p][1]
@@ -246,7 +232,7 @@ class _Turning:
         x_tol = 1e-13 * (hi - lo) + 4e-16
         for _ in range(NEWTON_STEPS):
             pt = self.point(p, x)
-            value, slope = pick(pt)
+            value, slope = sign * pt[col], sign * pt[col + 2]
             if value < target:
                 lo = x
             else:
@@ -262,7 +248,7 @@ class _Turning:
     def shift(self, d):
         """Add d to sigma and to every ray (a change of the anchor)."""
         self.sigmas = [s + d for s in self.sigmas]
-        self.thetas = [t + d for t in self.thetas]
+        self.rays = [t + self.sign * d for t in self.rays]
         self.panels = [(m, h, c0 + d, rest)
                        for m, h, c0, rest in self.panels]
 
@@ -276,31 +262,10 @@ class _Turning:
         mid, hw, c0, rest = self.panels[p]
         return _clenshaw(c0, rest, (u - mid) / hw)
 
-    @cached_property
-    def _falling(self):
-        # -theta and -dtheta/du at the nodes, increasing in u where the ray
-        # angle falls as u rises
-        return [-t for t in self.thetas], [-s for s in self.slopes]
-
-    def falling_ray(self, theta):
-        """(q, tau, sigma) on the ray theta of a fan inside the inflection
-        window, where p_tautau < 0 and theta falls as u rises."""
-        values, slopes = self._falling
-        sigma, _, _, _, q2, lw = self.solve(-theta, values, slopes,
-                                            _falling_theta_pick)
+    def ray(self, theta):
+        """(q, tau, sigma) on the ray theta, between the fan's two ends."""
+        sigma, _, _, _, q2, lw = self.solve(theta, 1)
         return math.sqrt(q2), _tau_of(lw), sigma
-
-
-def _theta_pick(pt):
-    return pt[1], pt[2]
-
-
-def _falling_theta_pick(pt):
-    return -pt[1], -pt[2]
-
-
-def _sigma_pick(pt):
-    return pt[0], pt[3]
 
 
 class FanSolution:
@@ -308,17 +273,15 @@ class FanSolution:
     Centered fan from the foot ray theta_start down to theta_end, entropy
     frozen at S, with state(theta) -> (q, tau, sigma, S).  Rays between the
     two ends are mapped to the volume variable through the stored turning
-    series; q and tau then follow in closed form, so the Bernoulli law and
-    the ray tangency hold on every ray.  The end states are stored as
-    built.
+    series (_Turning.ray); q and tau then follow in closed form, so the
+    Bernoulli law and the ray tangency hold on every ray.  The end states
+    are stored as built; slip_line ends the same series at a wall.
     """
 
-    def __init__(self, theta_start, theta_end, S, gas, foot, end,
-                 turning=None):
+    def __init__(self, theta_start, theta_end, S, foot, end, turning=None):
         self.theta_start = theta_start
         self.theta_end = theta_end
         self.S = S
-        self.gas = gas
         self._foot = foot          # (q, tau, sigma) on theta_start
         self._end = end            # (q, tau, sigma) on theta_end
         self._turning = turning    # _Turning, or None if zero-length
@@ -331,14 +294,12 @@ class FanSolution:
             raise ValueError(
                 f"theta-out-of-range: {theta} outside [{lo}, {hi}]")
         tr = self._turning
-        if theta >= hi or tr is None or theta >= tr.thetas[-1]:
+        if theta >= hi or tr is None or theta >= tr.rays[-1]:
             q, tau, sigma = self._foot
         elif theta <= lo:
             q, tau, sigma = self._end
         else:
-            sigma, _, _, _, q2, lw = tr.solve(theta, tr.thetas, tr.slopes,
-                                              _theta_pick)
-            q, tau = math.sqrt(q2), _tau_of(lw)
+            q, tau, sigma = tr.ray(theta)
         return q, tau, sigma, self.S
 
     def velocity(self, theta):
@@ -356,28 +317,24 @@ class FanSolution:
             raise ValueError(
                 f"no-convergence: slip line theta_w={theta_w} outside the "
                 f"fan's flow directions [{sigma_end}, {sigma0}]")
-        sigma, theta, _, _, q2, lw = tr.solve(theta_w, tr.sigmas, tr.rates,
-                                              _sigma_pick)
-        return FanSolution(self.theta_start, theta, self.S, self.gas,
-                           self._foot, (math.sqrt(q2), _tau_of(lw), sigma),
-                           tr)
+        sigma, theta, _, _, q2, lw = tr.solve(theta_w, 0)
+        return FanSolution(self.theta_start, theta, self.S, self._foot,
+                           (math.sqrt(q2), _tau_of(lw), sigma), tr)
 
 
-def integrate_fan(q0, tau0, sigma0, S0, theta0, stop, gas):
+def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
     """
     Build the centered fan from the state (q0, tau0, sigma0, S0) on the
-    ray theta0, expanding (theta decreasing) until the `stop` predicate
-    fires.
+    ray theta0, expanding (theta decreasing) to the volume tau_end.
 
-    `stop` is TargetTau (TargetTau(math.inf) runs to vacuum, where the end
-    ray is the flow direction) or SlipLine, the root of sigma(u) = theta_w
-    on the fan built to vacuum.  The turning is the u-integral of the
-    module docstring on adaptive Chebyshev panels.  The data must be
-    centered (theta0 = sigma0 + arcsin(c0/q0)) and supersonic.  Raises
-    "sonic-degeneracy" for a foot at or below sonic, "not-centered",
-    "inflection-hit" when [tau0, tau_end] meets the inflection window of
-    the isentrope, and "no-convergence" when the stop lies behind the foot
-    or the panels exceed MAX_PANELS.
+    tau_end = math.inf runs to vacuum, where the end ray is the flow
+    direction; a wall end is slip_line(theta_w) of that fan.  The turning
+    is the u-integral of the module docstring on adaptive Chebyshev
+    panels.  The data must be centered (theta0 = sigma0 + arcsin(c0/q0))
+    and supersonic.  Raises "sonic-degeneracy" for a foot at or below
+    sonic, "not-centered", "inflection-hit" when [tau0, tau_end] meets the
+    inflection window of the isentrope, and "no-convergence" when tau_end
+    lies behind the foot or the panels exceed MAX_PANELS.
     """
     pt0 = pressure_tau(tau0, S0, gas)
     c0 = tau0 * math.sqrt(-pt0)
@@ -391,15 +348,12 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, stop, gas):
             f"{sigma0 + A0}")
 
     foot = (q0, tau0, sigma0)
-    if abs(stop.signal(theta0, q0, tau0, sigma0)) <= 1e-12 * (1.0 + abs(theta0)):
-        return FanSolution(theta0, theta0, S0, gas, foot, foot)
-
-    slip = isinstance(stop, SlipLine)
-    tau_end = math.inf if slip else stop.value
+    if abs(tau0 - tau_end) <= 1e-12 * (1.0 + abs(theta0)):
+        return FanSolution(theta0, theta0, S0, foot, foot)
     if not tau_end > tau0:
         raise ValueError(
-            f"no-convergence: stop {stop} lies behind the foot tau0={tau0}; "
-            f"a fan expands")
+            f"no-convergence: tau_end={tau_end} lies behind the foot "
+            f"tau0={tau0}; a fan expands")
     try:
         tau1_i, tau2_i = inflection_roots(S0, gas)
     except ValueError:
@@ -420,8 +374,7 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, stop, gas):
         c_end = tau_end * math.sqrt(-pressure_tau(tau_end, S0, gas))
         end = (q_end, tau_end, sigma_end)
         theta_end = sigma_end + math.asin(c_end / q_end)
-    sol = FanSolution(theta0, theta_end, S0, gas, foot, end, tr)
-    return sol.slip_line(stop.theta_w) if slip else sol
+    return FanSolution(theta0, theta_end, S0, foot, end, tr)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +419,9 @@ def vacuum_angle(q_d, tau_d, S_d, gas):
     integrate_fan, where the Mach angle vanishes and the ray is the flow
     direction.
     Raises "divergent-limit" if the enthalpy has no finite vacuum limit,
-    "sonic-degeneracy" if the foot state is not supersonic, and
-    "out-of-window" if tau_d lies inside the nonconvex window (the
-    expansion would hit an inflection point).
+    "sonic-degeneracy" if the foot state is not supersonic, and, from
+    integrate_fan, "inflection-hit" if tau_d is not beyond the nonconvex
+    window (the expansion would meet an inflection point).
     """
     h_d = enthalpy(tau_d, S_d, gas)
     if not math.isfinite(h_d):
@@ -478,16 +431,8 @@ def vacuum_angle(q_d, tau_d, S_d, gas):
     if q_d <= c_d:
         raise ValueError(
             f"sonic-degeneracy: q_d={q_d} not above c_d={c_d}")
-    try:
-        _, tau2_i = inflection_roots(S_d, gas)
-    except ValueError:
-        tau2_i = None          # convex isentrope: no window to avoid
-    if tau2_i is not None and tau_d <= tau2_i:
-        raise ValueError(
-            f"out-of-window: tau_d={tau_d} not beyond the nonconvex window "
-            f"(tau2_i={tau2_i})")
     return integrate_fan(q_d, tau_d, 0.0, S_d, math.asin(c_d / q_d),
-                         TargetTau(math.inf), gas).theta_end
+                         math.inf, gas).theta_end
 
 
 def turning_in_volume(tau_from, tau_to, pgas):

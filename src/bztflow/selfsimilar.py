@@ -27,7 +27,7 @@ from .shocks import (FlowState, ObliqueShockSolution, classify,
                      double_sonic_back_state, liu_condition_check,
                      oblique_back_velocity, rh_residuals_euler,
                      rh_residuals_potential)
-from .fan import TargetTau, integrate_fan, riemann_invariants
+from .fan import integrate_fan, riemann_invariants
 # ramp_context stays bound here: the benchmark tracer wraps
 # selfsimilar.ramp_context
 from .wavecurves import (ramp_context, shock_fan_shock_branch,  # noqa: F401
@@ -66,8 +66,9 @@ class PotentialFanPiece:
     """Fan behind the leading shock of a ramp context, keyed by the ray.
 
     The ray angle increases with the volume on the attached-fan window;
-    a ray between the two ends is mapped to the volume on the context's
-    stored turning series, and the end rays take the end states.
+    a ray between the two ends is mapped to the volume by the ray solve of
+    the context's stored turning series (_Turning.ray, the one the Euler
+    fans use), and the end rays take the end states.
     """
 
     def __init__(self, context, tau_tail):
@@ -86,7 +87,7 @@ class PotentialFanPiece:
         elif theta <= self.alpha_tail:
             t = self.tau_tail
         else:
-            q, t, sigma = ctx.turning.falling_ray(theta)
+            q, t, sigma = ctx.turning.ray(theta)
             return FlowState(q * math.cos(sigma), q * math.sin(sigma), t,
                              ctx.pgas.S)
         u, v, _ = ctx.fan_state(t)
@@ -188,8 +189,7 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
     state0 = FlowState(u0, 0.0, tau0, S0)
 
     try:
-        left = integrate_fan(u0, tau0, 0.0, S0, alpha0,
-                             TargetTau(tau_fe), gas)
+        left = integrate_fan(u0, tau0, 0.0, S0, alpha0, tau_fe, gas)
     except ValueError as exc:
         raise ValueError(f"leading-fan: {exc}") from exc
     phi_d = left.theta_end
@@ -214,8 +214,8 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
     q_d = back.q
     # the trailing fan runs to vacuum once; its end ray is the vacuum ray
     try:
-        right = integrate_fan(q_d, tau_d, sigma_d, S_d, phi_d,
-                              TargetTau(math.inf), gas)
+        right = integrate_fan(q_d, tau_d, sigma_d, S_d, phi_d, math.inf,
+                              gas)
     except ValueError as exc:
         raise ValueError(f"trailing-fan: {exc}") from exc
     alpha_v = right.theta_end

@@ -43,6 +43,17 @@ from .thermo import (
     pressure_tautau,
 )
 
+# relative tolerance of |m| = rho c for a sonic side (classify) and of the
+# locus and tangency checks of a double-sonic shock
+SONIC_TOL = 1e-8
+LOCUS_TOL = 1e-10
+# continuation steps in tau_f of the post-sonic Euler solve, and Newton
+# iterations per step
+POST_SONIC_STEPS = 24
+POST_SONIC_MAX_ITER = 60
+# interior volumes of the grid Liu's chord comparison runs on
+LIU_GRID = 10000
+
 
 # ---------------------------------------------------------------------------
 # value types
@@ -217,7 +228,7 @@ def eta_roots(tau_k, p_k, m2, gas):
 # ---------------------------------------------------------------------------
 # sonic shock families, Euler side
 
-def double_sonic_back_state(tau_f, gas, S_f=None, tol=1e-10):
+def double_sonic_back_state(tau_f, gas, S_f=None):
     """
     Back state of the shock whose chord is tangent to the isentropes at
     both endpoints, given the front volume on the tangent-point locus.
@@ -231,7 +242,7 @@ def double_sonic_back_state(tau_f, gas, S_f=None, tol=1e-10):
         S_f = double_sonic_entropy(tau_f, gas)
     p_f = pressure(tau_f, S_f, gas)
     d_f = double_sonic_locus(tau_f, gas)
-    if abs(p_f - d_f) > tol * max(abs(p_f), abs(d_f), 1e-30):
+    if abs(p_f - d_f) > LOCUS_TOL * max(abs(p_f), abs(d_f), 1e-30):
         raise ValueError(
             f"not-on-locus: p(tau_f={tau_f}, S_f={S_f})={p_f} differs from "
             f"the tangent-point locus value {d_f}")
@@ -247,14 +258,14 @@ def double_sonic_back_state(tau_f, gas, S_f=None, tol=1e-10):
     else:
         m2 = mass_flux_squared(tau_f, p_f, tau_b, p_b)
     for t, s in ((tau_f, S_f), (tau_b, S_b)):
-        if abs(m2 + pressure_tau(t, s, gas)) > tol * m2:
+        if abs(m2 + pressure_tau(t, s, gas)) > LOCUS_TOL * m2:
             raise ValueError(
                 f"not-on-locus: chord not tangent at tau={t} "
                 f"(m^2={m2}, -p_tau={-pressure_tau(t, s, gas)})")
     return tau_b, S_b, math.sqrt(m2)
 
 
-def post_sonic_back_state_euler(tau_f, S_f, gas, n_steps=24, max_iter=60):
+def post_sonic_back_state_euler(tau_f, S_f, gas):
     """
     Back state (tau_po, S_po) of the shock from (tau_f, S_f) whose chord is
     tangent to the back isentrope (back side sonic, front side supersonic).
@@ -276,10 +287,10 @@ def post_sonic_back_state_euler(tau_f, S_f, gas, n_steps=24, max_iter=60):
     g = gas.gamma
     tau_d = eta_hat(tau_f_e, gas) * tau_f_e
     tb, Sb = tau_d, double_sonic_entropy(tau_d, gas)
-    for tf in np.linspace(tau_f_e, tau_f, n_steps + 1):
+    for tf in np.linspace(tau_f_e, tau_f, POST_SONIC_STEPS + 1):
         p_f = pressure(tf, S_f, gas)
         e_f = _energy_of(p_f, tf, g)
-        for _ in range(max_iter):
+        for _ in range(POST_SONIC_MAX_ITER):
             p_b = pressure(tb, Sb, gas)
             pt_b = pressure_tau(tb, Sb, gas)
             pS_b = pressure_S(tb, Sb, gas)
@@ -436,11 +447,11 @@ def pre_sonic_tau_potential(tau_f, pgas):
                   xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
 
 
-def liu_condition_check(tau_f, tau_b, pgas, n_grid=10000, slack=1e-10):
+def liu_condition_check(tau_f, tau_b, pgas, slack=1e-10):
     """
     Grid check of the extended entropy condition: the chord from tau_f to
     tau_b must lie below the chord from tau_f to every intermediate
-    volume. True when the condition holds on an n_grid-point interior
+    volume. True when the condition holds on a LIU_GRID-point interior
     grid up to a relative slack, which absorbs the roundoff of the
     sonic-attached shocks whose chord touches the comparison family at
     one endpoint.
@@ -448,7 +459,7 @@ def liu_condition_check(tau_f, tau_b, pgas, n_grid=10000, slack=1e-10):
     if not tau_b < tau_f:
         raise ValueError(
             f"non-compressive-chord: requires tau_b={tau_b} < tau_f={tau_f}")
-    tt = np.linspace(tau_b, tau_f, n_grid + 2)[:-1]
+    tt = np.linspace(tau_b, tau_f, LIU_GRID + 2)[:-1]
     m2 = mass_flux_squared_potential(tau_f, tt, pgas, xp=np)
     return bool(np.all(m2[1:] < m2[0] + slack * abs(m2[0])))
 
@@ -488,17 +499,17 @@ def shock_angle(u, v, N):
     return math.atan2(v, u) + math.asin(N / q)
 
 
-def classify(sol, gas, tol=1e-8):
+def classify(sol, gas):
     """
     Shock kind by comparing |m| against rho c on each side (relative
-    tolerance tol): both equal -> "double_sonic", back only ->
+    tolerance SONIC_TOL): both equal -> "double_sonic", back only ->
     "post_sonic", front only -> "pre_sonic", neither -> "ordinary".
     """
     m_abs = abs(sol.m)
     rc_f = math.sqrt(-pressure_tau(sol.front.tau, sol.front.S, gas))
     rc_b = math.sqrt(-pressure_tau(sol.back.tau, sol.back.S, gas))
-    front_sonic = abs(m_abs - rc_f) <= tol * rc_f
-    back_sonic = abs(m_abs - rc_b) <= tol * rc_b
+    front_sonic = abs(m_abs - rc_f) <= SONIC_TOL * rc_f
+    back_sonic = abs(m_abs - rc_b) <= SONIC_TOL * rc_b
     if front_sonic and back_sonic:
         return "double_sonic"
     if back_sonic:

@@ -18,8 +18,8 @@ Everything lives on one isentrope and the Bernoulli constant of the
 supplied potential model is conserved across every front, so speed alone
 determines the volume throughout.  Branches are immutable once built,
 their sample arrays read-only; `state` re-evaluates the defining
-relations at any parameter value, so queries do not degrade to
-interpolation unless a branch was assembled from bare arrays.
+relations at any parameter value, so queries never degrade to
+interpolation between the samples.
 
 The composite branch of the last incoming state is memoised: the
 deflection range of a state and the wall solves on it
@@ -186,18 +186,13 @@ class WaveCurveBranch:
     u: np.ndarray
     v: np.ndarray
     angle: np.ndarray
+    evaluator: object
     context: RampWaveContext = None
-    evaluator: object = None
 
     def state(self, param):
         """(u, v, angle) at any parameter value, re-evaluated from the
-        defining relations when the branch carries its evaluator and
-        spline-interpolated otherwise."""
-        if self.evaluator is not None:
-            return self.evaluator(param)
-        return (float(CubicSpline(self.params, self.u)(param)),
-                float(CubicSpline(self.params, self.v)(param)),
-                float(CubicSpline(self.params, self.angle)(param)))
+        defining relations by the branch's evaluator."""
+        return self.evaluator(param)
 
 
 def _graded_grid(lo, hi, n, open_hi=False):
@@ -447,7 +442,7 @@ def polar_gradient(u, v, u_f, v_f, pgas):
 
 def _context(branch):
     if branch.context is None:
-        raise ValueError("no-context: branch was built from bare arrays")
+        raise ValueError("no-context: branch carries no ramp context")
     return branch.context
 
 
@@ -484,15 +479,19 @@ def polar_tangency_check(branch_IJ, tau_w, pgas):
     return math.asin(min(1.0, abs(t_ij[0] * t_pol[1] - t_ij[1] * t_pol[0])))
 
 
-def tail_tangent_acute(branch_IJ, tau_w, step=1e-6):
+# volume step of the central difference along the composite branch
+_TANGENT_STEP = 1e-6
+
+
+def tail_tangent_acute(branch_IJ, tau_w):
     """True when the angle between the backward tangent -(u', v') of the
     composite branch and the state vector (u, v) at tau_w is acute."""
     ctx = _context(branch_IJ)
     u, v, _ = ctx.tail_state(tau_w)
-    up, vp, _ = ctx.tail_state(tau_w + step)
-    um, vm, _ = ctx.tail_state(tau_w - step)
-    du = (up - um) / (2.0 * step)
-    dv = (vp - vm) / (2.0 * step)
+    up, vp, _ = ctx.tail_state(tau_w + _TANGENT_STEP)
+    um, vm, _ = ctx.tail_state(tau_w - _TANGENT_STEP)
+    du = (up - um) / (2.0 * _TANGENT_STEP)
+    dv = (vp - vm) / (2.0 * _TANGENT_STEP)
     return -(du * u + dv * v) > 0.0
 
 

@@ -206,7 +206,7 @@ def test_commutator_unknown_kind():
 def _euler_fan_field():
     c0 = thermo.sound_speed(4.9, S98, G15)
     sol = fan.integrate_fan(2.0 * c0, 4.9, 0.0, S98, math.asin(0.5),
-                            fan.TargetTau(TAU_F_E), G15)
+                            TAU_F_E, G15)
 
     def fn(x, y):
         q, tau, sigma, S = sol.state(math.atan2(y, x))

@@ -34,7 +34,7 @@ def upstream_state(mach=2.0, tau0=4.9):
 def upstream_fan(mach=2.0, tau0=4.9, stop=None):
     u0, tau0, alpha0 = upstream_state(mach, tau0)
     if stop is None:
-        stop = fan.TargetTau(TAU_F_E)
+        stop = TAU_F_E
     return fan.integrate_fan(u0, tau0, 0.0, S98, alpha0, stop, G15)
 
 
@@ -44,8 +44,7 @@ def bernoulli(q, tau, S):
 
 def test_zero_length_integration():
     u0, tau0, alpha0 = upstream_state()
-    sol = fan.integrate_fan(u0, tau0, 0.0, S98, alpha0,
-                            fan.TargetTau(tau0), G15)
+    sol = fan.integrate_fan(u0, tau0, 0.0, S98, alpha0, tau0, G15)
     assert sol.theta_end == sol.theta_start
     q, tau, sigma, S = sol.state(alpha0)
     assert (q, tau, sigma, S) == (u0, tau0, 0.0, S98)
@@ -55,10 +54,11 @@ def test_initial_data_guards():
     u0, tau0, alpha0 = upstream_state()
     with pytest.raises(ValueError, match="sonic-degeneracy"):
         fan.integrate_fan(0.5 * thermo.sound_speed(tau0, S98, G15), tau0,
-                          0.0, S98, alpha0, fan.TargetTau(TAU_F_E), G15)
+                          0.0, S98, alpha0, TAU_F_E, G15)
     with pytest.raises(ValueError, match="not-centered"):
-        fan.integrate_fan(u0, tau0, 0.0, S98, alpha0 + 1e-3,
-                          fan.TargetTau(TAU_F_E), G15)
+        fan.integrate_fan(u0, tau0, 0.0, S98, alpha0 + 1e-3, TAU_F_E, G15)
+    with pytest.raises(ValueError, match="no-convergence"):
+        fan.integrate_fan(u0, tau0, 0.0, S98, alpha0, 0.9 * tau0, G15)
 
 
 def test_upstream_fan_reaches_target_volume():
@@ -112,7 +112,7 @@ def test_inflection_hit():
     # pushing the expansion past the locus crossing runs into the
     # inflection volume, where the ray stops being monotone in the volume
     with pytest.raises(ValueError, match="inflection-hit"):
-        upstream_fan(stop=fan.TargetTau(TAU1_I + 0.5))
+        upstream_fan(stop=TAU1_I + 0.5)
 
 
 def downstream_foot():
@@ -140,13 +140,20 @@ def test_downstream_fan_slip_stop():
     phi_d, u_d, v_d, tau_d, S_d = downstream_foot()
     sigma_d = math.atan2(v_d, u_d)
     theta_w = sigma_d - 0.05
-    sol = fan.integrate_fan(math.hypot(u_d, v_d), tau_d, sigma_d, S_d,
-                            phi_d, fan.SlipLine(theta_w), G15)
+    full = fan.integrate_fan(math.hypot(u_d, v_d), tau_d, sigma_d, S_d,
+                             phi_d, math.inf, G15)
+    sol = full.slip_line(theta_w)
     q, tau, sigma, S = sol.state(sol.theta_end)
     assert sigma == pytest.approx(theta_w, abs=1e-12)
     u, v = sol.velocity(sol.theta_end)
     assert v == pytest.approx(u * math.tan(theta_w), abs=1e-12)
     assert tau > tau_d       # the wall fan keeps expanding
+    # the wall must lie in [sigma_end, sigma0): the foot direction itself
+    # leaves the fan nothing to turn
+    sigma_end = full.state(full.theta_end)[2]
+    for theta_w in (sigma_d, sigma_d + 0.1, sigma_end - 1e-3):
+        with pytest.raises(ValueError, match="no-convergence"):
+            full.slip_line(theta_w)
 
 
 def test_fan_turning_matches_quadrature():
@@ -156,8 +163,7 @@ def test_fan_turning_matches_quadrature():
     q_d = math.hypot(u_d, v_d)
     sigma_d = math.atan2(v_d, u_d)
     tau_target = 1e8
-    sol = fan.integrate_fan(q_d, tau_d, sigma_d, S_d, phi_d,
-                            fan.TargetTau(tau_target), G15)
+    sol = fan.integrate_fan(q_d, tau_d, sigma_d, S_d, phi_d, tau_target, G15)
     q_end, tau_end, sigma_end, _ = sol.state(sol.theta_end)
     pg = thermo.PotentialGas(
         gas=G15, S=S_d,
@@ -182,8 +188,8 @@ def test_vacuum_angle_bounds_the_wall_fan():
     alpha_v = sigma_d + off
     assert alpha_v < sigma_d < phi_d
     # a wall just above the vacuum ray is still reachable
-    sol = fan.integrate_fan(q_d, tau_d, sigma_d, S_d, phi_d,
-                            fan.SlipLine(alpha_v + 5e-3), G15)
+    sol = fan.integrate_fan(q_d, tau_d, sigma_d, S_d, phi_d, math.inf,
+                            G15).slip_line(alpha_v + 5e-3)
     assert sol.theta_end > alpha_v
 
 
@@ -201,7 +207,7 @@ def test_vacuum_angle_guards():
     with pytest.raises(ValueError, match="sonic-degeneracy"):
         fan.vacuum_angle(0.5 * thermo.sound_speed(TAU_D, S_D, G15),
                          TAU_D, S_D, G15)
-    with pytest.raises(ValueError, match="out-of-window"):
+    with pytest.raises(ValueError, match="inflection-hit"):
         fan.vacuum_angle(1.0, 0.5 * (TAU1_I + TAU2_I), S98, G15)
 
 
@@ -333,7 +339,7 @@ def test_fan_near_the_covolume_matches_mpmath():
     c0 = thermo.sound_speed(tau0, S, gas)
     q0 = 50.0 * c0
     sol = fan.integrate_fan(q0, tau0, 0.0, S, math.asin(c0 / q0),
-                            fan.TargetTau(tau_end), gas)
+                            tau_end, gas)
     _, ref = mpmath_fan_end(q0, tau0, 0.0, tau_end, S, 1.3)
     assert sol.theta_end == pytest.approx(ref, rel=1e-12, abs=0.0)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from bztflow import characteristics as ck
 from bztflow import fan, shocks, thermo
 from bztflow import selfsimilar as ss
 from bztflow import wavecurves as wc
@@ -659,3 +660,47 @@ def test_euler_sonic_shocks_are_characteristic_envelopes(case):
     # the double-sonic shock: both sides
     defects = _envelope_defects(sol, _euler_sound(sol))
     assert len(defects) == 2 and max(defects) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the paper's characteristic decompositions on the assembled fans
+
+def _fan_field(sol):
+    """The solution as a characteristics field, read through evaluate."""
+    if sol.system == "potential":
+        def fn(x, y):
+            st_ = ss.evaluate(sol, x, y)
+            return st_.u, st_.v
+        return ck.PotentialFlowField(fn, sol.meta["pgas"])
+
+    def fn(x, y):
+        st_ = ss.evaluate(sol, x, y)
+        return st_.u, st_.v, st_.tau, st_.S
+    return ck.FlowField(fn, sol.meta["gas"])
+
+
+@pytest.mark.parametrize("fixture", [_euler_sol, _vacuum_sol,
+                                     _potential_sol])
+def test_decompositions_hold_on_the_fixture_fans(fixture):
+    # the rays are characteristics of one family, so that family's line
+    # holds up to the rounding of its second differences; the other line
+    # is the genuine check and converges at first order in h
+    sol = fixture()
+    field = _fan_field(sol)
+    residual = (ck.decomposition_residual_potential
+                if sol.system == "potential"
+                else ck.decomposition_residual_euler_isentropic)
+    fans = [p for p in sol.pieces if p.kind == "fan"]
+    assert fans
+    eps = np.finfo(float).eps
+    for piece in fans:
+        for f in (0.25, 0.5, 0.75):
+            theta = piece.theta_lo + f * (piece.theta_hi - piece.theta_lo)
+            point = (math.cos(theta), math.sin(theta))
+            minus = {}
+            for h in (1e-3, 1e-4):
+                r_plus, r_minus = residual(field, point, h)
+                assert r_plus <= 100.0 * eps / h**2
+                assert r_minus < 10.0 * h
+                minus[h] = r_minus
+            assert minus[1e-3] / minus[1e-4] > 5.0

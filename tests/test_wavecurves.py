@@ -379,10 +379,16 @@ def test_deflection_range(branches):
 
 def test_deflection_range_constant_branch():
     q = np.linspace(0.2, 0.3, 64)
+
+    def q_of(t):
+        return 0.2 + 0.1 * t
+
     b = wc.WaveCurveBranch(
         param_label="tau_f", param_range=(0.0, 1.0),
         params=np.linspace(0.0, 1.0, 64), u=q * math.cos(0.3),
-        v=q * math.sin(0.3), angle=np.zeros(64))
+        v=q * math.sin(0.3), angle=np.zeros(64),
+        evaluator=lambda t: (q_of(t) * math.cos(0.3),
+                             q_of(t) * math.sin(0.3), 0.0))
     sm, sM = wc.deflection_range(b)
     assert sm == pytest.approx(0.3, abs=1e-12)
     assert sM == pytest.approx(0.3, abs=1e-12)
