@@ -17,8 +17,9 @@ c_u^2 = c^2/u^2 = gamma S (1-w)^-(gamma+1) - 2 w^(2-gamma) and
 
     dsigma/du = sqrt(c_u^2 (q^2 - c_u^2 u^2)) / (k q^2),
 
-the integrand stays finite up to and including the vacuum end.  It is
-fitted on adaptive Chebyshev panels in u and integrated term by term, so
+the integrand stays finite up to and including the vacuum end, a
+fractional-power point in u.  It is fitted on adaptive Chebyshev panels in
+u, refined geometrically toward vacuum, and integrated term by term, so
 sigma(u) is a stored series and the ray theta(u) = sigma + arcsin(c/q) is
 monotone in u wherever p_tautau keeps one sign.  The ray is tabulated at
 the panel nodes once, oriented to rise with u; a ray, or a flow angle, is
@@ -65,8 +66,14 @@ from .thermo import (
 # whole u interval, or of one radian if that is larger.  The budget ends
 # refinement where rounding noise, not resolution, sets the tail: near a
 # sonic foot q^2 - c^2 cancels, and a short fan's turning is far below
-# what a double resolves in sigma.
+# what a double resolves in sigma.  A failing panel is halved, except the
+# one on vacuum, [0, b]: c_u^2 carries w^(2-gamma), a fractional power of u
+# at u = 0, so halving would refine toward vacuum one level per round.  That
+# panel is cut at b 2^-j, j = 1..VACUUM_SPLITS, in one round; each piece is
+# a panel repeated halving also makes and faces the same test, so vacuum is
+# never resolved more coarsely, and fans with u_lo > 0 keep their layout.
 PANEL_POINTS = 17
+VACUUM_SPLITS = 11
 MAX_PANELS = 512
 TAIL_TOL = 1e-13
 BUDGET_TOL = 1e-15
@@ -79,7 +86,10 @@ _HALF = np.ones(PANEL_POINTS)
 _HALF[[0, -1]] = 0.5
 # values at _X -> Chebyshev coefficients (discrete orthogonality)
 _FIT = (2.0 / _M) * _HALF[:, None] * _T[:, :PANEL_POINTS].T * _HALF
+# Chebyshev coefficients -> those of an antiderivative
+_INT = chebyshev.chebint(np.eye(PANEL_POINTS), axis=1)
 _XS = _X.tolist()
+_VACUUM_EDGES = np.append(0.0, 2.0 ** -np.arange(VACUUM_SPLITS, 0, -1))
 
 
 def _forms(lw, g, S, q_lim2, xp):
@@ -113,7 +123,10 @@ class _Turning:
     """sigma(u) on Chebyshev panels from the foot u_hi down to u_lo, with
     sigma and the ray tabulated at the panel nodes, the ray as sign * theta
     so that it rises with u (sign -1 inside the inflection window).  A
-    point is addressed as (panel p, x) with u = mid_p + hw_p x."""
+    point is addressed as (panel p, x) with u = mid_p + hw_p x.  Each round
+    evaluates every pending panel at once and splits the failing ones (see
+    PANEL_POINTS); an accepted panel keeps its node values from that round,
+    so every node is evaluated once."""
 
     def __init__(self, u_lo, u_hi, sigma0, S, q_lim2, gas):
         g = gas.gamma
@@ -130,38 +143,42 @@ class _Turning:
                 raise ValueError(
                     "sonic-degeneracy: q reached c along the fan")
             m2 = np.maximum(m2, 0.0)
-            return np.sqrt(c_u2 * m2) / (k * q2), u, c_u2, q2, P, m2
+            return np.stack([np.sqrt(c_u2 * m2) / (k * q2), u, c_u2, q2, P,
+                             m2])
 
-        # adaptive panels; every round evaluates all pending panels at once
-        done = []
+        # adaptive panels; every round evaluates all pending panels [a, b]
+        # at once and keeps the accepted ones with their node values
+        kept = []
         edges = np.linspace(u_lo, u_hi, 5)
-        pending = np.stack([edges[:-1], edges[1:]], axis=1)
-        scale = 0.0
-        while len(pending):
-            mid = 0.5 * (pending[:, 0] + pending[:, 1])
-            hw = 0.5 * (pending[:, 1] - pending[:, 0])
-            f = integrand(mid[:, None], hw[:, None], _X)[0]
-            scale = max(scale, float(np.max(f)))
-            coef = f @ _FIT.T
+        a, b = edges[:-1], edges[1:]
+        scale, n_done = 0.0, 0
+        while len(a):
+            mid, hw = 0.5 * (a + b), 0.5 * (b - a)
+            V = integrand(mid[:, None], hw[:, None], _X)
+            scale = max(scale, float(np.max(V[0])))
+            coef = V[0] @ _FIT.T
             tail = np.abs(coef[:, -1]) + np.abs(coef[:, -2])
             ok = ((tail <= TAIL_TOL * scale)
                   | (tail * hw <= BUDGET_TOL * max(scale * span, 1.0)))
-            done.append(np.column_stack([pending[ok], coef[ok]]))
-            split = pending[~ok]
-            pending = np.concatenate(
-                [np.column_stack([split[:, 0], mid[~ok]]),
-                 np.column_stack([mid[~ok], split[:, 1]])])
-            if sum(map(len, done)) + len(pending) > MAX_PANELS:
+            kept.append((a[ok], mid[ok], hw[ok], coef[ok], V[:, ok]))
+            n_done += int(np.count_nonzero(ok))
+            lo, m, hi = a[~ok], mid[~ok], b[~ok]
+            a, b = np.concatenate([lo, m]), np.concatenate([m, hi])
+            if len(lo) and lo[0] == 0.0:
+                # the panel on vacuum, cut at hi 2^-j at once (VACUUM_SPLITS)
+                e = hi[0] * _VACUUM_EDGES
+                a, b = np.append(e[:-1], a[1:]), np.append(e[1:], b[1:])
+            if n_done + len(a) > MAX_PANELS:
                 raise ValueError(
                     f"no-convergence: fan integrand needs more than "
                     f"{MAX_PANELS} panels on u in [{u_lo}, {u_hi}]")
-        panels = np.concatenate(done)
-        panels = panels[np.argsort(panels[:, 0])]
-        a, b, coef = panels[:, 0], panels[:, 1], panels[:, 2:]
-        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
+        a, mid, hw, coef, V = zip(*kept)
+        order = np.argsort(np.concatenate(a))
+        mid, hw, coef = (np.concatenate(v)[order] for v in (mid, hw, coef))
+        V = np.concatenate(V, axis=1)[:, order]
 
         # sigma series: antiderivative per panel, chained down from the foot
-        G = chebyshev.chebint(coef, axis=1) * hw[:, None]
+        G = (coef @ _INT) * hw[:, None]
         top, bottom = G.sum(axis=1), G @ (-1.0) ** np.arange(G.shape[1])
         drop = top - bottom
         sigma_top = sigma0 - (np.cumsum(drop[::-1])[::-1] - drop)
@@ -169,9 +186,8 @@ class _Turning:
 
         # nodes ascending in u: each panel's points but its top, then the
         # foot as the top of the last panel
-        f, u, c_u2, q2, P, m2 = (
-            np.append(v[:, :-1].ravel(), v[-1, -1])
-            for v in integrand(mid[:, None], hw[:, None], _X))
+        f, u, c_u2, q2, P, m2 = np.concatenate(
+            [V[:, :, :-1].reshape(6, -1), V[:, -1, -1:]], axis=1)
         sig = G @ _T.T
         sig = np.append(sig[:, :-1].ravel(), sigma_top[-1])
         self.sigmas = sig.tolist()

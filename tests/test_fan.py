@@ -288,19 +288,43 @@ def mpmath_vacuum_angle(q_d, tau_d, S_d, gamma):
         return float(-mp.quad(integrand, cuts))
 
 
-@pytest.mark.parametrize("gamma", [1.3, 1.6, 1.9])
-def test_vacuum_angle_near_sonic_matches_mpmath(gamma):
-    # foot Mach - 1 = 2.4e-8: q^2 - c^2 cancels at the foot, where a
-    # QUADPACK integral in u was off by up to 2.7e-12
+def vacuum_fan_foot(gamma):
+    """(gas, S, tau_d): S mid-way between S_cr and S*, tau_d = 1.5 tau2_i
+    beyond the inflection window."""
     gas = thermo.GasModel(gamma)
     S_star, _, S_cr = thermo.critical_entropies(gas)
     S = 0.5 * (S_cr + S_star)
     _, tau2_i = thermo.inflection_roots(S, gas)
-    tau_d = 1.5 * tau2_i
+    return gas, S, 1.5 * tau2_i
+
+
+@pytest.mark.parametrize("gamma", [1.02, 1.3, 1.6, 1.9, 1.99])
+def test_vacuum_angle_near_sonic_matches_mpmath(gamma):
+    # foot Mach - 1 = 2.4e-8: q^2 - c^2 cancels at the foot, where a
+    # QUADPACK integral in u was off by up to 2.7e-12
+    gas, S, tau_d = vacuum_fan_foot(gamma)
     q_d = (1.0 + 2.4e-8) * thermo.sound_speed(tau_d, S, gas)
     ref = mpmath_vacuum_angle(q_d, tau_d, S, gamma)
     got = fan.vacuum_angle(q_d, tau_d, S, gas)
     assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [1.3, 1.6, 1.9, 1.99])
+def test_fan_to_vacuum_takes_few_refinement_rounds(gamma, monkeypatch):
+    # u = 0 is a fractional-power point of the integrand (w^(2-gamma)):
+    # refined by halving alone it takes one round per level, 44 at 1.99
+    rounds = []
+    forms = fan._forms
+
+    def counted(lw, g, S, q_lim2, xp):
+        if xp is np:
+            rounds.append(1)
+        return forms(lw, g, S, q_lim2, xp)
+
+    monkeypatch.setattr(fan, "_forms", counted)
+    gas, S, tau_d = vacuum_fan_foot(gamma)
+    fan.vacuum_angle(3.0 * thermo.sound_speed(tau_d, S, gas), tau_d, S, gas)
+    assert 1 <= len(rounds) <= 6
 
 
 def mpmath_fan_end(q0, tau0, sigma0, tau_end, S, gamma):
