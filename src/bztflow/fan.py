@@ -25,17 +25,20 @@ monotone in u wherever p_tautau keeps one sign.  The ray is tabulated at
 the panel nodes once, oriented to rise with u; a ray, or a flow angle, is
 mapped back to u by bisection on that table and safeguarded Newton steps.
 integrate_fan builds a fan from its foot to an end volume and stops short
-of the inflection window of the isentrope (p_tautau = 0); a wall end is
-the root FanSolution.slip_line takes on the fan built to vacuum.
+of the inflection window of the isentrope, p_tautau <= 0, which is
+6 psi >= gamma (gamma+1) S with psi = (tau-1)^(gamma+2)/tau^4 unimodal
+about tau* = 4/(2-gamma): an interval meets it iff p_tautau <= 0 at its
+point nearest tau*.  A wall end is the root FanSolution.slip_line takes on
+the fan built to vacuum.
 
-The attached fan of potential flow is the same series
-(wavecurves.RampWaveContext.turning), inside the inflection window where
-the ray angle falls as u rises.  The Riemann invariants
-sigma +/- nu take the turning integral in tau itself, by QUADPACK on the
-closed-form rate above (turning_in_volume), independent of any series;
-pm_potential, the same integral between two fan volumes, is the reference
-the series is tested against.  turning_angle keeps the speed-keyed form
-nu(q) = int sqrt(q^2-c^2)/(q c) dq as a test reference.
+FanSolution is the fan sector of both systems: the attached fan of
+potential flow is the same series (wavecurves.RampWaveContext.fan), inside
+the inflection window where the ray angle falls as u rises.  The Riemann
+invariants sigma +/- nu take the turning integral in tau itself, by
+QUADPACK on the closed-form rate above (turning_in_volume), independent of
+any series; pm_potential, the same integral between two fan volumes, is
+the reference the series is tested against.  turning_angle keeps the
+speed-keyed form nu(q) = int sqrt(q^2-c^2)/(q c) dq as a test reference.
 """
 
 import math
@@ -47,11 +50,13 @@ from numpy.polynomial import chebyshev
 # solve_ivp stays bound here: the benchmark tracer wraps fan.solve_ivp
 from scipy.integrate import quad, solve_ivp  # noqa: F401
 
+from .shocks import FlowState
 from .thermo import (
     PotentialGas,
+    critical_entropies,
     enthalpy,
-    inflection_roots,
     pressure_tau,
+    pressure_tautau,
     tau_from_speed,
 )
 
@@ -286,12 +291,14 @@ class _Turning:
 
 class FanSolution:
     """
-    Centered fan from the foot ray theta_start down to theta_end, entropy
-    frozen at S, with state(theta) -> (q, tau, sigma, S).  Rays between the
-    two ends are mapped to the volume variable through the stored turning
-    series (_Turning.ray); q and tau then follow in closed form, so the
-    Bernoulli law and the ray tangency hold on every ray.  The end states
-    are stored as built; slip_line ends the same series at a wall.
+    Centered fan from the head ray theta_start down to theta_end, entropy
+    frozen at S: the fan sector of both systems (integrate_fan and
+    wavecurves.RampWaveContext.fan).  A ray at or below theta_end takes the
+    end state, any other ray within 1e-12 (1 + |theta|) of theta_start the
+    head state, and a ray in between is mapped to the volume variable by
+    the stored turning series (_Turning.ray), with q and tau in closed
+    form, so the Bernoulli law and the ray tangency hold on every ray.
+    slip_line ends the same series at a wall.
     """
 
     def __init__(self, theta_start, theta_end, S, foot, end, turning=None):
@@ -302,6 +309,18 @@ class FanSolution:
         self._end = end            # (q, tau, sigma) on theta_end
         self._turning = turning    # _Turning, or None if zero-length
 
+    def _lookup(self, theta):
+        # the end ray first, so a fan narrower than the head band returns
+        # its end state on theta_end; the band keeps a breakpoint rounded
+        # below the head ray, where the ray angle can be nearly stationary
+        # in the volume, on the head state
+        if theta <= self.theta_end:
+            return self._end
+        if (self._turning is None
+                or theta >= self.theta_start - 1e-12 * (1.0 + abs(theta))):
+            return self._foot
+        return self._turning.ray(theta)
+
     def state(self, theta):
         """(q, tau, sigma, S) on the ray theta."""
         lo, hi = self.theta_end, self.theta_start
@@ -309,19 +328,15 @@ class FanSolution:
         if not (lo - tol <= theta <= hi + tol):
             raise ValueError(
                 f"theta-out-of-range: {theta} outside [{lo}, {hi}]")
-        tr = self._turning
-        if theta >= hi or tr is None or theta >= tr.rays[-1]:
-            q, tau, sigma = self._foot
-        elif theta <= lo:
-            q, tau, sigma = self._end
-        else:
-            q, tau, sigma = tr.ray(theta)
+        q, tau, sigma = self._lookup(theta)
         return q, tau, sigma, self.S
 
-    def velocity(self, theta):
-        """(u, v) on the ray theta."""
-        q, _, sigma, _ = self.state(theta)
-        return q * math.cos(sigma), q * math.sin(sigma)
+    def state_at(self, theta):
+        """FlowState on the ray theta; rays beyond either end take that
+        end's state."""
+        q, tau, sigma = self._lookup(theta)
+        return FlowState(q * math.cos(sigma), q * math.sin(sigma), tau,
+                         self.S)
 
     def slip_line(self, theta_w):
         """The same fan ended on the ray where the flow direction reaches
@@ -349,8 +364,9 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
     panels.  The data must be centered (theta0 = sigma0 + arcsin(c0/q0))
     and supersonic.  Raises "sonic-degeneracy" for a foot at or below
     sonic, "not-centered", "inflection-hit" when [tau0, tau_end] meets the
-    inflection window of the isentrope, and "no-convergence" when tau_end
-    lies behind the foot or the panels exceed MAX_PANELS.
+    inflection window of the isentrope (tested in closed form, see the
+    module docstring), and "no-convergence" when tau_end lies behind the
+    foot or the panels exceed MAX_PANELS.
     """
     pt0 = pressure_tau(tau0, S0, gas)
     c0 = tau0 * math.sqrt(-pt0)
@@ -370,14 +386,13 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
         raise ValueError(
             f"no-convergence: tau_end={tau_end} lies behind the foot "
             f"tau0={tau0}; a fan expands")
-    try:
-        tau1_i, tau2_i = inflection_roots(S0, gas)
-    except ValueError:
-        tau1_i = tau2_i = None      # convex isentrope: no window
-    if tau1_i is not None and tau0 <= tau2_i and tau_end >= tau1_i:
+    # psi peaks on [tau0, tau_end] at its point nearest tau*
+    _, tau_star, _ = critical_entropies(gas)
+    tau_near = min(max(tau_star, tau0), tau_end)
+    if pressure_tautau(tau_near, S0, gas) <= 0.0:
         raise ValueError(
             f"inflection-hit: [{tau0}, {tau_end}] meets the p_tautau <= 0 "
-            f"window [{tau1_i}, {tau2_i}]")
+            f"window at tau={tau_near}")
 
     k = 0.5 * (gas.gamma - 1.0)
     q_lim2 = q0 * q0 + 2.0 * enthalpy(tau0, S0, gas)
@@ -437,7 +452,7 @@ def vacuum_angle(q_d, tau_d, S_d, gas):
     Raises "divergent-limit" if the enthalpy has no finite vacuum limit,
     "sonic-degeneracy" if the foot state is not supersonic, and, from
     integrate_fan, "inflection-hit" if tau_d is not beyond the nonconvex
-    window (the expansion would meet an inflection point).
+    window: p_tautau <= 0 at max(tau*, tau_d), a test that solves no root.
     """
     h_d = enthalpy(tau_d, S_d, gas)
     if not math.isfinite(h_d):

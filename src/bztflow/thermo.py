@@ -53,20 +53,6 @@ class GasModel:
                 f"gamma-out-of-range: gamma={g} must lie in (1, 2-1e-6)")
 
 
-@dataclass(frozen=True)
-class EulerThermoState:
-    """A (tau, S) point: scaled specific volume and entropy."""
-
-    tau: float
-    S: float
-
-    def __post_init__(self):
-        if not self.tau > 1.0:
-            raise ValueError(f"tau-out-of-range: tau={self.tau} must be > 1")
-        if not self.S > 0.0:
-            raise ValueError(f"entropy-out-of-range: S={self.S} must be > 0")
-
-
 # ---------------------------------------------------------------------------
 # pressure and its partial derivatives
 

@@ -25,7 +25,9 @@ The composite branch of the last incoming state is memoised: the
 deflection range of a state and the wall solves on it
 (`solve_potential_sfs`, which takes its context from the branch) reuse
 one build of the branch and one `ramp_context`, whose attached fan is a
-turning series built on first use (`RampWaveContext.turning`).
+turning series built on first use (`RampWaveContext.turning`).  The fan
+sector of a ramp solution is `RampWaveContext.fan`, a `fan.FanSolution` on
+that series, the type the Euler fans have.
 """
 
 import functools
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, minimize_scalar
 
-from .fan import _Turning
+from .fan import FanSolution, _Turning
 from .shocks import (
     FlowState,
     ObliqueShockSolution,
@@ -121,6 +123,19 @@ class RampWaveContext:
                           + 2.0 * (pg.h(self.tau_po) - pg.h(tau)))
         return q_hat * math.cos(sigma_hat), q_hat * math.sin(sigma_hat), \
             sigma_hat + math.asin(pg.c(tau) / q_hat)
+
+    def fan(self, tau_tail):
+        """The attached fan as a FanSolution on the stored series, from its
+        head at P down to the volume tau_tail, with its end states and rays
+        from fan_state."""
+        def end(tau):
+            u, v, alpha = self.fan_state(tau)
+            return alpha, (math.hypot(u, v), tau, math.atan2(v, u))
+
+        alpha_head, head = end(self.tau_po)
+        alpha_tail, tail = end(tau_tail)
+        return FanSolution(alpha_head, alpha_tail, self.pgas.S, head, tail,
+                           self.turning)
 
     def tail_back_volume(self, tau_f):
         if tau_f <= self.tau1_i * (1.0 + _TAIL_EPS):

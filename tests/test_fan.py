@@ -96,10 +96,9 @@ def test_fan_bernoulli_and_entropy_invariance():
 def test_fan_ray_tangency():
     sol = upstream_fan()
     for t in np.linspace(sol.theta_start, sol.theta_end, 40):
-        q, tau, sigma, S = sol.state(t)
-        u, v = sol.velocity(t)
-        c = thermo.sound_speed(tau, S, G15)
-        assert abs(u * math.sin(t) - v * math.cos(t) - c) < 1e-9
+        st = sol.state_at(t)
+        c = thermo.sound_speed(st.tau, st.S, G15)
+        assert abs(st.u * math.sin(t) - st.v * math.cos(t) - c) < 1e-9
 
 
 def test_fan_state_out_of_range():
@@ -108,20 +107,51 @@ def test_fan_state_out_of_range():
         sol.state(sol.theta_start + 0.1)
 
 
-def test_inflection_hit():
-    # pushing the expansion past the locus crossing runs into the
-    # inflection volume, where the ray stops being monotone in the volume
-    with pytest.raises(ValueError, match="inflection-hit"):
-        upstream_fan(stop=TAU1_I + 0.5)
+@pytest.fixture
+def brentq_calls(monkeypatch):
+    """The thermo.brentq calls made after the fixture is set up."""
+    calls = []
+    root = thermo.brentq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return root(*args, **kwargs)
+
+    monkeypatch.setattr(thermo, "brentq", counted)
+    return calls
+
+
+@pytest.mark.parametrize("S, tau0, tau_end, hit", [
+    (S98, 4.9, TAU1_I * (1.0 - 1e-9), False),
+    (S98, 4.9, TAU1_I * (1.0 + 1e-9), True),
+    (S98, 4.9, TAU1_I + 0.5, True),
+    # above S* the isentrope is convex: a fan builds across tau* = 8
+    (1.01 * S_STAR_15, 4.0, 16.0, False),
+], ids=["end-below-window", "end-in-window", "end-deep-in-window",
+        "convex-isentrope"])
+def test_inflection_hit(S, tau0, tau_end, hit, brentq_calls):
+    # pushing the expansion past tau1_i runs into the inflection window,
+    # where the ray stops being monotone in the volume; the window test is
+    # closed-form and solves no root
+    c0 = thermo.sound_speed(tau0, S, G15)
+    args = (2.0 * c0, tau0, 0.0, S, math.asin(0.5), tau_end, G15)
+    if hit:
+        with pytest.raises(ValueError, match="inflection-hit"):
+            fan.integrate_fan(*args)
+    else:
+        sol = fan.integrate_fan(*args)
+        assert sol.state(sol.theta_end)[1] == tau_end
+    assert brentq_calls == []
 
 
 def downstream_foot():
     """Back state of the tangent-chord shock at the upstream fan end."""
     sol = upstream_fan()
     phi_d = sol.theta_end
-    u1, v1 = sol.velocity(phi_d)
+    front = sol.state_at(phi_d)
     tau_b, S_b, m = shocks.double_sonic_back_state(TAU_F_E, G15, S_f=S98)
-    u_d, v_d = shocks.oblique_back_velocity(u1, v1, phi_d, TAU_F_E, tau_b)
+    u_d, v_d = shocks.oblique_back_velocity(front.u, front.v, phi_d, TAU_F_E,
+                                            tau_b)
     return phi_d, u_d, v_d, tau_b, S_b
 
 
@@ -145,8 +175,8 @@ def test_downstream_fan_slip_stop():
     sol = full.slip_line(theta_w)
     q, tau, sigma, S = sol.state(sol.theta_end)
     assert sigma == pytest.approx(theta_w, abs=1e-12)
-    u, v = sol.velocity(sol.theta_end)
-    assert v == pytest.approx(u * math.tan(theta_w), abs=1e-12)
+    st = sol.state_at(sol.theta_end)
+    assert st.v == pytest.approx(st.u * math.tan(theta_w), abs=1e-12)
     assert tau > tau_d       # the wall fan keeps expanding
     # the wall must lie in [sigma_end, sigma0): the foot direction itself
     # leaves the fan nothing to turn
@@ -203,12 +233,21 @@ def test_vacuum_angle_degenerate_offset():
     assert abs(off) < 1e-2
 
 
-def test_vacuum_angle_guards():
-    with pytest.raises(ValueError, match="sonic-degeneracy"):
-        fan.vacuum_angle(0.5 * thermo.sound_speed(TAU_D, S_D, G15),
-                         TAU_D, S_D, G15)
-    with pytest.raises(ValueError, match="inflection-hit"):
-        fan.vacuum_angle(1.0, 0.5 * (TAU1_I + TAU2_I), S98, G15)
+@pytest.mark.parametrize("tau_d, S, mach, match", [
+    (TAU_D, S_D, 0.5, "sonic-degeneracy"),
+    (0.5 * (TAU1_I + TAU2_I), S98, 2.0, "inflection-hit"),
+    (TAU2_I * (1.0 - 1e-9), S98, 2.0, "inflection-hit"),
+    (TAU2_I * (1.0 + 1e-9), S98, 2.0, None),
+], ids=["subsonic-foot", "foot-mid-window", "foot-in-window",
+        "foot-beyond-window"])
+def test_vacuum_angle_guards(tau_d, S, mach, match, brentq_calls):
+    q_d = mach * thermo.sound_speed(tau_d, S, G15)
+    if match:
+        with pytest.raises(ValueError, match=match):
+            fan.vacuum_angle(q_d, tau_d, S, G15)
+    else:
+        assert fan.vacuum_angle(q_d, tau_d, S, G15) < 0.0
+    assert brentq_calls == []
 
 
 def speed_variable_vacuum_angle(q_d, tau_d, S_d, gas):

@@ -180,7 +180,7 @@ def test_euler_evaluate_matches_fan_probes():
     assert st_r.sigma == pytest.approx(SIGMA_MR_R, abs=1e-9)
     assert st_r.tau == pytest.approx(TAU_MR_R, rel=1e-8)
     # the point sampler and the fan's own state are the same curve
-    q, tau, sigma, _ = sol.pieces[1].fan.solution.state(THETA_ML_R)
+    q, tau, sigma, _ = sol.pieces[1].fan.state(THETA_ML_R)
     assert st_l.u == q * math.cos(sigma)
     assert st_l.v == q * math.sin(sigma)
     assert st_l.tau == tau
@@ -264,7 +264,7 @@ def test_euler_trailing_fan_starts_on_the_shock_ray():
     sol = ss.solve_euler_fsf(90.58529873840524, 1.0923046197754214,
                              0.4102222434541033, -0.7227295075563864,
                              GasModel(1.643981048464775))
-    assert sol.pieces[2].fan.solution.theta_start == sol.meta["phi_d"]
+    assert sol.pieces[2].fan.theta_start == sol.meta["phi_d"]
     rep = ss.validate(sol)
     assert rep.max_junction_gap < 1e-10
     assert rep.ok
@@ -424,7 +424,7 @@ def test_potential_liu_check_next_to_the_front():
 @pytest.mark.parametrize("frac", [0.25, 0.75])
 def test_potential_head_junction_next_to_the_inflection_pair(frac):
     # potential_sweep seed 209 state 15: tau_po sits just below tau2_i, so
-    # the head ray phi_po lies below the fan's alpha_head by rounding
+    # the head ray phi_po lies below the fan's theta_start by rounding
     u0, tau0 = 0.17157264654955476, 16.767528467586786
     pgas = PotentialGas.from_state(GasModel(1.7211201174184678),
                                    0.4642651727077509, u0, tau0,
@@ -436,6 +436,18 @@ def test_potential_head_junction_next_to_the_inflection_pair(frac):
     rep = ss.validate(sol)
     assert rep.max_junction_gap < 1e-12
     assert rep.ok
+
+
+def test_rays_next_to_the_head_take_the_head_state():
+    # one end rule on both systems: a ray rounded just below a fan's head
+    # ray reads the head state instead of a ray solve next to the head
+    fans = [p.fan for sol in (_euler_sol(), _potential_sol())
+            for p in sol.pieces if p.kind == "fan"]
+    assert len(fans) == 3
+    for f in fans:
+        head = f.theta_start
+        assert (f.state_at(head - 0.5e-12 * (1.0 + abs(head)))
+                == f.state_at(head))
 
 
 def test_potential_wall_study_builds_the_branch_once(monkeypatch):
@@ -495,7 +507,7 @@ def test_potential_fan_rays_on_the_series(wall):
     sol = ss.solve_potential_sfs(U0_P, TAU0_P,
                                  sigma_m + wall * (sigma_M - sigma_m), pgas)
     piece = sol.pieces[1]
-    ctx, tau_tail = piece.fan.context, piece.fan.tau_tail
+    ctx, tau_tail = sol.meta["context"], sol.meta["tau_w"]
     for f in _RAY_FRACTIONS:
         theta = piece.theta_lo + f * (piece.theta_hi - piece.theta_lo)
         st_ = piece.state_at(theta)
@@ -520,12 +532,12 @@ def test_potential_fan_queries_make_no_quadrature_or_root_solve(monkeypatch):
     for module, name in ((fan, "quad"), (thermo, "brentq"),
                          (shocks, "brentq"), (wc, "brentq")):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    piece = ss.PotentialFanPiece(ctx, TAU_W_MID)
+    piece = ctx.fan(TAU_W_MID)
     for tau in np.linspace(ctx.tau1_i, ctx.tau_po, 9):
         ctx.fan_state(tau)
     for f in np.linspace(0.0, 1.0, 9):
-        piece.state_at(piece.alpha_tail
-                       + f * (piece.alpha_head - piece.alpha_tail))
+        piece.state_at(piece.theta_end
+                       + f * (piece.theta_start - piece.theta_end))
     assert calls == []
 
 

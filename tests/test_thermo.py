@@ -41,13 +41,6 @@ def test_gamma_validation():
     thermo.GasModel(1.999998)  # just inside
 
 
-def test_state_validation():
-    with pytest.raises(ValueError, match="tau-out-of-range"):
-        thermo.EulerThermoState(tau=1.0, S=0.3)
-    with pytest.raises(ValueError, match="entropy-out-of-range"):
-        thermo.EulerThermoState(tau=2.0, S=0.0)
-
-
 def test_pressure_on_double_sonic_locus_at_tau_star():
     # at (gamma=1.5, tau=8, S=S_hat(8)) the pressure is d(8) = 9/2560
     S = thermo.double_sonic_entropy(8.0, G15)
