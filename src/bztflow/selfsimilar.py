@@ -401,7 +401,11 @@ def validate(solution):
         bernoulli_spread = spread
     else:
         fans = [p for p in solution.pieces if p.kind == "fan"]
-        if fans and pgas.q_ref > 0.0:
+        if fans:
+            # the spread does not depend on the anchor; a model built
+            # without one is anchored at the incoming speed
+            if pgas.q_ref <= 0.0:
+                pgas = replace(pgas, q_ref=solution.pieces[0].state.q)
             vals = []
             for piece in fans:
                 for f in (0.0, 0.25, 0.5, 0.75, 1.0):

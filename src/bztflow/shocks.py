@@ -14,11 +14,14 @@ sonic shock families live:
   * post-sonic:   |m| = rho_b c_b > rho_f c_f (tangent at the back),
   * pre-sonic:    |m| = rho_f c_f < rho_b c_b (tangent at the front).
 
-The Euler solvers work with (tau, S) pairs and the full jump set; the
-potential-flow solvers fix one isentrope and replace the normal momentum
-balance by the Bernoulli invariant, with one cancellation-free chord flux
-in the squared-volume chart, Liu's chord comparison for admissibility and
-the front-sonic tangency solved with its double root divided out.
+The sonic flux is -p_tau on the isentrope through the sonic side. The
+Euler solvers work with (tau, S) pairs and the full jump set: the
+double-sonic shock is closed form, and the post-sonic one is a closed-form
+back entropy plus one root of the Hugoniot relation. The potential-flow
+solvers fix one isentrope and replace the normal momentum balance by the
+Bernoulli invariant, with one cancellation-free chord flux in the
+squared-volume chart, Liu's chord comparison for admissibility and the
+front-sonic tangency solved with its double root divided out.
 """
 
 import functools
@@ -33,24 +36,19 @@ from .thermo import (
     BRENT_XTOL,
     double_sonic_entropy,
     double_sonic_locus,
+    enthalpy,
+    entropy_of,
     eta_hat,
     inflection_roots,
     locus_intersections,
     pressure,
-    pressure_S,
     pressure_tau,
-    pressure_tauS,
-    pressure_tautau,
 )
 
 # relative tolerance of |m| = rho c for a sonic side (classify) and of the
 # locus and tangency checks of a double-sonic shock
 SONIC_TOL = 1e-8
 LOCUS_TOL = 1e-10
-# continuation steps in tau_f of the post-sonic Euler solve, and Newton
-# iterations per step
-POST_SONIC_STEPS = 24
-POST_SONIC_MAX_ITER = 60
 # interior volumes of the grid Liu's chord comparison runs on
 LIU_GRID = 10000
 
@@ -120,10 +118,6 @@ def _energy_of(p, tau, g):
     return (p + 1.0 / tau**2) * (tau - 1.0) / (g - 1.0) - 1.0 / tau
 
 
-def _energy_S(tau, g):
-    return 1.0 / ((g - 1.0) * (tau - 1.0) ** (g - 1.0))
-
-
 def mass_flux_squared(tau_f, p_f, tau_b, p_b):
     """
     Squared mass flux m^2 = -(p_f - p_b)/(tau_f - tau_b) of the chord.
@@ -150,13 +144,6 @@ def hugoniot_residual(tau_f, p_f, tau_b, p_b, gas):
             + 0.5 * (tau_f - tau_b) * (p_f + p_b))
 
 
-def sonic_flux_squared(p, tau, gas):
-    """Squared mass flux of a shock that is sonic relative to (p, tau),
-    i.e. -p_tau on the isentrope through that point."""
-    g = gas.gamma
-    return g * (p * tau**2 + 1.0) / (tau**2 * (tau - 1.0)) - 2.0 / tau**3
-
-
 def eta_roots(tau_k, p_k, m2, gas):
     """
     Volume ratios eta = tau_other/tau_k compatible with a shock of squared
@@ -165,13 +152,14 @@ def eta_roots(tau_k, p_k, m2, gas):
     Returns (roots, has_complex): roots is a sorted tuple of the real
     ratios, always containing the trivial eta = 1; has_complex flags a
     discarded complex-conjugate pair ("complex-roots"). When m2 is sonic
-    relative to the state, the cofactor reduces to a quadratic whose double
-    root is the tangent-chord ratio 2/((2-gamma) tau_k - 2).
+    relative to the state, i.e. -p_tau on the isentrope through it, the
+    cofactor reduces to a quadratic whose double root is the tangent-chord
+    ratio 2/((2-gamma) tau_k - 2).
     """
     if m2 <= 0.0:
         raise ValueError(f"non-compressive-chord: m^2={m2} <= 0")
     g = gas.gamma
-    f_k = sonic_flux_squared(p_k, tau_k, gas)
+    f_k = -pressure_tau(tau_k, entropy_of(p_k, tau_k, gas), gas)
     roots = [1.0]
     if abs(m2 - f_k) <= 1e-9 * abs(f_k):
         # sonic cofactor: quadratic in eta
@@ -270,12 +258,19 @@ def post_sonic_back_state_euler(tau_f, S_f, gas):
     Back state (tau_po, S_po) of the shock from (tau_f, S_f) whose chord is
     tangent to the back isentrope (back side sonic, front side supersonic).
 
-    Solves {Hugoniot residual = 0, chord slope + p_tau(back) = 0} by a
-    damped Newton iteration with closed-form Jacobian, seeded from the
-    double-sonic endpoint of the front window and continued in tau_f.
-    The front volume must lie in [tau_f_e(S_f), tau1_i(S_f)], the stretch
-    of front volumes below the inflection pair that still admits the
-    tangency ("out-of-post-sonic-window" otherwise).
+    Tangency, (p_b - p_f)/d = p_tau(tau_b, S_b) with d = tau_b - tau_f, is
+    linear in S_b, which gives the back entropy in closed form,
+
+        S_b(tau_b) = (p_f + 1/tau_b^2 + 2d/tau_b^3) (tau_b-1)^gamma
+                     / (1 + gamma d/(tau_b-1)).
+
+    tau_po is then the one root of the Hugoniot residual along S_b(tau_b)
+    on (tau*, tau_d (1 + 1e-9)). Here tau_d = eta_hat(tau_f_e) tau_f_e is
+    the double-sonic back volume, the root at tau_f = tau_f_e; the trivial
+    root tau_b = tau_f lies below tau*. The front volume must lie in
+    [tau_f_e(S_f), tau1_i(S_f)], the stretch of front volumes below the
+    inflection pair that still admits the tangency
+    ("out-of-post-sonic-window" otherwise).
     """
     tau_f_e, _ = locus_intersections(S_f, gas)
     tau1_i, _ = inflection_roots(S_f, gas)
@@ -285,41 +280,21 @@ def post_sonic_back_state_euler(tau_f, S_f, gas):
             f"out-of-post-sonic-window: tau_f={tau_f} outside "
             f"[{tau_f_e}, {tau1_i}] at S_f={S_f}")
     g = gas.gamma
+    p_f = pressure(tau_f, S_f, gas)
+
+    def back_entropy(tau_b):
+        d = tau_b - tau_f
+        return ((p_f + 1.0 / tau_b**2 + 2.0 * d / tau_b**3)
+                * (tau_b - 1.0) ** g / (1.0 + g * d / (tau_b - 1.0)))
+
+    def residual(tau_b):
+        return hugoniot_residual(
+            tau_f, p_f, tau_b, pressure(tau_b, back_entropy(tau_b), gas), gas)
+
     tau_d = eta_hat(tau_f_e, gas) * tau_f_e
-    tb, Sb = tau_d, double_sonic_entropy(tau_d, gas)
-    for tf in np.linspace(tau_f_e, tau_f, POST_SONIC_STEPS + 1):
-        p_f = pressure(tf, S_f, gas)
-        e_f = _energy_of(p_f, tf, g)
-        for _ in range(POST_SONIC_MAX_ITER):
-            p_b = pressure(tb, Sb, gas)
-            pt_b = pressure_tau(tb, Sb, gas)
-            pS_b = pressure_S(tb, Sb, gas)
-            dt = tf - tb
-            F1 = e_f - _energy_of(p_b, tb, g) + 0.5 * dt * (p_f + p_b)
-            F2 = (p_b - p_f) / dt + pt_b
-            J11 = 0.5 * (p_b - p_f) + 0.5 * dt * pt_b
-            J12 = -_energy_S(tb, g) + 0.5 * dt * pS_b
-            J21 = pt_b / dt + (p_b - p_f) / dt**2 + pressure_tautau(tb, Sb, gas)
-            J22 = pS_b / dt + pressure_tauS(tb, Sb, gas)
-            det = J11 * J22 - J12 * J21
-            if det == 0.0:
-                raise ValueError(
-                    f"no-convergence: singular Jacobian at tau_f={tf}")
-            step_t = -(F1 * J22 - F2 * J12) / det
-            step_S = -(J11 * F2 - J21 * F1) / det
-            # keep iterates inside the physical domain
-            damp = min(1.0,
-                       0.2 * (tb - 1.0) / max(abs(step_t), 1e-300),
-                       0.2 * Sb / max(abs(step_S), 1e-300))
-            tb += damp * step_t
-            Sb += damp * step_S
-            if abs(step_t) <= 1e-13 * tb and abs(step_S) <= 1e-13 * Sb:
-                break
-        else:
-            raise ValueError(
-                f"no-convergence: post-sonic continuation stalled at "
-                f"tau_f={tf}")
-    return tb, Sb
+    tau_po = brentq(residual, 4.0 / (2.0 - g), tau_d * (1.0 + 1e-9),
+                    xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
+    return tau_po, back_entropy(tau_po)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +500,6 @@ def rh_residuals_euler(sol, gas):
     velocity, normal energy) of an Euler shock, each scaled by the larger
     magnitude of its two sides.
     """
-    from .thermo import enthalpy
     f, b = sol.front, sol.back
     df = VelocityDecomposition.of(f.u, f.v, sol.phi)
     db = VelocityDecomposition.of(b.u, b.v, sol.phi)

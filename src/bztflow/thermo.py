@@ -80,17 +80,6 @@ def pressure_tautau(tau, S, gas):
     return g * (g + 1.0) * S / (tau - 1.0) ** (g + 2.0) - 6.0 / tau**4
 
 
-def pressure_S(tau, S, gas):
-    """d p / d S at fixed tau."""
-    return 1.0 / (tau - 1.0) ** gas.gamma
-
-
-def pressure_tauS(tau, S, gas):
-    """d2 p / d tau d S."""
-    g = gas.gamma
-    return -g / (tau - 1.0) ** (g + 1.0)
-
-
 def entropy_of(p, tau, gas):
     """Entropy label of the isentrope through (p, tau)."""
     return (p + 1.0 / tau**2) * (tau - 1.0) ** gas.gamma

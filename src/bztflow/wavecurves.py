@@ -32,7 +32,6 @@ that series, the type the Euler fans have.
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -314,14 +313,7 @@ def polar_branch_II(u0, tau0, pgas, n=512):
 # ---------------------------------------------------------------------------
 # queries on the composite branch
 
-_spline_cache = weakref.WeakKeyDictionary()
-
-
 def _arc_spline(branch):
-    try:
-        return _spline_cache[branch]
-    except KeyError:
-        pass
     du = np.diff(branch.u)
     dv = np.diff(branch.v)
     seg = np.hypot(du, dv)
@@ -329,9 +321,7 @@ def _arc_spline(branch):
     uu, vv = branch.u[keep], branch.v[keep]
     s = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(uu),
                                                   np.diff(vv)))))
-    entry = (s, CubicSpline(s, uu), CubicSpline(s, vv))
-    _spline_cache[branch] = entry
-    return entry
+    return s, CubicSpline(s, uu), CubicSpline(s, vv)
 
 
 def H_residual(u, v, branch_IJ):

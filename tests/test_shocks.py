@@ -76,8 +76,7 @@ def test_eta_roots_double_root_on_locus():
     tau = TAU_F_E
     S = thermo.double_sonic_entropy(tau, G15)
     p = thermo.pressure(tau, S, G15)
-    m2 = shocks.sonic_flux_squared(p, tau, G15)
-    assert m2 == pytest.approx(-thermo.pressure_tau(tau, S, G15), rel=1e-12)
+    m2 = -thermo.pressure_tau(tau, S, G15)
     roots, has_complex = shocks.eta_roots(tau, p, m2, G15)
     assert not has_complex
     assert len(roots) == 3
@@ -89,7 +88,7 @@ def test_eta_roots_zero_strength_at_tau_star():
     # at tau* the tangent-chord ratio degenerates to 1
     S = thermo.double_sonic_entropy(8.0, G15)
     p = thermo.pressure(8.0, S, G15)
-    m2 = shocks.sonic_flux_squared(p, 8.0, G15)
+    m2 = -thermo.pressure_tau(8.0, S, G15)
     roots, has_complex = shocks.eta_roots(8.0, p, m2, G15)
     assert not has_complex
     for r in roots:
@@ -100,7 +99,7 @@ def test_eta_roots_complex_flag():
     # sonic flux on a convex isentrope (S above S*): no tangent chord
     S = 1.2 * S_STAR_15
     p = thermo.pressure(8.0, S, G15)
-    m2 = shocks.sonic_flux_squared(p, 8.0, G15)
+    m2 = -thermo.pressure_tau(8.0, S, G15)
     roots, has_complex = shocks.eta_roots(8.0, p, m2, G15)
     assert has_complex
     assert roots == (1.0,)
@@ -198,6 +197,109 @@ def test_post_sonic_euler_window_guard():
         shocks.post_sonic_back_state_euler(0.99 * TAU_F_E, S98, G15)
     with pytest.raises(ValueError, match="out-of-post-sonic-window"):
         shocks.post_sonic_back_state_euler(1.01 * TAU1_I, S98, G15)
+
+
+def test_post_sonic_euler_is_one_root(monkeypatch):
+    calls = []
+    real = shocks.brentq
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shocks, "brentq", counting)
+    for tau_f in (TAU_F_E, TAU_F_MID_EULER, TAU1_I):
+        del calls[:]
+        shocks.post_sonic_back_state_euler(tau_f, S98, G15)
+        assert len(calls) == 1
+
+
+def _window(gamma, S_frac):
+    gas = thermo.GasModel(gamma)
+    S_star, _, S_cr = thermo.critical_entropies(gas)
+    S = S_cr + S_frac * (S_star - S_cr)
+    tau_f_e, _ = thermo.locus_intersections(S, gas)
+    tau1_i, _ = thermo.inflection_roots(S, gas)
+    return gas, S, tau_f_e, tau1_i
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("gamma", [1.3, 1.5, 1.9])
+def test_post_sonic_euler_near_the_window_closure(gamma, frac):
+    # S within 1e-3 of S*, where the window [tau_f_e, tau1_i] and the
+    # back state's distance from the double-sonic shock both shrink
+    gas, S, tau_f_e, tau1_i = _window(gamma, 0.999)
+    tau_f = tau_f_e + frac * (tau1_i - tau_f_e)
+    tau_b, S_b = shocks.post_sonic_back_state_euler(tau_f, S, gas)
+    p_f = thermo.pressure(tau_f, S, gas)
+    p_b = thermo.pressure(tau_b, S_b, gas)
+    m2 = shocks.mass_flux_squared(tau_f, p_f, tau_b, p_b)
+    assert abs(shocks.hugoniot_residual(tau_f, p_f, tau_b, p_b, gas)) < 1e-12
+    assert abs(m2 + thermo.pressure_tau(tau_b, S_b, gas)) < 1e-10 * m2
+    assert S_b > S
+    if frac > 0.0:
+        assert m2 > -thermo.pressure_tau(tau_f, S, gas)
+
+
+def mpmath_post_sonic_state(tau_f, gamma, S_f, start):
+    """(tau_b, S_b) on the Hugoniot locus of (tau_f, S_f) whose chord is
+    tangent to the back isentrope, by a 40-digit Newton solve of the two
+    relations in (tau_b, S_b) from the start point."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        g, tf, Sf = mp.mpf(gamma), mp.mpf(tau_f), mp.mpf(S_f)
+
+        def p(t, S):
+            return S / (t - 1) ** g - 1 / t**2
+
+        def e(t, S):
+            return S / ((g - 1) * (t - 1) ** (g - 1)) - 1 / t
+
+        def p_tau(t, S):
+            return -g * S / (t - 1) ** (g + 1) + 2 / t**3
+
+        scale = -p_tau(tf, Sf)
+
+        def hugoniot(t, S):
+            return (e(tf, Sf) - e(t, S)
+                    + (tf - t) * (p(tf, Sf) + p(t, S)) / 2) / (scale * tf**2)
+
+        def tangency(t, S):
+            return ((p(t, S) - p(tf, Sf)) / (t - tf) - p_tau(t, S)) / scale
+
+        t, S = mp.mpf(start[0]), mp.mpf(start[1])
+        for _ in range(100):
+            F = mp.matrix([hugoniot(t, S), tangency(t, S)])
+            J = mp.matrix([[mp.diff(f, (t, S), d) for d in ((1, 0), (0, 1))]
+                           for f in (hugoniot, tangency)])
+            step = mp.lu_solve(J, F)
+            t, S = t - step[0], S - step[1]
+            if abs(step[0]) < mp.mpf(10) ** -38 * t:
+                break
+        assert abs(hugoniot(t, S)) < mp.mpf(10) ** -35
+        assert abs(tangency(t, S)) < mp.mpf(10) ** -35
+        return float(t), float(S)
+
+
+@pytest.mark.parametrize("case", ["mid-window", "near-closure"])
+def test_post_sonic_euler_matches_mpmath(case):
+    if case == "mid-window":
+        gas, S, tau_f = G15, S98, TAU_F_MID_EULER
+        start = (TAU_PO_EULER, S_PO_EULER)
+        tau_rel = 1e-12
+    else:
+        gas, S, tau_f_e, tau1_i = _window(1.9, 0.999)
+        tau_f = tau_f_e + 0.7 * (tau1_i - tau_f_e)
+        tau_d = thermo.eta_hat(tau_f_e, gas) * tau_f_e
+        start = (tau_d, thermo.double_sonic_entropy(tau_d, gas))
+        # S_b is stationary along the Hugoniot at the sonic back point, so
+        # it holds to rounding while tau_b is set only to about 1e-10 in
+        # double precision this close to S* (9e-11 measured)
+        tau_rel = 5e-10
+    tau_b, S_b = shocks.post_sonic_back_state_euler(tau_f, S, gas)
+    ref_t, ref_S = mpmath_post_sonic_state(tau_f, gas.gamma, S, start)
+    assert tau_b == pytest.approx(ref_t, rel=tau_rel)
+    assert S_b == pytest.approx(ref_S, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

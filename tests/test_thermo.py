@@ -63,10 +63,6 @@ def test_pressure_partials_match_finite_differences():
         assert thermo.pressure_tautau(tau, S, gas) == pytest.approx(
             central(lambda t: thermo.pressure_tau(t, S, gas), tau),
             rel=1e-6, abs=1e-9)
-        assert thermo.pressure_S(tau, S, gas) == pytest.approx(
-            central(lambda s: thermo.pressure(tau, s, gas), S), rel=1e-9)
-        assert thermo.pressure_tauS(tau, S, gas) == pytest.approx(
-            central(lambda s: thermo.pressure_tau(tau, s, gas), S), rel=1e-9)
 
 
 def test_loci_difference_identity():
