@@ -18,6 +18,8 @@ Directional derivatives along the frame directions,
 
 do not commute when the frame varies in space; the residual evaluators
 below check the exact exchange relations against black-box flow fields.
+The operators take their direction as a frame-angle getter: PLUS, MINUS
+and STREAM read alpha, beta and sigma off a frame.
 First derivatives are taken by central differences of step h along the
 frame direction of the evaluation point; the second (nested) application
 uses a forward step, so the composed residuals shrink at first order
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from .fan import riemann_invariants
@@ -63,6 +66,12 @@ class CharacteristicFrame:
     beta: float
     lambda_plus: float
     lambda_minus: float
+
+
+# frame-angle getters: the directions of d+, d- and d0
+PLUS = attrgetter("alpha")
+MINUS = attrgetter("beta")
+STREAM = attrgetter("sigma")
 
 
 def frame_from_state(u, v, c):
@@ -137,9 +146,8 @@ def directional_derivatives(sample, frame):
 
     Satisfies d+ + d- = 2 cos(A) d0 componentwise.
     """
-    return (_project(sample, frame.alpha),
-            _project(sample, frame.beta),
-            _project(sample, frame.sigma))
+    return tuple(_project(sample, angle(frame))
+                 for angle in (PLUS, MINUS, STREAM))
 
 
 def plane_gradient(dplus, dminus, frame):
@@ -223,89 +231,66 @@ class PotentialFlowField:
 # ---------------------------------------------------------------------------
 # finite-difference directional operators
 
-def _frame_angle(frame, which):
-    if which == "plus":
-        return frame.alpha
-    if which == "minus":
-        return frame.beta
-    return frame.sigma
+def dbar(field, scalar, direction, h):
+    """Central-difference derivative of scalar(x, y) as a new callable.
 
-
-def dbar(field, scalar, which, h):
-    """Central-difference d+/d-/d0 of scalar(x, y) as a new callable.
-
-    The direction is frozen at each evaluation point's own frame.
+    direction is a frame-angle getter, PLUS, MINUS or STREAM for d+, d- or
+    d0; it is read at each evaluation point's own frame.
     """
     def d(x, y):
-        th = _frame_angle(field.frame(x, y), which)
+        th = direction(field.frame(x, y))
         cx, sy = math.cos(th), math.sin(th)
         return (scalar(x + h * cx, y + h * sy)
                 - scalar(x - h * cx, y - h * sy)) / (2.0 * h)
     return d
 
 
-def _dbar_forward(field, scalar, which, h):
+def _dbar_forward(field, scalar, direction, h):
     # one-sided outer application: keeps nested second derivatives at one
     # field evaluation per direction and makes the composed residuals O(h)
     def d(x, y):
-        th = _frame_angle(field.frame(x, y), which)
+        th = direction(field.frame(x, y))
         cx, sy = math.cos(th), math.sin(th)
         return (scalar(x + h * cx, y + h * sy) - scalar(x, y)) / h
     return d
 
 
+def _mixed(field, f, g, other, point, h):
+    # (d_o d+ f, d+ d_o g, d+ f, d_o g) at the point, d_o along other
+    dp = dbar(field, f, PLUS, h)
+    do = dbar(field, g, other, h)
+    return (_dbar_forward(field, dp, other, h)(*point),
+            _dbar_forward(field, do, PLUS, h)(*point), dp(*point), do(*point))
+
+
 # ---------------------------------------------------------------------------
 # commutator residuals
 
-def commutator_residual(field, point, h, kind="cross", test=None):
-    """Residual of an exchange relation of the frame derivatives at a point.
+def commutator_residual(field, point, h, other=MINUS, test=None):
+    """Residual of the exchange relation of d+ with another frame derivative.
 
-    kind "cross" checks
+    other is the frame-angle getter MINUS or STREAM of the derivative d_o,
+    at the angle gamma, and delta = alpha - gamma is the angle between the
+    two directions (2A for MINUS, A for STREAM). Checks
 
-        (d- d+ - d+ d-) f = [ (cos2A d+beta - d-alpha) d- f
-                              - (d+beta - cos2A d-alpha) d+ f ] / sin2A,
-
-    kind "stream" checks
-
-        (d0 d+ - d+ d0) f = [ (cosA d+sigma - d0alpha) d0 f
-                              - (d+sigma - cosA d0alpha) d+ f ] / sinA.
+        (d_o d+ - d+ d_o) f = [ (cos(delta) d+gamma - d_o alpha) d_o f
+                                - (d+gamma - cos(delta) d_o alpha) d+ f ]
+                              / sin(delta).
 
     f defaults to the field's density. Returns |lhs - rhs|; first order
     in h on smooth fields.
     """
-    x0, y0 = point
     if test is None:
         test = field.density
-    fr0 = field.frame(x0, y0)
+    fr0 = field.frame(*point)
+    delta = PLUS(fr0) - other(fr0)
 
-    dp = dbar(field, test, "plus", h)
-    alpha_of = lambda x, y: field.frame(x, y).alpha
-
-    if kind == "cross":
-        dm = dbar(field, test, "minus", h)
-        lhs = (_dbar_forward(field, dp, "minus", h)(x0, y0)
-               - _dbar_forward(field, dm, "plus", h)(x0, y0))
-        beta_of = lambda x, y: field.frame(x, y).beta
-        dpb = dbar(field, beta_of, "plus", h)(x0, y0)
-        dma = dbar(field, alpha_of, "minus", h)(x0, y0)
-        c2A = math.cos(2.0 * fr0.A)
-        rhs = ((c2A * dpb - dma) * dm(x0, y0)
-               - (dpb - c2A * dma) * dp(x0, y0)) / math.sin(2.0 * fr0.A)
-        return abs(lhs - rhs)
-
-    if kind == "stream":
-        d0 = dbar(field, test, "zero", h)
-        lhs = (_dbar_forward(field, dp, "zero", h)(x0, y0)
-               - _dbar_forward(field, d0, "plus", h)(x0, y0))
-        sigma_of = lambda x, y: field.frame(x, y).sigma
-        dps = dbar(field, sigma_of, "plus", h)(x0, y0)
-        d0a = dbar(field, alpha_of, "zero", h)(x0, y0)
-        cA = math.cos(fr0.A)
-        rhs = ((cA * dps - d0a) * d0(x0, y0)
-               - (dps - cA * d0a) * dp(x0, y0)) / math.sin(fr0.A)
-        return abs(lhs - rhs)
-
-    raise ValueError(f"unknown-kind: {kind}")
+    dodp, dpdo, dp0, do0 = _mixed(field, test, test, other, point, h)
+    dpg = dbar(field, lambda x, y: other(field.frame(x, y)), PLUS, h)(*point)
+    doa = dbar(field, lambda x, y: PLUS(field.frame(x, y)), other, h)(*point)
+    cd = math.cos(delta)
+    rhs = ((cd * dpg - doa) * do0 - (dpg - cd * doa) * dp0) / math.sin(delta)
+    return abs(dodp - dpdo - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +308,14 @@ def decomposition_residual_potential(field, point, h):
     The field must be an exact (or manufactured) solution of the potential
     system on the stencil; residuals then vanish at first order in h.
     """
-    x0, y0 = point
     pgas = field.pgas
 
     rp_of = lambda x, y: field.invariants(x, y)[0]
     rm_of = lambda x, y: field.invariants(x, y)[1]
-    dp_rp = dbar(field, rp_of, "plus", h)
-    dm_rm = dbar(field, rm_of, "minus", h)
+    lhs_plus, lhs_minus, dp0, dm0 = _mixed(field, rp_of, rm_of, MINUS,
+                                           point, h)
 
-    lhs_plus = _dbar_forward(field, dp_rp, "minus", h)(x0, y0)
-    lhs_minus = _dbar_forward(field, dm_rm, "plus", h)(x0, y0)
-
-    u, v = field.state(x0, y0)
+    u, v = field.state(*point)
     q = math.hypot(u, v)
     tau = tau_from_speed(q, pgas)
     c = pgas.c(tau)
@@ -343,8 +324,6 @@ def decomposition_residual_potential(field, point, h):
          / (4.0 * (q * q - c * c) * pgas.p_tau(tau) * math.sin(2.0 * A)))
 
     c2A = math.cos(2.0 * A)
-    dp0 = dp_rp(x0, y0)
-    dm0 = dm_rm(x0, y0)
     r_plus = abs(lhs_plus + F * (dp0 - c2A * dm0) * dp0)
     r_minus = abs(lhs_minus - F * (dm0 - c2A * dp0) * dm0)
     return r_plus, r_minus
@@ -365,22 +344,18 @@ def decomposition_residual_euler_isentropic(field, point, h):
     vortical field simply leaves a nonvanishing residual. Returns
     (r_plus, r_minus) for the two lines.
     """
-    x0, y0 = point
-
     S_of = lambda x, y: field.state(x, y)[3]
-    dpS = dbar(field, S_of, "plus", h)(x0, y0)
+    dpS = dbar(field, S_of, PLUS, h)(*point)
     if abs(dpS) > ENTROPY_GRADIENT_TOL:
         raise ValueError(
             f"entropy-gradient-present: |d+S|={abs(dpS)} exceeds "
             f"{ENTROPY_GRADIENT_TOL}; the reduced decomposition does not "
             "apply")
 
-    dp = dbar(field, field.density, "plus", h)
-    dm = dbar(field, field.density, "minus", h)
-    lhs_plus = _dbar_forward(field, dp, "minus", h)(x0, y0)
-    lhs_minus = _dbar_forward(field, dm, "plus", h)(x0, y0)
+    lhs_plus, lhs_minus, dp0, dm0 = _mixed(field, field.density,
+                                           field.density, MINUS, point, h)
 
-    u, v, tau, S = field.state(x0, y0)
+    u, v, tau, S = field.state(*point)
     c = sound_speed(tau, S, field.gas)
     A = math.asin(c / math.hypot(u, v))
     pt = pressure_tau(tau, S, field.gas)
@@ -389,8 +364,6 @@ def decomposition_residual_euler_isentropic(field, point, h):
     K = tau**4 * ptt / (4.0 * c * c * cosA2)
     phi = 2.0 * math.sin(A) ** 2 - 8.0 * pt * cosA2 * cosA2 / (tau * ptt)
 
-    dp0 = dp(x0, y0)
-    dm0 = dm(x0, y0)
     cross = (phi - 1.0) * dm0 * dp0
     r_plus = abs(lhs_plus - K * (dp0 * dp0 + cross))
     r_minus = abs(lhs_minus - K * (dm0 * dm0 + cross))

@@ -15,14 +15,16 @@ composite wave curve.
 Solutions depend on position through the ray angle only; `evaluate`
 samples them at a point and `validate` re-checks the jump relations,
 junction continuity, admissibility and the wall condition, reporting
-residuals without raising.
+residuals without raising.  It serves both systems through the model
+each solution carries (`EulerModel`, `PotentialModel`), and admits a
+shock when every side of it that borders a fan is sonic (`SONIC_SIDES`).
 """
 
 import math
 from dataclasses import dataclass, field, replace
 
-from .thermo import (critical_entropies, enthalpy, locus_intersections,
-                     sound_speed)
+from .thermo import (GasModel, PotentialGas, critical_entropies, enthalpy,
+                     locus_intersections, sound_speed)
 from .shocks import (FlowState, ObliqueShockSolution, classify,
                      double_sonic_back_state, liu_condition_check,
                      oblique_back_velocity, rh_residuals_euler,
@@ -73,17 +75,22 @@ class Piece:
 class SelfSimilarSolution:
     """A wedge flow as a tiling of (theta_w, pi/2] by pieces.
 
+    `model` is the EulerModel or PotentialModel the solution solves;
     `breakpoints` are the interior junction rays in decreasing order;
     `shocks` pairs a junction ray with the resolved jump sitting on it;
     `meta` carries the assembly angles and the gas description.
     """
 
-    system: str                # "euler" | "potential"
+    model: object              # EulerModel | PotentialModel
     theta_w: float
     breakpoints: tuple
     pieces: tuple
     shocks: tuple
     meta: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def system(self):
+        return self.model.system
 
 
 def evaluate(solution, x, y):
@@ -177,10 +184,10 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
         raise ValueError(f"trailing-fan: {exc}") from exc
     alpha_v = right.theta_end
 
+    model = EulerModel(gas, 0.5 * u0 * u0 + enthalpy(tau0, S0, gas))
     meta = {"gas": gas, "S0": S0, "S_d": S_d, "tau_f_e": tau_fe,
-            "tau_d": tau_d, "B0": 0.5 * u0 * u0 + enthalpy(tau0, S0, gas),
-            "alpha0": alpha0, "phi_d": phi_d, "sigma_d": sigma_d,
-            "alpha_v": alpha_v}
+            "tau_d": tau_d, "alpha0": alpha0, "phi_d": phi_d,
+            "sigma_d": sigma_d, "alpha_v": alpha_v}
     head = (Piece("constant", 0.5 * math.pi, alpha0, state=state0),
             Piece("fan", alpha0, phi_d, fan=left))
 
@@ -212,7 +219,7 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
         )
         breakpoints = (alpha0, phi_d, alpha_v)
 
-    return SelfSimilarSolution("euler", theta_w, breakpoints, pieces,
+    return SelfSimilarSolution(model, theta_w, breakpoints, pieces,
                                ((phi_d, shock),), meta)
 
 
@@ -259,9 +266,9 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
     )
     meta = {"pgas": pgas, "context": ctx, "branch": branch, "tau_w": tau_w,
             "phi_po": ctx.phi_po, "alpha_tail": alpha_tail}
-    return SelfSimilarSolution("potential", theta_w, (ctx.phi_po, alpha_tail),
-                               pieces, ((ctx.phi_po, head),
-                                        (alpha_tail, tail)), meta)
+    return SelfSimilarSolution(PotentialModel(pgas), theta_w,
+                               (ctx.phi_po, alpha_tail), pieces,
+                               ((ctx.phi_po, head), (alpha_tail, tail)), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +301,91 @@ class ValidationReport:
                  self.wall_supersonic,
                  self.entropy_increasing is not False,
                  self.liu_ok is not False]
-        if self.bernoulli_spread is not None:
-            gates.append(self.bernoulli_spread < 1e-9)
-        if self.r_plus_spread is not None:
-            gates.append(self.r_plus_spread < 1e-9)
-        if self.vacuum_match is not None:
-            gates.append(self.vacuum_match < 1e-9)
+        # the system's spreads and the vacuum seam gate where they apply
+        gates += [r < 1e-9 for r in (self.bernoulli_spread, self.r_plus_spread,
+                                     self.vacuum_match) if r is not None]
         return all(gates)
+
+
+# the sonic sides of a shock by its kind: a sonic side is an envelope of
+# that side's characteristics, so only a sonic side can border a fan
+SONIC_SIDES = {"ordinary": (), "pre_sonic": ("front",),
+               "post_sonic": ("back",), "double_sonic": ("front", "back")}
+
+
+@dataclass(frozen=True)
+class EulerModel:
+    """Full Euler system.  `checks` returns (liu_ok, entropy_increasing,
+    bernoulli_spread, r_plus_spread), None where a check does not apply:
+    here the entropy rise across the shocks and 0.5 q^2 + h about B0."""
+
+    gas: GasModel
+    B0: float
+    system = "euler"
+
+    def rh_residuals(self, shock):
+        return rh_residuals_euler(shock, self.gas)
+
+    def sound(self, state):
+        return sound_speed(state.tau, state.S, self.gas)
+
+    def checks(self, solution):
+        entropy_increasing = all(sh.back.S > sh.front.S
+                                 for _, sh in solution.shocks)
+        spread = 0.0
+        for piece in solution.pieces:
+            if piece.kind == "vacuum":
+                continue
+            mid = 0.5 * (piece.theta_hi + piece.theta_lo)
+            for theta in (piece.theta_hi, mid, piece.theta_lo):
+                st = piece.state_at(min(theta, 0.5 * math.pi))
+                spread = max(spread, abs(0.5 * st.q**2
+                                         + enthalpy(st.tau, st.S, self.gas)
+                                         - self.B0))
+        return None, entropy_increasing, spread, None
+
+
+@dataclass(frozen=True)
+class PotentialModel:
+    """Potential system on the isentrope of pgas; its `checks` fill the Liu
+    condition on every shock and the spread of r+ across the fans."""
+
+    pgas: PotentialGas
+    system = "potential"
+
+    def rh_residuals(self, shock):
+        return rh_residuals_potential(shock, self.pgas)
+
+    def sound(self, state):
+        return self.pgas.c(state.tau)
+
+    def checks(self, solution):
+        pgas = self.pgas
+        liu_ok = True
+        for _, sh in solution.shocks:
+            lo, hi = sorted((sh.front.tau, sh.back.tau))
+            if hi - lo <= 1e-10 * hi:
+                continue        # zero-strength limit: nothing to compare
+            # slack consistent with the wave-curve tests: the margin has a
+            # double zero at a sonic-attached endpoint
+            if not (sh.back.tau < sh.front.tau
+                    and liu_condition_check(sh.front.tau, sh.back.tau, pgas,
+                                            slack=1e-6)):
+                liu_ok = False
+        fans = [p for p in solution.pieces if p.kind == "fan"]
+        if not fans:
+            return liu_ok, None, None, None
+        # the spread does not depend on the anchor; a model built without
+        # one is anchored at the incoming speed
+        if pgas.q_ref <= 0.0:
+            pgas = replace(pgas, q_ref=solution.pieces[0].state.q)
+        vals = []
+        for piece in fans:
+            for f in (0.0, 0.25, 0.5, 0.75, 1.0):
+                theta = piece.theta_lo + f * (piece.theta_hi - piece.theta_lo)
+                st = piece.state_at(theta)
+                vals.append(riemann_invariants(st.u, st.v, pgas)[0])
+        return liu_ok, None, None, max(vals) - min(vals)
 
 
 def _state_gap(a, b):
@@ -315,111 +400,52 @@ def validate(solution):
     Junction continuity is measured against the shock front/back states
     where a jump sits on the junction and directly across it elsewhere;
     jump relations are re-evaluated from the stored shock objects, so a
-    tampered solution is flagged rather than rejected.
+    tampered solution is flagged rather than rejected.  A shock is
+    admissible when each side of it that borders a fan is sonic; the jump
+    relations, sound speed and system checks come from solution.model.
     """
-    system = solution.system
-    meta = solution.meta
-    gas = meta["pgas"].gas if system == "potential" else meta["gas"]
-    pgas = meta.get("pgas")
-
-    shock_at = {}
-    for theta_s, sh in solution.shocks:
-        shock_at[min(range(len(solution.breakpoints)),
-                     key=lambda k: abs(solution.breakpoints[k] - theta_s))] = sh
+    model = solution.model
+    shock_on = dict(solution.shocks)
 
     max_gap = 0.0
     vacuum_match = None
-    for k, bp in enumerate(solution.breakpoints):
-        upper, lower = solution.pieces[k], solution.pieces[k + 1]
+    admissible = True
+    for bp, upper, lower in zip(solution.breakpoints, solution.pieces,
+                                solution.pieces[1:]):
         if lower.kind == "vacuum":
-            seam = upper.state_at(bp)
-            vacuum_match = abs(seam.q - meta["q_lim"])
+            vacuum_match = abs(upper.state_at(bp).q - solution.meta["q_lim"])
             continue
         up, low = upper.state_at(bp), lower.state_at(bp)
-        sh = shock_at.get(k)
-        if sh is not None:
-            max_gap = max(max_gap, _state_gap(up, sh.front),
-                          _state_gap(low, sh.back))
-        else:
+        sh = shock_on.get(bp)
+        if sh is None:
             max_gap = max(max_gap, _state_gap(up, low))
+            continue
+        max_gap = max(max_gap, _state_gap(up, sh.front),
+                      _state_gap(low, sh.back))
+        sonic = SONIC_SIDES.get(sh.kind, ())
+        admissible &= all(side in sonic for side, piece in
+                          (("front", upper), ("back", lower))
+                          if piece.kind == "fan")
 
     max_rh = 0.0
-    kinds = []
-    liu_ok = None
     for _, sh in solution.shocks:
-        if system == "euler":
-            res = rh_residuals_euler(sh, gas)
-        else:
-            res = rh_residuals_potential(sh, pgas)
-        max_rh = max(max_rh, max(abs(r) for r in res))
-        kinds.append(sh.kind)
-    if system == "euler":
-        admissible = all(k == "double_sonic" for k in kinds)
-    else:
-        admissible = (kinds[0] in ("post_sonic", "double_sonic")
-                      and all(k in ("pre_sonic", "double_sonic")
-                              for k in kinds[1:]))
-        liu_ok = True
-        for _, sh in solution.shocks:
-            lo, hi = sorted((sh.front.tau, sh.back.tau))
-            if hi - lo <= 1e-10 * hi:
-                continue        # zero-strength limit: nothing to compare
-            # slack consistent with the wave-curve tests: the margin has a
-            # double zero at a sonic-attached endpoint
-            if not liu_condition_check(sh.front.tau, sh.back.tau, pgas,
-                                       slack=1e-6):
-                liu_ok = False
+        max_rh = max(max_rh, max(abs(r) for r in model.rh_residuals(sh)))
 
-    bottom = solution.pieces[-1]
-    if bottom.kind == "vacuum":
-        slip_residual = 0.0
-        wall_supersonic = True
-    else:
-        w = bottom.state
-        slip_residual = abs(w.v - w.u * math.tan(solution.theta_w))
-        c_w = (pgas.c(w.tau) if system == "potential"
-               else sound_speed(w.tau, w.S, gas))
-        wall_supersonic = w.q > c_w
+    # a wall under a cavitation sector has nothing to slip or to choke
+    slip_residual, wall_supersonic = 0.0, True
+    wall = solution.pieces[-1].state_at(solution.theta_w)
+    if wall is not VACUUM:
+        slip_residual = abs(wall.v - wall.u * math.tan(solution.theta_w))
+        wall_supersonic = wall.q > model.sound(wall)
 
-    entropy_increasing = None
-    bernoulli_spread = None
-    r_plus_spread = None
-    if system == "euler":
-        entropy_increasing = all(sh.back.S > sh.front.S
-                                 for _, sh in solution.shocks)
-        B0 = meta["B0"]
-        spread = 0.0
-        for piece in solution.pieces:
-            if piece.kind == "vacuum":
-                continue
-            for theta in (piece.theta_hi, 0.5 * (piece.theta_hi
-                                                 + piece.theta_lo),
-                          piece.theta_lo):
-                st = piece.state_at(min(theta, 0.5 * math.pi))
-                spread = max(spread, abs(0.5 * st.q**2
-                                         + enthalpy(st.tau, st.S, gas) - B0))
-        bernoulli_spread = spread
-    else:
-        fans = [p for p in solution.pieces if p.kind == "fan"]
-        if fans:
-            # the spread does not depend on the anchor; a model built
-            # without one is anchored at the incoming speed
-            if pgas.q_ref <= 0.0:
-                pgas = replace(pgas, q_ref=solution.pieces[0].state.q)
-            vals = []
-            for piece in fans:
-                for f in (0.0, 0.25, 0.5, 0.75, 1.0):
-                    theta = piece.theta_lo + f * (piece.theta_hi
-                                                  - piece.theta_lo)
-                    st = piece.state_at(theta)
-                    vals.append(riemann_invariants(st.u, st.v, pgas)[0])
-            r_plus_spread = max(vals) - min(vals)
+    liu_ok, entropy_increasing, bernoulli_spread, r_plus_spread = \
+        model.checks(solution)
 
     return ValidationReport(
-        system=system,
+        system=model.system,
         max_junction_gap=max_gap,
         max_rh_residual=max_rh,
-        shock_kinds=tuple(kinds),
+        shock_kinds=tuple(sh.kind for _, sh in solution.shocks),
         admissible=admissible,
         liu_ok=liu_ok,
         slip_residual=slip_residual,

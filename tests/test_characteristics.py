@@ -167,16 +167,16 @@ def test_commutator_constant_field():
     field = ck.FlowField(lambda x, y: (0.12, 0.0, 4.9, S98), G15)
     assert ck.commutator_residual(field, (0.1, 0.2), 1e-3) == 0.0
     assert ck.commutator_residual(field, (0.1, 0.2), 1e-3,
-                                  kind="stream") == 0.0
+                                  other=ck.STREAM) == 0.0
 
 
 def test_commutator_first_order_convergence():
     # residual halves with h (windows read off a refinement study of this
-    # exact configuration; see the cross/stream ratios in the module docs)
+    # exact configuration, on both the MINUS and the STREAM relation)
     field = _polynomial_field()
     P = (0.02, -0.015)
-    for kind in ("cross", "stream"):
-        rs = [ck.commutator_residual(field, P, h, kind=kind)
+    for other in (ck.MINUS, ck.STREAM):
+        rs = [ck.commutator_residual(field, P, h, other=other)
               for h in (2e-3, 1e-3, 5e-4)]
         assert rs[0] > rs[1] > rs[2] > 0.0
         for a, b in zip(rs, rs[1:]):
@@ -192,12 +192,6 @@ def test_commutator_custom_test_function():
     r1 = ck.commutator_residual(field, P, 1e-3, test=probe)
     r2 = ck.commutator_residual(field, P, 5e-4, test=probe)
     assert 1.7 < r1 / r2 < 2.3
-
-
-def test_commutator_unknown_kind():
-    with pytest.raises(ValueError, match="unknown-kind"):
-        ck.commutator_residual(_polynomial_field(), (0.0, 0.0), 1e-3,
-                               kind="sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +221,7 @@ def test_decomposition_euler_fan():
     # rays are plus-characteristics: the plus-derivative of density is zero
     # along them, so the plus line is trivially satisfied and the minus
     # line is the genuine first-order check
-    dp0 = ck.dbar(field, field.density, "plus", 1e-4)(*P)
+    dp0 = ck.dbar(field, field.density, ck.PLUS, 1e-4)(*P)
     assert abs(dp0) < 1e-10
     rs = {}
     for h in (1e-3, 1e-4):
@@ -287,7 +281,7 @@ def test_decomposition_potential_fan():
     # constant-invariant branch is exact; outgoing branch converges at
     # first order
     dm_rm = ck.dbar(field, lambda x, y: field.invariants(x, y)[1],
-                    "minus", 1e-4)(*P)
+                    ck.MINUS, 1e-4)(*P)
     assert abs(dm_rm) < 1e-7
     rs = {}
     for h in (1e-3, 1e-4):

@@ -157,7 +157,9 @@ def test_euler_wall_state():
 
 
 def test_euler_validation_report():
-    rep = ss.validate(_euler_sol())
+    sol = _euler_sol()
+    rep = ss.validate(sol)
+    assert sol.system == rep.system == "euler"
     assert rep.ok
     assert rep.max_junction_gap < 1e-9
     assert rep.max_rh_residual < 1e-9
@@ -357,7 +359,9 @@ def test_potential_wall_state():
 
 
 def test_potential_validation_report():
-    rep = ss.validate(_potential_sol())
+    sol = _potential_sol()
+    rep = ss.validate(sol)
+    assert sol.system == rep.system == "potential"
     assert rep.ok
     assert rep.max_junction_gap < 1e-9
     assert rep.max_rh_residual < 1e-10
@@ -577,6 +581,38 @@ def test_validate_flags_perturbed_potential_tail():
     assert rep.max_rh_residual > 1e-7
 
 
+@pytest.mark.parametrize("fixture, index, kind", [
+    (_euler_sol, 0, "post_sonic"),
+    (_potential_sol, 0, "pre_sonic"),
+    (_potential_sol, 1, "post_sonic"),
+], ids=["euler-post_sonic", "potential-head-pre_sonic",
+        "potential-tail-post_sonic"])
+def test_validate_flags_a_shock_not_sonic_next_to_its_fan(fixture, index,
+                                                          kind):
+    # a side of a shock that borders a fan must be sonic: the Euler shock
+    # on both sides, the potential head on its back, the tail on its front
+    sol = fixture()
+    shocks = list(sol.shocks)
+    theta, sh = shocks[index]
+    shocks[index] = (theta, replace(sh, kind=kind))
+    rep = ss.validate(sol)
+    bad = ss.validate(replace(sol, shocks=tuple(shocks)))
+    assert rep.admissible and not bad.admissible and not bad.ok
+    assert bad.shock_kinds[index] == kind
+    assert replace(bad, admissible=True, shock_kinds=rep.shock_kinds) == rep
+
+
+def test_validate_reports_an_expansive_potential_shock():
+    # the head shock turned around expands; the Liu check reports it
+    # instead of raising non-compressive-chord
+    sol = _potential_sol()
+    (theta_h, head), tail = sol.shocks
+    swapped = replace(head, front=head.back, back=head.front)
+    rep = ss.validate(replace(sol, shocks=((theta_h, swapped), tail)))
+    assert rep.liu_ok is False
+    assert not rep.ok
+
+
 class _RotatedFan:
     """The fan of a piece, its states strictly inside the piece turned by
     angle."""
@@ -620,26 +656,14 @@ def test_validate_flags_a_rotated_potential_fan(anchored):
 # sonic shocks are envelopes of one characteristic family: on each sonic
 # side of a shock the shock angle is sigma + A of that side
 
-_SONIC_SIDES = {"post_sonic": ("back",), "pre_sonic": ("front",),
-                "double_sonic": ("front", "back")}
-
-
-def _envelope_defects(sol, sound):
+def _envelope_defects(sol):
     out = []
     for _, sh in sol.shocks:
-        for side in _SONIC_SIDES[sh.kind]:
+        for side in ss.SONIC_SIDES[sh.kind]:
             s = getattr(sh, side)
-            out.append(abs(sh.phi - s.sigma - math.asin(sound(s) / s.q)))
+            out.append(abs(sh.phi - s.sigma
+                           - math.asin(sol.model.sound(s) / s.q)))
     return out
-
-
-def _euler_sound(sol):
-    gas = sol.meta["gas"]
-    return lambda s: sound_speed(s.tau, s.S, gas)
-
-
-def _potential_sound(sol):
-    return lambda s: sol.meta["pgas"].c(s.tau)
 
 
 # potential_sweep seed 101 states 0-7: (gamma, S, u0, tau0, the walls at
@@ -687,9 +711,9 @@ ENVELOPE_EULER = (
 
 def test_sonic_shocks_are_characteristic_envelopes_on_the_fixtures():
     for sol in (_euler_sol(), _vacuum_sol()):
-        assert max(_envelope_defects(sol, _euler_sound(sol))) <= 1e-12
+        assert max(_envelope_defects(sol)) <= 1e-12
     sol = _potential_sol()
-    defects = _envelope_defects(sol, _potential_sound(sol))
+    defects = _envelope_defects(sol)
     assert len(defects) == 2 and max(defects) <= 1e-12
 
 
@@ -700,7 +724,7 @@ def test_potential_sonic_shocks_are_characteristic_envelopes(case):
     for theta_w in walls:
         sol = ss.solve_potential_sfs(u0, tau0, theta_w, pgas)
         assert ss.validate(sol).ok
-        assert max(_envelope_defects(sol, _potential_sound(sol))) <= 1e-12
+        assert max(_envelope_defects(sol)) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ENVELOPE_EULER)
@@ -709,7 +733,7 @@ def test_euler_sonic_shocks_are_characteristic_envelopes(case):
     sol = ss.solve_euler_fsf(u0, tau0, S0, theta_w, GasModel(g))
     assert ss.validate(sol).ok
     # the double-sonic shock: both sides
-    defects = _envelope_defects(sol, _euler_sound(sol))
+    defects = _envelope_defects(sol)
     assert len(defects) == 2 and max(defects) <= 1e-12
 
 
