@@ -55,8 +55,8 @@ from .thermo import (
     PotentialGas,
     critical_entropies,
     enthalpy,
-    pressure_tau,
     pressure_tautau,
+    sound_speed,
     tau_from_speed,
 )
 
@@ -362,14 +362,15 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
     direction; a wall end is slip_line(theta_w) of that fan.  The turning
     is the u-integral of the module docstring on adaptive Chebyshev
     panels.  The data must be centered (theta0 = sigma0 + arcsin(c0/q0))
-    and supersonic.  Raises "sonic-degeneracy" for a foot at or below
-    sonic, "not-centered", "inflection-hit" when [tau0, tau_end] meets the
-    inflection window of the isentrope (tested in closed form, see the
-    module docstring), and "no-convergence" when tau_end lies behind the
-    foot or the panels exceed MAX_PANELS.
+    and supersonic.  Raises "subsonic-thermo" (thermo.sound_speed) when
+    the foot or the end lies outside the hyperbolic region (p_tau >= 0),
+    "sonic-degeneracy" for a foot at or below sonic, "not-centered",
+    "inflection-hit" when [tau0, tau_end] meets the inflection window of
+    the isentrope (tested in closed form, see the module docstring), and
+    "no-convergence" when tau_end lies behind the foot or the panels
+    exceed MAX_PANELS.
     """
-    pt0 = pressure_tau(tau0, S0, gas)
-    c0 = tau0 * math.sqrt(-pt0)
+    c0 = sound_speed(tau0, S0, gas)
     if q0 <= c0:
         raise ValueError(
             f"sonic-degeneracy: initial speed q0={q0} not above c0={c0}")
@@ -402,7 +403,7 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
         end, theta_end = (math.sqrt(q_lim2), tau_end, sigma_end), sigma_end
     else:
         q_end = math.sqrt(q_lim2 - 2.0 * enthalpy(tau_end, S0, gas))
-        c_end = tau_end * math.sqrt(-pressure_tau(tau_end, S0, gas))
+        c_end = sound_speed(tau_end, S0, gas)
         end = (q_end, tau_end, sigma_end)
         theta_end = sigma_end + math.asin(c_end / q_end)
     return FanSolution(theta0, theta_end, S0, foot, end, tr)
@@ -450,7 +451,9 @@ def vacuum_angle(q_d, tau_d, S_d, gas):
     integrate_fan, where the Mach angle vanishes and the ray is the flow
     direction.
     Raises "divergent-limit" if the enthalpy has no finite vacuum limit,
-    "sonic-degeneracy" if the foot state is not supersonic, and, from
+    "subsonic-thermo" (thermo.sound_speed) if the foot lies outside the
+    hyperbolic region, "sonic-degeneracy" if the foot state is not
+    supersonic, and, from
     integrate_fan, "inflection-hit" if tau_d is not beyond the nonconvex
     window: p_tautau <= 0 at max(tau*, tau_d), a test that solves no root.
     """
@@ -458,7 +461,7 @@ def vacuum_angle(q_d, tau_d, S_d, gas):
     if not math.isfinite(h_d):
         raise ValueError(
             f"divergent-limit: enthalpy not finite at tau_d={tau_d}")
-    c_d = tau_d * math.sqrt(-pressure_tau(tau_d, S_d, gas))
+    c_d = sound_speed(tau_d, S_d, gas)
     if q_d <= c_d:
         raise ValueError(
             f"sonic-degeneracy: q_d={q_d} not above c_d={c_d}")

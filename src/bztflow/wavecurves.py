@@ -16,10 +16,11 @@ the nonconvex window of its isentrope, the reachable back states in the
 
 Everything lives on one isentrope and the Bernoulli constant of the
 supplied potential model is conserved across every front, so speed alone
-determines the volume throughout.  Branches are immutable once built,
-their sample arrays read-only; `state` re-evaluates the defining
-relations at any parameter value, so queries never degrade to
-interpolation between the samples.
+determines the volume throughout.  Branches are immutable once built and
+their samples (BRANCH_POINTS graded nodes) read-only; the samples only
+bracket.  Every query (distance, flow-angle extremes, wedge state,
+tangents) polishes on `state`, which re-evaluates the defining relations
+at any parameter value, so no answer interpolates between samples.
 
 The composite branch of the last incoming state is memoised: the
 deflection range of a state and the wall solves on it
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, minimize_scalar
 
 from .fan import FanSolution, _Turning
@@ -53,6 +53,11 @@ from .thermo import enthalpy, tau_from_speed
 
 # relative width below which a tail shock is treated as zero strength
 _TAIL_EPS = 1e-12
+# nodes of the uniform part of every branch's sample grid
+BRANCH_POINTS = 512
+# step of every central-difference tangent, relative to the parameter
+# (a branch's range, the back volume on the front-state polar)
+TANGENT_STEP = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +150,17 @@ class RampWaveContext:
         """(u, v, alpha_hat) behind the front-sonic tail shock whose front
         sits on the fan branch at volume tau_f."""
         u_hat, v_hat, alpha_hat = self.fan_state(tau_f)
-        tau_pr = self.tail_back_volume(tau_f)
-        if tau_pr >= tau_f:
-            return u_hat, v_hat, alpha_hat
-        u, v = oblique_back_velocity(u_hat, v_hat, alpha_hat, tau_f, tau_pr)
+        u, v = _behind_tail(u_hat, v_hat, alpha_hat, tau_f,
+                            self.tail_back_volume(tau_f))
         return u, v, alpha_hat
+
+
+def _behind_tail(u_hat, v_hat, alpha_hat, tau_f, tau_pr):
+    # back velocity of the tail shock from the fan state at tau_f to tau_pr;
+    # the front velocity itself at zero strength
+    if tau_pr >= tau_f:
+        return u_hat, v_hat
+    return oblique_back_velocity(u_hat, v_hat, alpha_hat, tau_f, tau_pr)
 
 
 def ramp_context(u0, tau0, pgas):
@@ -208,14 +219,25 @@ class WaveCurveBranch:
         defining relations by the branch's evaluator."""
         return self.evaluator(param)
 
+    def tangent(self, param):
+        """Unit tangent (t_u, t_v) in ascending parameter: the central
+        difference of `state` with step TANGENT_STEP * (hi - lo)."""
+        lo, hi = self.param_range
+        step = TANGENT_STEP * (hi - lo)
+        up, vp, _ = self.state(param + step)
+        um, vm, _ = self.state(param - step)
+        norm = math.hypot(up - um, vp - vm)
+        return (up - um) / norm, (vp - vm) / norm
 
-def _graded_grid(lo, hi, n, open_hi=False):
+
+def _graded_grid(lo, hi, open_hi=False):
     # uniform nodes plus geometric clustering toward both ends, so that
-    # spline queries stay accurate where the branch turns fastest
+    # the brackets stay narrow where the branch turns fastest
     w = hi - lo
     b = hi - (1e-9 * w if open_hi else 0.0)
     offs = w * np.logspace(-8.0, -2.0, 7)
-    pts = np.concatenate((np.linspace(lo, b, n), lo + offs, b - offs))
+    pts = np.concatenate((np.linspace(lo, b, BRANCH_POINTS), lo + offs,
+                          b - offs))
     return np.unique(pts)
 
 
@@ -232,7 +254,7 @@ def _assemble(label, rng, grid, fn, ctx):
                            u=uu, v=vv, angle=aa, context=ctx, evaluator=fn)
 
 
-def polar_branch_I(u0, tau0, pgas, n=512):
+def polar_branch_I(u0, tau0, pgas):
     """Single-shock branch from the zero-strength point B down to the
     post-sonic point P.
 
@@ -241,7 +263,7 @@ def polar_branch_I(u0, tau0, pgas, n=512):
     not stay attached.
     """
     ctx = ramp_context(u0, tau0, pgas)
-    grid = _graded_grid(ctx.tau_po, tau0, n, open_hi=True)
+    grid = _graded_grid(ctx.tau_po, tau0, open_hi=True)
     return _assemble("tau_b", (ctx.tau_po, tau0), grid, ctx.polar_state,
                      ctx)
 
@@ -254,42 +276,42 @@ def _require_supersonic_post_state(ctx):
             f"sound speed {c_po} behind the post-sonic shock")
 
 
-def shock_fan_branch(u0, tau0, pgas, n=512):
+def shock_fan_branch(u0, tau0, pgas):
     """Fan branch from P down to the lower inflection state I.  The flow
     angle follows the turning integral anchored at P; the ray angle
     alpha_hat is stored as the auxiliary."""
     ctx = ramp_context(u0, tau0, pgas)
     _require_supersonic_post_state(ctx)
-    grid = _graded_grid(ctx.tau1_i, ctx.tau_po, n)
+    grid = _graded_grid(ctx.tau1_i, ctx.tau_po)
     return _assemble("tau", (ctx.tau1_i, ctx.tau_po), grid, ctx.fan_state,
                      ctx)
 
 
-def shock_fan_shock_branch(u0, tau0, pgas, n=512):
+def shock_fan_shock_branch(u0, tau0, pgas):
     """Composite branch: back states of front-sonic tail shocks whose
     fronts run along the fan branch.  At tau_f = tau1_i the tail has zero
     strength and the branch meets the fan branch continuously.
 
-    The branch last built is kept, keyed by value on (u0, tau0, pgas, n):
+    The branch last built is kept, keyed by value on (u0, tau0, pgas):
     a wall-angle study reads one incoming state's branch once for its
     deflection range and again for every wall, and all of them get the
     same read-only branch.
     """
-    return _shock_fan_shock_branch(u0, tau0, pgas, n)
+    return _shock_fan_shock_branch(u0, tau0, pgas)
 
 
 # one entry serves the analysis-then-walls access pattern of one incoming
 # state and keeps memory flat over a sweep of many states
 @functools.lru_cache(maxsize=1)
-def _shock_fan_shock_branch(u0, tau0, pgas, n):
+def _shock_fan_shock_branch(u0, tau0, pgas):
     ctx = ramp_context(u0, tau0, pgas)
     _require_supersonic_post_state(ctx)
-    grid = _graded_grid(ctx.tau1_i, ctx.tau_po, n)
+    grid = _graded_grid(ctx.tau1_i, ctx.tau_po)
     return _assemble("tau_f", (ctx.tau1_i, ctx.tau_po), grid,
                      ctx.tail_state, ctx)
 
 
-def polar_branch_II(u0, tau0, pgas, n=512):
+def polar_branch_II(u0, tau0, pgas):
     """Strong portion of the shock polar, from the normal-shock point N
     (where the deflection vanishes) up to the back volume of the
     front-sonic shock seated at P."""
@@ -305,7 +327,7 @@ def polar_branch_II(u0, tau0, pgas, n=512):
     # step off the detached side, where polar_state would reject the root
     while f(tau_n) > 0.0:
         tau_n = math.nextafter(tau_n, hi)
-    grid = _graded_grid(tau_n, ctx.tau_pr_po, n, open_hi=True)
+    grid = _graded_grid(tau_n, ctx.tau_pr_po, open_hi=True)
     return _assemble("tau_b", (tau_n, ctx.tau_pr_po), grid, ctx.polar_state,
                      ctx)
 
@@ -313,58 +335,47 @@ def polar_branch_II(u0, tau0, pgas, n=512):
 # ---------------------------------------------------------------------------
 # queries on the composite branch
 
-def _arc_spline(branch):
-    du = np.diff(branch.u)
-    dv = np.diff(branch.v)
-    seg = np.hypot(du, dv)
-    keep = np.concatenate(([True], seg > 1e-14 * max(seg.max(), 1e-300)))
-    uu, vv = branch.u[keep], branch.v[keep]
-    s = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(uu),
-                                                  np.diff(vv)))))
-    return s, CubicSpline(s, uu), CubicSpline(s, vv)
+def _refine(f, params, k):
+    """(t, f(t)) at the least of f over the samples either side of sample
+    k and the bounded Brent point between them."""
+    lo, hi = params[max(k - 1, 0)], params[min(k + 1, params.size - 1)]
+    if hi <= lo:
+        return lo, f(lo)
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12})
+    return min(((t, f(t)) for t in (lo, hi, float(res.x))),
+               key=lambda c: c[1])
 
 
 def H_residual(u, v, branch_IJ):
     """Signed distance of (u, v) from the composite branch.
 
-    The branch is represented as an arc-length cubic spline; the sign is
-    positive on the left of the curve walked in ascending parameter.
-    Raises "extrapolation" when the orthogonal projection would fall
-    outside the sampled parameter hull.
+    The nearest stored sample brackets the foot c of the perpendicular,
+    which a bounded search on the exact squared distance then places.
+    The result is the cross-track component T x (p - c), T the unit
+    tangent at c: positive on the left of the curve walked in ascending
+    parameter, and only second order in the along-track error of the foot.
+    Raises "extrapolation" when the foot sits on the first sample with
+    (u, v) behind it along T, or on the last sample with (u, v) beyond it.
     """
-    s, su, sv = _arc_spline(branch_IJ)
-    d2 = (su(s) - u) ** 2 + (sv(s) - v) ** 2
-    i0 = int(np.argmin(d2))
-    lo = s[max(i0 - 1, 0)]
-    hi = s[min(i0 + 1, s.size - 1)]
+    p = branch_IJ.params
 
-    def g(t):
-        return ((su(t) - u) * su(t, 1) + (sv(t) - v) * sv(t, 1))
+    def dist2(t):
+        bu, bv, _ = branch_IJ.state(t)
+        return (bu - u) ** 2 + (bv - v) ** 2
 
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        s_star = lo
-    elif ghi == 0.0:
-        s_star = hi
-    elif glo < 0.0 < ghi:
-        s_star = brentq(g, lo, hi, xtol=1e-14)
-    elif i0 == 0 and glo > 0.0:
+    i0 = int(np.argmin((branch_IJ.u - u) ** 2 + (branch_IJ.v - v) ** 2))
+    t, _ = _refine(dist2, p, i0)
+    cu, cv, _ = branch_IJ.state(t)
+    tu, tv = branch_IJ.tangent(t)
+    along = tu * (u - cu) + tv * (v - cv)
+    if t == p[0] and along < 0.0:
         raise ValueError(
             f"extrapolation: ({u}, {v}) projects before the branch start")
-    elif i0 == s.size - 1 and ghi < 0.0:
+    if t == p[-1] and along > 0.0:
         raise ValueError(
             f"extrapolation: ({u}, {v}) projects past the branch end")
-    else:
-        res = minimize_scalar(lambda t: (su(t) - u) ** 2 + (sv(t) - v) ** 2,
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-14})
-        s_star = res.x
-    cu, cv = float(su(s_star)), float(sv(s_star))
-    tx, ty = float(su(s_star, 1)), float(sv(s_star, 1))
-    norm = math.hypot(tx, ty)
-    cross = (tx * (v - cv) - ty * (u - cu)) / norm
-    dist = math.hypot(u - cu, v - cv)
-    return math.copysign(dist, cross) if dist > 0.0 else 0.0
+    return tu * (v - cv) - tv * (u - cu)
 
 
 def _deflection(branch, param):
@@ -374,23 +385,14 @@ def _deflection(branch, param):
 
 def deflection_range(branch_IJ):
     """(sigma_m, sigma_M): extremes of the back-state flow angle over the
-    branch.  Grid extrema from the stored samples are refined by bounded
-    golden-section search on the exact deflection."""
+    branch.  Grid extrema from the stored samples bracket a bounded
+    Brent search on the exact deflection."""
     sig = np.arctan2(branch_IJ.v, branch_IJ.u)
-    p = branch_IJ.params
     out = []
     for pick, sgn in ((int(np.argmin(sig)), 1.0), (int(np.argmax(sig)), -1.0)):
-        lo = p[max(pick - 1, 0)]
-        hi = p[min(pick + 1, p.size - 1)]
-        if hi <= lo:
-            out.append(_deflection(branch_IJ, lo))
-            continue
-        res = minimize_scalar(lambda t: sgn * _deflection(branch_IJ, t),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        cands = [lo, hi, float(res.x)]
-        vals = [sgn * _deflection(branch_IJ, t) for t in cands]
-        out.append(sgn * min(vals))
+        _, best = _refine(lambda t: sgn * _deflection(branch_IJ, t),
+                          branch_IJ.params, pick)
+        out.append(sgn * best)
     return out[0], out[1]
 
 
@@ -462,42 +464,29 @@ def _front_polar_state(ctx, tau_f, tau_b):
 def polar_tangency_check(branch_IJ, tau_w, pgas):
     """Angle defect between the composite-branch tangent at tau_w and the
     tangent of the shock polar of the fan-branch front state through the
-    same back point.  The two curves touch, so the defect measures only
-    the finite-difference error."""
+    same back point, each a central difference (TANGENT_STEP, relative to
+    the branch range and to the back volume).  The two curves touch, so
+    the defect measures only the finite-difference error."""
     ctx = _context(branch_IJ)
     lo, hi = branch_IJ.param_range
     if not lo < tau_w < hi:
         raise ValueError(f"out-of-window: tau_w={tau_w} not inside "
                          f"({lo}, {hi})")
-    e1 = 1e-6 * (hi - lo)
-    up, vp, _ = ctx.tail_state(tau_w + e1)
-    um, vm, _ = ctx.tail_state(tau_w - e1)
-    t_ij = np.array([up - um, vp - vm])
-    t_ij /= np.hypot(*t_ij)
-
+    tu, tv = branch_IJ.tangent(tau_w)
     tau_pr = ctx.tail_back_volume(tau_w)
-    e2 = 1e-6 * tau_pr
-    up, vp = _front_polar_state(ctx, tau_w, tau_pr + e2)
-    um, vm = _front_polar_state(ctx, tau_w, tau_pr - e2)
-    t_pol = np.array([up - um, vp - vm])
-    t_pol /= np.hypot(*t_pol)
-    return math.asin(min(1.0, abs(t_ij[0] * t_pol[1] - t_ij[1] * t_pol[0])))
-
-
-# volume step of the central difference along the composite branch
-_TANGENT_STEP = 1e-6
+    step = TANGENT_STEP * tau_pr
+    up, vp = _front_polar_state(ctx, tau_w, tau_pr + step)
+    um, vm = _front_polar_state(ctx, tau_w, tau_pr - step)
+    cross = (tu * (vp - vm) - tv * (up - um)) / math.hypot(up - um, vp - vm)
+    return math.asin(min(1.0, abs(cross)))
 
 
 def tail_tangent_acute(branch_IJ, tau_w):
     """True when the angle between the backward tangent -(u', v') of the
     composite branch and the state vector (u, v) at tau_w is acute."""
-    ctx = _context(branch_IJ)
-    u, v, _ = ctx.tail_state(tau_w)
-    up, vp, _ = ctx.tail_state(tau_w + _TANGENT_STEP)
-    um, vm, _ = ctx.tail_state(tau_w - _TANGENT_STEP)
-    du = (up - um) / (2.0 * _TANGENT_STEP)
-    dv = (vp - vm) / (2.0 * _TANGENT_STEP)
-    return -(du * u + dv * v) > 0.0
+    u, v, _ = branch_IJ.state(tau_w)
+    tu, tv = branch_IJ.tangent(tau_w)
+    return -(tu * u + tv * v) > 0.0
 
 
 def tail_back_supersonic(branch_IJ, tau_w):
@@ -513,7 +502,7 @@ def tail_shock_solution(branch_IJ, tau_f):
     ctx = _context(branch_IJ)
     u_hat, v_hat, alpha_hat = ctx.fan_state(tau_f)
     tau_pr = ctx.tail_back_volume(tau_f)
-    u_b, v_b, _ = ctx.tail_state(tau_f)
+    u_b, v_b = _behind_tail(u_hat, v_hat, alpha_hat, tau_f, tau_pr)
     S = ctx.pgas.S
     m = (u_hat * math.sin(alpha_hat) - v_hat * math.cos(alpha_hat)) / tau_f
     sol = ObliqueShockSolution(

@@ -61,6 +61,18 @@ def test_initial_data_guards():
         fan.integrate_fan(u0, tau0, 0.0, S98, alpha0, 0.9 * tau0, G15)
 
 
+def test_foot_outside_the_hyperbolic_region_is_coded():
+    # p_tau > 0 at tau = 6 on the isentrope S = S_cr/2: the sound speed of
+    # the foot is not real, which both fan entries report by code
+    _, _, S_cr = thermo.critical_entropies(G15)
+    S = 0.5 * S_cr
+    assert thermo.pressure_tau(6.0, S, G15) > 0.0
+    with pytest.raises(ValueError, match="subsonic-thermo"):
+        fan.integrate_fan(1.0, 6.0, 0.0, S, 0.5, 10.0, G15)
+    with pytest.raises(ValueError, match="subsonic-thermo"):
+        fan.vacuum_angle(1.0, 6.0, S, G15)
+
+
 def test_upstream_fan_reaches_target_volume():
     sol = upstream_fan()
     assert sol.theta_end < sol.theta_start

@@ -1,6 +1,11 @@
 """Oblique wave-curve branches of one incoming ramp state."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,7 +322,7 @@ def test_polar_branch_II_starts_attached():
     for u0 in np.linspace(0.30, 0.34, 41):
         pg = thermo.PotentialGas.from_state(G15, S98, float(u0), TAU0,
                                             bernoulli=1.0)
-        jn = wc.polar_branch_II(float(u0), TAU0, pg, n=8)
+        jn = wc.polar_branch_II(float(u0), TAU0, pg)
         # the deflection grows like the root of the distance to the normal
         # point, so a volume within xtol of it deflects by ~1e-8
         assert abs(jn.v[0]) < 1e-7
@@ -350,17 +355,32 @@ def test_distance_of_displaced_point(branches):
 
 
 def test_distance_to_independent_back_states(branches):
-    # back states rebuilt off-node from the defining relations must sit on
-    # the spline to well under the sampling error
+    # back states rebuilt off-node from the defining relations lie on the
+    # exact curve, so only rounding separates them from it
     ij = branches["ij"]
     for tau_f in np.linspace(TAU1_I + 0.05, TAU_PO - 0.05, 9):
         u, v, _ = ij.context.tail_state(tau_f)
-        assert abs(wc.H_residual(u, v, ij)) < 1e-8
+        assert abs(wc.H_residual(u, v, ij)) < 1e-12
 
 
-def test_distance_extrapolation_guard(branches):
-    with pytest.raises(ValueError, match="extrapolation"):
-        wc.H_residual(0.5, -0.2, branches["ij"])
+def test_distance_ignores_the_sample_spacing(branches):
+    # on every 16th sample the samples only bracket the foot, which is
+    # placed on the exact relations: no interpolation error shows
+    ij = branches["ij"]
+    thin = replace(ij, params=ij.params[::16], u=ij.u[::16],
+                   v=ij.v[::16], angle=ij.angle[::16])
+    for tau_f in np.linspace(TAU1_I + 0.05, TAU_PO - 0.05, 9):
+        u, v, _ = ij.context.tail_state(tau_f)
+        assert abs(wc.H_residual(u, v, thin)) < 1e-12
+
+
+@pytest.mark.parametrize("u, v, where", [
+    (0.5, -0.2, "before the branch start"),
+    (0.0, 0.3, "past the branch end"),
+], ids=["start", "end"])
+def test_distance_extrapolation_guard(branches, u, v, where):
+    with pytest.raises(ValueError, match=f"extrapolation: .* {where}"):
+        wc.H_residual(u, v, branches["ij"])
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +452,7 @@ def test_wedge_state_round_trip(tau_w):
 def test_polar_tangency(branches, pgas):
     ij = branches["ij"]
     defect = wc.polar_tangency_check(ij, TAU_W_MID, pgas)
-    assert defect < 1e-4
+    assert defect < 1e-7
 
     # (G_u, G_v) of the front-state polar is normal to the branch
     u_f, v_f, _ = ij.context.fan_state(TAU_W_MID)
@@ -488,22 +508,19 @@ def test_memo_hit_matches_a_cold_build(pgas):
         assert np.array_equal(getattr(cold, name), getattr(hit, name))
 
 
-def test_memo_rebuilds_for_a_new_state_or_size(pgas, monkeypatch):
+def test_memo_rebuilds_for_a_new_state(pgas, monkeypatch):
     assembled = _count_calls(monkeypatch, wc, "_assemble")
     wc._shock_fan_shock_branch.cache_clear()
     base = wc.shock_fan_shock_branch(U0, TAU0, pgas)
     # another incoming state on the same isentrope and Bernoulli constant
     tau0 = 0.99 * TAU0
     moved = wc.shock_fan_shock_branch(pgas.speed_of_tau(tau0), tau0, pgas)
-    coarse = wc.shock_fan_shock_branch(pgas.speed_of_tau(tau0), tau0, pgas,
-                                       n=256)
-    assert len(assembled) == 3
+    assert len(assembled) == 2
     assert moved.context.tau0 == tau0 != base.context.tau0
     assert moved.context.tau_po != base.context.tau_po
-    assert coarse.params.size < moved.params.size
-    assert wc.shock_fan_shock_branch(pgas.speed_of_tau(tau0), tau0, pgas,
-                                     n=256) is coarse
-    assert len(assembled) == 3
+    assert wc.shock_fan_shock_branch(pgas.speed_of_tau(tau0), tau0,
+                                     pgas) is moved
+    assert len(assembled) == 2
 
 
 def test_branch_arrays_are_read_only(branches):
@@ -526,3 +543,14 @@ def test_inflection_pair_solved_once_per_model(monkeypatch):
     twin = thermo.PotentialGas.from_state(G15, S98, U0, TAU0, bernoulli=1.0)
     assert twin == pg and hash(twin) == hash(pg)
     assert len(solves) == 1
+
+
+def test_package_import_leaves_out_scipy_interpolate():
+    # every branch query reads the exact relations, so no spline is built
+    src = str(Path(wc.__file__).resolve().parents[1])
+    code = ("import sys, bztflow.selfsimilar, bztflow.wavecurves; "
+            "print('scipy.interpolate' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout.strip() == "False"
