@@ -33,11 +33,11 @@ the fan built to vacuum.
 
 FanSolution is the fan sector of both systems: the attached fan of
 potential flow is the same series (wavecurves.RampWaveContext.fan), inside
-the inflection window where the ray angle falls as u rises.  The Riemann
-invariants sigma +/- nu take the turning integral in tau itself, by
-QUADPACK on the closed-form rate above (turning_in_volume), independent of
-any series; pm_potential, the same integral between two fan volumes, is
-the reference the series is tested against.  turning_angle keeps the
+the inflection window where the ray angle falls as u rises.  The
+invariant nu of r+ = sigma + nu is the rate above integrated in tau itself,
+independent of any series: turning_chain by fixed Gauss-Legendre rules
+between given volumes (validate), turning_in_volume by QUADPACK, the
+reference of riemann_invariants and pm_potential.  turning_angle keeps the
 speed-keyed form nu(q) = int sqrt(q^2-c^2)/(q c) dq as a test reference.
 """
 
@@ -412,9 +412,11 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
 # ---------------------------------------------------------------------------
 # turning integrals on one isentrope
 
-# (node, weight) of the 3-point Gauss-Legendre rule on [-1, 1]
+# (node, weight) of the 3-point Gauss-Legendre rule on [-1, 1], and the
+# (nodes, weights) arrays of the 24- and 20-point rules
 _GL3 = ((-math.sqrt(0.6), 5.0 / 9.0), (0.0, 8.0 / 9.0),
         (math.sqrt(0.6), 5.0 / 9.0))
+_GL24, _GL20 = (np.polynomial.legendre.leggauss(n) for n in (24, 20))
 
 
 def turning_angle(q_from, q_to, pgas):
@@ -469,10 +471,30 @@ def vacuum_angle(q_d, tau_d, S_d, gas):
                          math.inf, gas).theta_end
 
 
+def _volume_rate(tau, pgas, xp):
+    """Turning rate c sqrt(q^2 - c^2)/(tau q^2), q^2 = 2 (bernoulli - h),
+    real where q > c.  `xp` is math for scalars or numpy for arrays."""
+    c = tau * xp.sqrt(-pgas.p_tau(tau))
+    q2 = 2.0 * (pgas.bernoulli - pgas.h(tau))
+    return c * xp.sqrt(q2 - c * c) / (tau * q2)
+
+
+def turning_chain(taus, pgas):
+    """(nu, err): the turning integral of turning_in_volume from taus[0] to
+    each volume of taus, chained by the 24-point Gauss-Legendre rule, and
+    the summed moduli of its differences from the 20-point rule.  Solves
+    no root; every volume between consecutive taus must be supersonic."""
+    taus = np.asarray(taus, dtype=float)
+    mid, half = 0.5 * (taus[1:] + taus[:-1]), 0.5 * (taus[1:] - taus[:-1])
+    i24, i20 = (half * (_volume_rate(mid[:, None] + half[:, None] * x, pgas,
+                                     np) @ w) for x, w in (_GL24, _GL20))
+    return [0.0] + np.cumsum(i24).tolist(), float(np.abs(i24 - i20).sum())
+
+
 def turning_in_volume(tau_from, tau_to, pgas):
     """Turning integral int c sqrt(q^2 - c^2)/(tau q^2) dtau from tau_from
-    to tau_to on the isentrope of pgas, with q^2 = 2 (bernoulli - h(tau))
-    in closed form.  Equal to turning_angle between the speeds of the two
+    to tau_to on the isentrope of pgas by QUADPACK, the rate in closed form
+    (_volume_rate).  Equal to turning_angle between the speeds of the two
     volumes.  Raises "subsonic" at a node where q is not above c."""
     def rate(tau):
         q2 = 2.0 * (pgas.bernoulli - pgas.h(tau))
@@ -480,7 +502,7 @@ def turning_in_volume(tau_from, tau_to, pgas):
         if q2 <= c * c:
             raise ValueError(f"subsonic: q={math.sqrt(max(q2, 0.0))} at "
                              f"or below c={c} at tau={tau}")
-        return c * math.sqrt(q2 - c * c) / (tau * q2)
+        return _volume_rate(tau, pgas, math)
 
     val, _ = quad(rate, tau_from, tau_to, epsabs=1e-13, epsrel=1e-12,
                   limit=200)

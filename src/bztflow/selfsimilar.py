@@ -29,7 +29,7 @@ from .shocks import (FlowState, ObliqueShockSolution, classify,
                      double_sonic_back_state, liu_condition_check,
                      oblique_back_velocity, rh_residuals_euler,
                      rh_residuals_potential)
-from .fan import FanSolution, integrate_fan, riemann_invariants
+from .fan import FanSolution, integrate_fan, turning_chain
 # ramp_context stays bound here: the benchmark tracer wraps
 # selfsimilar.ramp_context
 from .wavecurves import (ramp_context, shock_fan_shock_branch,  # noqa: F401
@@ -239,7 +239,8 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
 
     Window and admissibility failures propagate from the wave-curve
     layer ("subsonic", "out-of-window", "mach-reflection-regime",
-    "bernoulli-mismatch", "no-root").
+    "bernoulli-mismatch", "no-root"); a subsonic wall state raises
+    "subsonic" too.
     """
     branch = shock_fan_shock_branch(u0, tau0, pgas)
     ctx = branch.context
@@ -255,7 +256,9 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
     attached = ctx.fan(tau_w)
     alpha_tail = attached.theta_end
 
-    q_t = tail.back.q
+    q_t, c_t = tail.back.q, pgas.c(tail.back.tau)
+    if q_t <= c_t:
+        raise ValueError(f"subsonic: wall state q={q_t} at or below c={c_t}")
     wall = FlowState(q_t * math.cos(theta_w), q_t * math.sin(theta_w),
                      tail.back.tau, pgas.S)
 
@@ -277,7 +280,8 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Residual summary of a solution; every check reports, none raises."""
+    """Residual summary of a solution; every check reports, none raises.
+    Both systems fill bernoulli_spread, potential fans r_plus_spread."""
 
     system: str
     max_junction_gap: float
@@ -313,6 +317,17 @@ SONIC_SIDES = {"ordinary": (), "pre_sonic": ("front",),
                "post_sonic": ("back",), "double_sonic": ("front", "back")}
 
 
+def _bernoulli_spread(solution, h, B):
+    """max |0.5 q^2 + h(state) - B| on three rays of each non-vacuum piece"""
+    spread = 0.0
+    for piece in (p for p in solution.pieces if p.kind != "vacuum"):
+        mid = 0.5 * (piece.theta_hi + piece.theta_lo)
+        for theta in (piece.theta_hi, mid, piece.theta_lo):
+            st = piece.state_at(min(theta, 0.5 * math.pi))
+            spread = max(spread, abs(0.5 * st.q**2 + h(st) - B))
+    return spread
+
+
 @dataclass(frozen=True)
 class EulerModel:
     """Full Euler system.  `checks` returns (liu_ok, entropy_increasing,
@@ -332,23 +347,16 @@ class EulerModel:
     def checks(self, solution):
         entropy_increasing = all(sh.back.S > sh.front.S
                                  for _, sh in solution.shocks)
-        spread = 0.0
-        for piece in solution.pieces:
-            if piece.kind == "vacuum":
-                continue
-            mid = 0.5 * (piece.theta_hi + piece.theta_lo)
-            for theta in (piece.theta_hi, mid, piece.theta_lo):
-                st = piece.state_at(min(theta, 0.5 * math.pi))
-                spread = max(spread, abs(0.5 * st.q**2
-                                         + enthalpy(st.tau, st.S, self.gas)
-                                         - self.B0))
+        spread = _bernoulli_spread(
+            solution, lambda st: enthalpy(st.tau, st.S, self.gas), self.B0)
         return None, entropy_increasing, spread, None
 
 
 @dataclass(frozen=True)
 class PotentialModel:
     """Potential system on the isentrope of pgas; its `checks` fill the Liu
-    condition on every shock and the spread of r+ across the fans."""
+    condition on every shock, 0.5 q^2 + h about pgas.bernoulli, and the
+    spread of r+ over five rays of each fan (fan.turning_chain)."""
 
     pgas: PotentialGas
     system = "potential"
@@ -372,20 +380,17 @@ class PotentialModel:
                     and liu_condition_check(sh.front.tau, sh.back.tau, pgas,
                                             slack=1e-6)):
                 liu_ok = False
-        fans = [p for p in solution.pieces if p.kind == "fan"]
-        if not fans:
-            return liu_ok, None, None, None
-        # the spread does not depend on the anchor; a model built without
-        # one is anchored at the incoming speed
-        if pgas.q_ref <= 0.0:
-            pgas = replace(pgas, q_ref=solution.pieces[0].state.q)
-        vals = []
-        for piece in fans:
-            for f in (0.0, 0.25, 0.5, 0.75, 1.0):
-                theta = piece.theta_lo + f * (piece.theta_hi - piece.theta_lo)
-                st = piece.state_at(theta)
-                vals.append(riemann_invariants(st.u, st.v, pgas)[0])
-        return liu_ok, None, None, max(vals) - min(vals)
+        bernoulli_spread = _bernoulli_spread(
+            solution, lambda st: pgas.h(st.tau), pgas.bernoulli)
+        spreads = []
+        for piece in (p for p in solution.pieces if p.kind == "fan"):
+            states = [piece.state_at(piece.theta_lo
+                                     + f * (piece.theta_hi - piece.theta_lo))
+                      for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
+            nu, err = turning_chain([st.tau for st in states], pgas)
+            r_plus = [st.sigma + n for st, n in zip(states, nu)]
+            spreads.append(max(r_plus) - min(r_plus) + err)
+        return liu_ok, None, bernoulli_spread, max(spreads, default=None)
 
 
 def _state_gap(a, b):

@@ -43,6 +43,7 @@ from .thermo import (
     locus_intersections,
     pressure,
     pressure_tau,
+    sound_speed,
 )
 
 # relative tolerance of |m| = rho c for a sonic side (classify) and of the
@@ -424,16 +425,37 @@ def pre_sonic_tau_potential(tau_f, pgas):
 
 def liu_condition_check(tau_f, tau_b, pgas, slack=1e-10):
     """
-    Grid check of the extended entropy condition: the chord from tau_f to
-    tau_b must lie below the chord from tau_f to every intermediate
-    volume. True when the condition holds on a LIU_GRID-point interior
-    grid up to a relative slack, which absorbs the roundoff of the
-    sonic-attached shocks whose chord touches the comparison family at
-    one endpoint.
+    Extended entropy condition: the chord from tau_f to tau_b must lie
+    below the chord from tau_f to every intermediate volume.  Defined on a
+    LIU_GRID-point interior grid: True when it holds there up to a relative
+    slack, which absorbs the roundoff of the sonic-attached shocks whose
+    chord touches the comparison family at one endpoint.  The grid runs
+    only when an exact bound cannot decide: m^2(tau_f, t) - m_b^2 =
+    D(t)/(tau_f^2 - t^2), with D zero at both ends, convex in s = t^2
+    outside the inflection pair and concave inside (D'' = p_tautau/(2t)),
+    so max D is 0 or D at an edge of the window clipped to the chord or at
+    the one root of p_tau = -m_b^2 inside it.  Every grid point passes when
+    max D is below half the slack times tau_f^2 - t^2 at the last point.
     """
     if not tau_b < tau_f:
         raise ValueError(
             f"non-compressive-chord: requires tau_b={tau_b} < tau_f={tau_f}")
+    m2_b = mass_flux_squared_potential(tau_f, tau_b, pgas)
+    try:
+        tau1_i, tau2_i = pgas.inflection_pair
+    except ValueError:                  # S >= S*: convex throughout
+        tau1_i = tau2_i = tau_f
+    a, b = max(tau1_i, tau_b), min(tau2_i, tau_f)
+    points = [a, b]     # neither lies inside the chord when a >= b
+    if a < b and pgas.p_tau(a) + m2_b > 0.0 > pgas.p_tau(b) + m2_b:
+        points.append(brentq(lambda t: pgas.p_tau(t) + m2_b, a, b,
+                             xtol=BRENT_XTOL, maxiter=BRENT_MAXITER))
+    d_max = max([0.0] + [(tau_f - t) * (tau_f + t)
+                         * (mass_flux_squared_potential(tau_f, t, pgas) - m2_b)
+                         for t in points if tau_b < t < tau_f])
+    t_last = tau_f - (tau_f - tau_b) / (LIU_GRID + 1)
+    if d_max < 0.5 * slack * abs(m2_b) * (tau_f - t_last) * (tau_f + t_last):
+        return True
     tt = np.linspace(tau_b, tau_f, LIU_GRID + 2)[:-1]
     m2 = mass_flux_squared_potential(tau_f, tt, pgas, xp=np)
     return bool(np.all(m2[1:] < m2[0] + slack * abs(m2[0])))
@@ -479,10 +501,11 @@ def classify(sol, gas):
     Shock kind by comparing |m| against rho c on each side (relative
     tolerance SONIC_TOL): both equal -> "double_sonic", back only ->
     "post_sonic", front only -> "pre_sonic", neither -> "ordinary".
+    A side outside the hyperbolic region raises "subsonic-thermo".
     """
     m_abs = abs(sol.m)
-    rc_f = math.sqrt(-pressure_tau(sol.front.tau, sol.front.S, gas))
-    rc_b = math.sqrt(-pressure_tau(sol.back.tau, sol.back.S, gas))
+    rc_f = sound_speed(sol.front.tau, sol.front.S, gas) / sol.front.tau
+    rc_b = sound_speed(sol.back.tau, sol.back.S, gas) / sol.back.tau
     front_sonic = abs(m_abs - rc_f) <= SONIC_TOL * rc_f
     back_sonic = abs(m_abs - rc_b) <= SONIC_TOL * rc_b
     if front_sonic and back_sonic:

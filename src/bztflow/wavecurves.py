@@ -461,7 +461,7 @@ def _front_polar_state(ctx, tau_f, tau_b):
     return oblique_back_velocity(u_hat, v_hat, phi, tau_f, tau_b)
 
 
-def polar_tangency_check(branch_IJ, tau_w, pgas):
+def polar_tangency_check(branch_IJ, tau_w):
     """Angle defect between the composite-branch tangent at tau_w and the
     tangent of the shock polar of the fan-branch front state through the
     same back point, each a central difference (TANGENT_STEP, relative to

@@ -371,6 +371,70 @@ def test_potential_validation_report():
     assert rep.wall_supersonic
 
 
+def _fixture_isentrope(u0):
+    pgas = PotentialGas.from_state(G15, S98, u0, TAU0_P, bernoulli=1.0)
+    return pgas, wc.deflection_range(wc.shock_fan_shock_branch(u0, TAU0_P,
+                                                               pgas))
+
+
+@pytest.mark.parametrize("u0, frac", [(0.2456, 0.02), (0.2456, 0.98),
+                                      (0.25, 0.98)])
+def test_potential_subsonic_wall_is_rejected(u0, frac):
+    # slow streams on the fixture isentrope: the tail shock leaves the
+    # wall state at Mach 0.56-0.88 near either end of the window
+    pgas, (sigma_m, sigma_M) = _fixture_isentrope(u0)
+    with pytest.raises(ValueError, match="^subsonic: wall state"):
+        ss.solve_potential_sfs(u0, TAU0_P,
+                               sigma_m + frac * (sigma_M - sigma_m), pgas)
+
+
+@pytest.mark.parametrize("case", ["fixture-isentrope-mid",
+                                  "seed18-state34-0.25",
+                                  "seed18-state34-0.75"])
+def test_potential_validate_reads_r_plus_inside_the_fan(case):
+    # supersonic fans on isentropes with a subsonic stretch between the
+    # incoming volume and the fan: r+ is chained between the fan's own
+    # volumes, so that stretch never enters the check
+    if case == "fixture-isentrope-mid":
+        u0, tau0, frac = 0.25, TAU0_P, 0.5
+        pgas, (sigma_m, sigma_M) = _fixture_isentrope(u0)
+    else:   # potential_sweep state 34 of seed 18
+        u0, tau0 = 0.3779059347925547, 91.9316031618242
+        frac = float(case.rsplit("-", 1)[1])
+        pgas = PotentialGas.from_state(GasModel(1.5136035475879908),
+                                       0.35005316919321866, u0, tau0,
+                                       bernoulli=1.0)
+        sigma_m, sigma_M = wc.deflection_range(
+            wc.shock_fan_shock_branch(u0, tau0, pgas))
+    sol = ss.solve_potential_sfs(u0, tau0,
+                                 sigma_m + frac * (sigma_M - sigma_m), pgas)
+    rep = ss.validate(sol)
+    assert rep.ok
+    assert rep.r_plus_spread < 1e-13 and rep.bernoulli_spread < 1e-13
+
+
+def test_potential_validate_runs_no_quadrature_speed_root_or_liu_grid(
+        monkeypatch):
+    sol = _potential_sol()
+    rep = ss.validate(sol)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if name != "mass_flux_squared_potential" or "xp" in kwargs:
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((fan, "quad"), (fan, "tau_from_speed"),
+                         (thermo, "tau_from_speed"),
+                         (shocks, "mass_flux_squared_potential")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert ss.validate(sol) == rep
+    # no QUADPACK, no speed-to-volume root, no Liu grid on either shock
+    assert calls == []
+
+
 @pytest.mark.parametrize("bernoulli", [-0.5, 0.0, 1e-6, 1.0, 5.0])
 def test_potential_validation_independent_of_bernoulli_constant(bernoulli):
     # the Bernoulli constant only shifts the enthalpy, so neither the
@@ -613,19 +677,24 @@ def test_validate_reports_an_expansive_potential_shock():
     assert not rep.ok
 
 
-class _RotatedFan:
-    """The fan of a piece, its states strictly inside the piece turned by
-    angle."""
+class _TamperedFan:
+    """The fan of a piece, its states strictly inside the piece passed
+    through alter."""
 
-    def __init__(self, piece, angle):
-        self.piece, self.angle = piece, angle
+    def __init__(self, piece, alter):
+        self.piece, self.alter = piece, alter
 
     def state_at(self, theta):
         st_ = self.piece.fan.state_at(theta)
         if not self.piece.theta_lo < theta < self.piece.theta_hi:
             return st_
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return replace(st_, u=c * st_.u - s * st_.v, v=s * st_.u + c * st_.v)
+        return self.alter(st_)
+
+
+def _rotated(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return lambda st_: replace(st_, u=c * st_.u - s * st_.v,
+                               v=s * st_.u + c * st_.v)
 
 
 @pytest.mark.parametrize("anchored", [True, False], ids=["from_state",
@@ -644,11 +713,23 @@ def test_validate_flags_a_rotated_potential_fan(anchored):
     assert rep.ok
     assert rep.r_plus_spread == pytest.approx(
         ss.validate(_potential_sol()).r_plus_spread, abs=1e-15)
-    pieces = tuple(replace(p, fan=_RotatedFan(p, 1e-7))
+    pieces = tuple(replace(p, fan=_TamperedFan(p, _rotated(1e-7)))
                    if p.kind == "fan" else p for p in sol.pieces)
     rep = ss.validate(replace(sol, pieces=pieces))
     assert rep.max_junction_gap < 1e-15
     assert rep.r_plus_spread == pytest.approx(1e-7, rel=1e-3)
+    assert not rep.ok
+
+
+def test_validate_flags_a_potential_fan_off_the_bernoulli_law():
+    # a fan interior moved in volume at the same velocity
+    sol = _potential_sol()
+    pieces = tuple(replace(p, fan=_TamperedFan(
+        p, lambda st_: replace(st_, tau=st_.tau * (1.0 + 1e-6))))
+        if p.kind == "fan" else p for p in sol.pieces)
+    rep = ss.validate(replace(sol, pieces=pieces))
+    assert rep.max_junction_gap < 1e-15
+    assert rep.bernoulli_spread > 1e-9
     assert not rep.ok
 
 

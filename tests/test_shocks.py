@@ -6,7 +6,10 @@ Frozen literals below were produced by tests/oracles/gen_expected.py
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bztflow import shocks, thermo
 
@@ -435,6 +438,46 @@ def test_liu_condition():
         TAU_F_MID_PO, 0.5 * (tau_pr + tau_po), pg)
 
 
+def _liu_on_the_grid(tau_f, tau_b, pgas, slack):
+    # the grid alone: the definition liu_condition_check settles early
+    tt = np.linspace(tau_b, tau_f, shocks.LIU_GRID + 2)[:-1]
+    m2 = shocks.mass_flux_squared_potential(tau_f, tt, pgas, xp=np)
+    return bool(np.all(m2[1:] < m2[0] + slack * abs(m2[0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.floats(1.05, 1.95), s_frac=st.floats(0.02, 1.1),
+       kind=st.sampled_from(["post_sonic", "pre_sonic", "chord"]),
+       x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0),
+       slack=st.sampled_from([1e-10, 1e-6]))
+def test_liu_condition_matches_the_grid(gamma, s_frac, kind, x, y, slack):
+    # sonic-attached chords, whose margin has a double zero at one end,
+    # and chords anywhere about the inflection pair; S above S* has none
+    gas = thermo.GasModel(gamma)
+    S_star, _, S_cr = thermo.critical_entropies(gas)
+    S = S_cr + s_frac * (S_star - S_cr)
+    pg = thermo.PotentialGas(gas, S)
+    if S < S_star:
+        tau1_i, tau2_i = pg.inflection_pair
+    else:
+        tau1_i = tau2_i = 4.0 / (2.0 - gamma)
+        kind = "chord"
+    if kind == "post_sonic":
+        tau_c = shocks.tangent_chord_limit(pg)
+        tau_f = tau2_i + (0.01 + 0.98 * x) * (tau_c - tau2_i)
+        tau_b = shocks.post_sonic_tau_potential(tau_f, pg)
+    elif kind == "pre_sonic":
+        tau_f = tau1_i + (0.01 + 0.98 * x) * (tau2_i - tau1_i)
+        tau_b = shocks.pre_sonic_tau_potential(tau_f, pg)
+    else:
+        lo, hi = math.log(1.0 + 0.05 * (tau1_i - 1.0)), math.log(3.0 * tau2_i)
+        tau_b, tau_f = sorted(math.exp(lo + f * (hi - lo)) for f in (x, y))
+        if not tau_b < tau_f:
+            return
+    assert (shocks.liu_condition_check(tau_f, tau_b, pg, slack=slack)
+            == _liu_on_the_grid(tau_f, tau_b, pg, slack))
+
+
 # ---------------------------------------------------------------------------
 # velocity bookkeeping
 
@@ -541,3 +584,15 @@ def test_classify_potential_pairs():
     tau_b2 = shocks.pre_sonic_tau_potential(tau_f2, pg)
     m2b = -(2.0 * pg.h(tau_f2) - 2.0 * pg.h(tau_b2)) / (tau_f2**2 - tau_b2**2)
     assert abs(math.sqrt(m2b) * tau_f2 - pg.c(tau_f2)) < 1e-10 * pg.c(tau_f2)
+
+
+def test_classify_raises_a_code_outside_the_hyperbolic_region():
+    # below S_cr the isentrope has p_tau > 0 about tau_cr = 6 (gamma 1.5)
+    S = 0.5 * thermo.critical_entropies(G15)[2]
+    assert thermo.pressure_tau(6.0, S, G15) > 0.0
+    sol = shocks.ObliqueShockSolution(
+        front=shocks.FlowState(1.0, 0.0, 6.0, S),
+        back=shocks.FlowState(0.5, 0.0, 3.0, S), phi=0.5 * math.pi,
+        m=1.0 / 6.0, kind="")
+    with pytest.raises(ValueError, match="^subsonic-thermo"):
+        shocks.classify(sol, G15)

@@ -451,7 +451,7 @@ def test_wedge_state_round_trip(tau_w):
 
 def test_polar_tangency(branches, pgas):
     ij = branches["ij"]
-    defect = wc.polar_tangency_check(ij, TAU_W_MID, pgas)
+    defect = wc.polar_tangency_check(ij, TAU_W_MID)
     assert defect < 1e-7
 
     # (G_u, G_v) of the front-state polar is normal to the branch
