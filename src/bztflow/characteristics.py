@@ -202,11 +202,12 @@ class PotentialFlowField:
     """Potential flow patch: fn(x, y) -> (u, v) on a fixed isentrope.
 
     tau and c follow from the Bernoulli law of pgas, and the Riemann
-    invariants are anchored at pgas.q_ref.
+    invariants take their turning integral from the volume tau_ref.
     """
 
     fn: Callable[[float, float], tuple]
     pgas: PotentialGas
+    tau_ref: float
 
     def state(self, x, y):
         return self.fn(x, y)
@@ -225,7 +226,7 @@ class PotentialFlowField:
 
     def invariants(self, x, y):
         u, v = self.fn(x, y)
-        return riemann_invariants(u, v, self.pgas)
+        return riemann_invariants(u, v, self.pgas, self.tau_ref)
 
 
 # ---------------------------------------------------------------------------

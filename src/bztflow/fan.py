@@ -28,8 +28,8 @@ integrate_fan builds a fan from its foot to an end volume and stops short
 of the inflection window of the isentrope, p_tautau <= 0, which is
 6 psi >= gamma (gamma+1) S with psi = (tau-1)^(gamma+2)/tau^4 unimodal
 about tau* = 4/(2-gamma): an interval meets it iff p_tautau <= 0 at its
-point nearest tau*.  A wall end is the root FanSolution.slip_line takes on
-the fan built to vacuum.
+point nearest tau*.  The fan built to vacuum, tau_end = inf, ends on the
+vacuum ray; a wall end is the root FanSolution.slip_line takes on it.
 
 FanSolution is the fan sector of both systems: the attached fan of
 potential flow is the same series (wavecurves.RampWaveContext.fan), inside
@@ -37,8 +37,7 @@ the inflection window where the ray angle falls as u rises.  The
 invariant nu of r+ = sigma + nu is the rate above integrated in tau itself,
 independent of any series: turning_chain by fixed Gauss-Legendre rules
 between given volumes (validate), turning_in_volume by QUADPACK, the
-reference of riemann_invariants and pm_potential.  turning_angle keeps the
-speed-keyed form nu(q) = int sqrt(q^2-c^2)/(q c) dq as a test reference.
+reference of riemann_invariants and pm_potential.
 """
 
 import math
@@ -412,63 +411,8 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
 # ---------------------------------------------------------------------------
 # turning integrals on one isentrope
 
-# (node, weight) of the 3-point Gauss-Legendre rule on [-1, 1], and the
-# (nodes, weights) arrays of the 24- and 20-point rules
-_GL3 = ((-math.sqrt(0.6), 5.0 / 9.0), (0.0, 8.0 / 9.0),
-        (math.sqrt(0.6), 5.0 / 9.0))
+# (nodes, weights) of the 24- and 20-point Gauss-Legendre rules on [-1, 1]
 _GL24, _GL20 = (np.polynomial.legendre.leggauss(n) for n in (24, 20))
-
-
-def turning_angle(q_from, q_to, pgas):
-    """Turning integral int sqrt(q^2 - c^2)/(q c) dq from q_from to q_to,
-    with tau eliminated through the Bernoulli law of pgas at every node.
-    The speed-keyed public form: pm_potential and riemann_invariants take
-    the same integral in the volume (turning_in_volume), and the tests keep
-    this one as their reference."""
-    def nu_prime(q):
-        tau = tau_from_speed(q, pgas)
-        c = pgas.c(tau)
-        if q <= c:
-            raise ValueError(f"subsonic: q={q} at or below c={c}")
-        return math.sqrt(q * q - c * c) / (q * c)
-
-    if abs(q_to - q_from) <= 1e-9 * max(q_from, q_to):
-        # on so short an interval QUADPACK reads the rounding of the
-        # speed-to-volume root as bad integrand behaviour; the smooth
-        # integrand is exact to rounding under a 3-point Gauss-Legendre rule
-        mid, half = 0.5 * (q_from + q_to), 0.5 * (q_to - q_from)
-        return half * sum(w * nu_prime(mid + half * x) for x, w in _GL3)
-    val, _ = quad(nu_prime, q_from, q_to, epsabs=1e-13, epsrel=1e-12,
-                  limit=200)
-    return val
-
-
-def vacuum_angle(q_d, tau_d, S_d, gas):
-    """
-    Total turning of a fan that expands from (q_d, tau_d, S_d) all the way
-    to vacuum, as a (negative) offset from the flow direction at the fan
-    foot: the vacuum ray sits at sigma_d + vacuum_angle(...).
-
-    It is the end ray of the fan built from sigma = 0 to u = 0 by
-    integrate_fan, where the Mach angle vanishes and the ray is the flow
-    direction.
-    Raises "divergent-limit" if the enthalpy has no finite vacuum limit,
-    "subsonic-thermo" (thermo.sound_speed) if the foot lies outside the
-    hyperbolic region, "sonic-degeneracy" if the foot state is not
-    supersonic, and, from
-    integrate_fan, "inflection-hit" if tau_d is not beyond the nonconvex
-    window: p_tautau <= 0 at max(tau*, tau_d), a test that solves no root.
-    """
-    h_d = enthalpy(tau_d, S_d, gas)
-    if not math.isfinite(h_d):
-        raise ValueError(
-            f"divergent-limit: enthalpy not finite at tau_d={tau_d}")
-    c_d = sound_speed(tau_d, S_d, gas)
-    if q_d <= c_d:
-        raise ValueError(
-            f"sonic-degeneracy: q_d={q_d} not above c_d={c_d}")
-    return integrate_fan(q_d, tau_d, 0.0, S_d, math.asin(c_d / q_d),
-                         math.inf, gas).theta_end
 
 
 def _volume_rate(tau, pgas, xp):
@@ -494,8 +438,13 @@ def turning_chain(taus, pgas):
 def turning_in_volume(tau_from, tau_to, pgas):
     """Turning integral int c sqrt(q^2 - c^2)/(tau q^2) dtau from tau_from
     to tau_to on the isentrope of pgas by QUADPACK, the rate in closed form
-    (_volume_rate).  Equal to turning_angle between the speeds of the two
-    volumes.  Raises "subsonic" at a node where q is not above c."""
+    (_volume_rate): the reference value of nu between two volumes.  Raises
+    "subsonic" at a node where q is not above c."""
+    if abs(tau_to - tau_from) <= 1e-9 * min(tau_from, tau_to):
+        # QUADPACK reads the rounding on so short an interval as bad
+        # integrand behaviour; the smooth rate is exact under turning_chain
+        return turning_chain((tau_from, tau_to), pgas)[0][1]
+
     def rate(tau):
         q2 = 2.0 * (pgas.bernoulli - pgas.h(tau))
         c = pgas.c(tau)
@@ -530,25 +479,20 @@ def pm_potential(tau, pgas, q_ref, sigma_ref, tau_ref):
     return sigma_hat, sigma_hat + math.asin(c_hat / q_hat)
 
 
-def riemann_invariants(u, v, pgas):
+def riemann_invariants(u, v, pgas, tau_ref):
     """
-    (r_plus, r_minus) = sigma +/- nu(q) with nu the turning integral from
-    the reference speed pgas.q_ref on the isentrope of pgas, taken in the
-    volume (turning_in_volume) from pgas.tau_ref, the volume of q_ref kept
-    on the model, to the root of the Bernoulli law at q.
+    (r_plus, r_minus) = sigma +/- nu with nu the turning integral on the
+    isentrope of pgas from the anchor volume tau_ref to the root of the
+    Bernoulli law at q, taken in the volume (turning_in_volume).  The
+    invariants of two states compare only under one anchor.
 
-    Raises "subsonic" when the state is not supersonic and
-    "no-reference-speed" when pgas carries no positive q_ref.
+    Raises "subsonic" when the state is not supersonic.
     """
-    if not pgas.q_ref > 0.0:
-        raise ValueError(
-            "no-reference-speed: pgas.q_ref must be positive to anchor the "
-            "turning integral")
     q = math.hypot(u, v)
     tau = tau_from_speed(q, pgas)
     c = pgas.c(tau)
     if q <= c:
         raise ValueError(f"subsonic: q={q} at or below c={c}")
     sigma = math.atan2(v, u)
-    nu = turning_in_volume(pgas.tau_ref, tau, pgas)
+    nu = turning_in_volume(tau_ref, tau, pgas)
     return sigma + nu, sigma - nu

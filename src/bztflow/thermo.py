@@ -31,7 +31,7 @@ Euler flow carries (tau, S) states; potential flow freezes one isentrope and
 adds a Bernoulli constant, wrapped in PotentialGas.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from scipy.optimize import brentq
@@ -305,26 +305,22 @@ class PotentialGas:
     bernoulli: value of q^2/2 + h along the flow (default 0, the convention
         in which the enthalpy offset absorbs the incoming state)
     h_ref: additive enthalpy normalization; h(tau) = h_nat(tau) + h_ref where
-        h_nat -> 0 as tau -> infinity
-    q_ref: reference speed anchoring the turning-angle integral of the
-        Riemann invariants (set by each construction; comparisons of
-        invariants are meaningful only within one construction)
+        h_nat -> 0 as tau -> infinity, so h_ref is the vacuum enthalpy
     """
 
     gas: GasModel
     S: float
     bernoulli: float = 0.0
     h_ref: float = 0.0
-    q_ref: float = field(default=0.0)
 
     @classmethod
     def from_state(cls, gas, S, q0, tau0, bernoulli=0.0):
         """
-        Build the model anchored at speed q0 and volume tau0, shifting the
-        enthalpy so that q0^2/2 + h(tau0) = bernoulli.
+        Build the model through the state of speed q0 and volume tau0,
+        shifting the enthalpy so that q0^2/2 + h(tau0) = bernoulli.
         """
         h_ref = bernoulli - 0.5 * q0**2 - enthalpy(tau0, S, gas)
-        return cls(gas=gas, S=S, bernoulli=bernoulli, h_ref=h_ref, q_ref=q0)
+        return cls(gas=gas, S=S, bernoulli=bernoulli, h_ref=h_ref)
 
     # -- curve evaluations on the frozen isentrope ------------------------
     def p(self, tau):
@@ -348,19 +344,10 @@ class PotentialGas:
         kept on this instance (equality and hashing see only the fields)."""
         return inflection_roots(self.S, self.gas)
 
-    @cached_property
-    def tau_ref(self):
-        """Volume of the reference speed q_ref, solved on first use and kept
-        on this instance like inflection_pair."""
-        return tau_from_speed(self.q_ref, self)
-
-    def h_limit(self):
-        """Enthalpy in the vacuum limit tau -> infinity."""
-        return self.h_ref
-
     def q_limit(self):
-        """Cavitation speed sqrt(2 (bernoulli - h_limit))."""
-        gap = 2.0 * (self.bernoulli - self.h_limit())
+        """Cavitation speed sqrt(2 (bernoulli - h_ref)), h_ref being the
+        enthalpy in the vacuum limit tau -> infinity."""
+        gap = 2.0 * (self.bernoulli - self.h_ref)
         if gap <= 0.0:
             raise ValueError(
                 f"cavitation: bernoulli={self.bernoulli} at or below the "
@@ -387,7 +374,7 @@ def tau_from_speed(q, pgas):
     exists at the low-speed end.
     """
     target = pgas.bernoulli - 0.5 * q * q
-    if target <= pgas.h_limit():
+    if target <= pgas.h_ref:
         raise ValueError(
             f"cavitation: speed q={q} at or beyond the cavitation speed "
             f"{pgas.q_limit()}")

@@ -47,7 +47,6 @@ from .shocks import (
     oblique_back_velocity,
     post_sonic_tau_potential,
     pre_sonic_tau_potential,
-    shock_angle,
 )
 from .thermo import enthalpy, tau_from_speed
 
@@ -55,8 +54,8 @@ from .thermo import enthalpy, tau_from_speed
 _TAIL_EPS = 1e-12
 # nodes of the uniform part of every branch's sample grid
 BRANCH_POINTS = 512
-# step of every central-difference tangent, relative to the parameter
-# (a branch's range, the back volume on the front-state polar)
+# step of the central-difference branch tangent, relative to the branch's
+# parameter range
 TANGENT_STEP = 1e-6
 
 
@@ -83,7 +82,6 @@ class RampWaveContext:
     tau1_i: float
     tau2_i: float
     tau_po: float
-    tau_pr_po: float
     n_po: float
     u_po: float
     v_po: float
@@ -180,7 +178,6 @@ def ramp_context(u0, tau0, pgas):
         raise ValueError(f"subsonic: u0={u0} not above sound speed c={c0}")
     tau1_i, tau2_i = pgas.inflection_pair
     tau_po = post_sonic_tau_potential(tau0, pgas)
-    tau_pr_po = pre_sonic_tau_potential(tau_po, pgas)
     n_po = _normal_speed(tau0, tau_po, pgas)
     if n_po >= u0:
         raise ValueError(
@@ -190,7 +187,7 @@ def ramp_context(u0, tau0, pgas):
     u_po, v_po = oblique_back_velocity(u0, 0.0, phi_po, tau0, tau_po)
     return RampWaveContext(
         u0=u0, tau0=tau0, pgas=pgas, tau1_i=tau1_i, tau2_i=tau2_i,
-        tau_po=tau_po, tau_pr_po=tau_pr_po, n_po=n_po, u_po=u_po,
+        tau_po=tau_po, n_po=n_po, u_po=u_po,
         v_po=v_po, q_po=math.hypot(u_po, v_po),
         sigma_po=math.atan2(v_po, u_po), phi_po=phi_po)
 
@@ -316,19 +313,20 @@ def polar_branch_II(u0, tau0, pgas):
     (where the deflection vanishes) up to the back volume of the
     front-sonic shock seated at P."""
     ctx = ramp_context(u0, tau0, pgas)
+    tau_pr_po = pre_sonic_tau_potential(ctx.tau_po, pgas)
     f = lambda t: _normal_speed(tau0, t, pgas) - u0
     lo = 1.0 + 1e-9
-    hi = ctx.tau_pr_po * (1.0 - 1e-12)
+    hi = tau_pr_po * (1.0 - 1e-12)
     if not f(lo) > 0.0 > f(hi):
         raise ValueError(
             f"empty-branch: the normal speed never falls below u0={u0} "
-            f"ahead of tau_b={ctx.tau_pr_po}")
+            f"ahead of tau_b={tau_pr_po}")
     tau_n = brentq(f, lo, hi, xtol=1e-13)
     # step off the detached side, where polar_state would reject the root
     while f(tau_n) > 0.0:
         tau_n = math.nextafter(tau_n, hi)
-    grid = _graded_grid(tau_n, ctx.tau_pr_po, open_hi=True)
-    return _assemble("tau_b", (tau_n, ctx.tau_pr_po), grid, ctx.polar_state,
+    grid = _graded_grid(tau_n, tau_pr_po, open_hi=True)
+    return _assemble("tau_b", (tau_n, tau_pr_po), grid, ctx.polar_state,
                      ctx)
 
 
@@ -396,27 +394,27 @@ def deflection_range(branch_IJ):
     return out[0], out[1]
 
 
-def solve_wedge_state(theta_w, branch_IJ, all_roots=False):
+def solve_wedge_state(theta_w, branch_IJ):
     """Parameter tau_w on the composite branch whose back-state flow
-    angle equals theta_w.  With several crossings the smallest parameter
-    wins; all_roots=True returns the full ascending list instead.
+    angle equals theta_w: the first sample within 1e-13 of it, or the
+    root in the first sample interval that brackets it, whichever comes
+    first in ascending parameter.  So with several crossings the smallest
+    parameter wins, after at most one root solve.
     """
     p = branch_IJ.params
     f_nodes = np.arctan2(branch_IJ.v, branch_IJ.u) - theta_w
-    roots = [float(p[k]) for k in np.flatnonzero(np.abs(f_nodes) <= 1e-13)]
-    sign_change = np.flatnonzero(f_nodes[:-1] * f_nodes[1:] < 0.0)
-    for k in sign_change:
-        roots.append(brentq(lambda t: _deflection(branch_IJ, t) - theta_w,
-                            p[k], p[k + 1], xtol=1e-14))
-    roots.sort()
-    dedup = []
-    for r in roots:
-        if not dedup or r - dedup[-1] > 1e-10 * max(abs(r), 1.0):
-            dedup.append(r)
-    if not dedup:
+    # event 2k: sample k hits theta_w; event 2k + 1: (p[k], p[k+1]) brackets
+    events = np.empty(2 * p.size - 1, dtype=bool)
+    events[0::2] = np.abs(f_nodes) <= 1e-13
+    events[1::2] = f_nodes[:-1] * f_nodes[1:] < 0.0
+    if not events.any():
         raise ValueError(
             f"no-root: theta_w={theta_w} is not attained on the branch")
-    return dedup if all_roots else dedup[0]
+    k, brackets = divmod(int(np.argmax(events)), 2)
+    if not brackets:
+        return float(p[k])
+    return brentq(lambda t: _deflection(branch_IJ, t) - theta_w, p[k],
+                  p[k + 1], xtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -453,32 +451,23 @@ def _context(branch):
     return branch.context
 
 
-def _front_polar_state(ctx, tau_f, tau_b):
-    # polar of the oblique fan-branch state at volume tau_f: pick the
-    # inclination whose normal component matches the chord flux to tau_b
-    u_hat, v_hat, _ = ctx.fan_state(tau_f)
-    phi = shock_angle(u_hat, v_hat, _normal_speed(tau_f, tau_b, ctx.pgas))
-    return oblique_back_velocity(u_hat, v_hat, phi, tau_f, tau_b)
-
-
 def polar_tangency_check(branch_IJ, tau_w):
     """Angle defect between the composite-branch tangent at tau_w and the
-    tangent of the shock polar of the fan-branch front state through the
-    same back point, each a central difference (TANGENT_STEP, relative to
-    the branch range and to the back volume).  The two curves touch, so
-    the defect measures only the finite-difference error."""
+    shock polar of the fan-branch front state through the same back
+    point, whose normal is the polar_gradient there.  The two curves
+    touch, so the defect measures only the finite-difference error of the
+    branch tangent (TANGENT_STEP)."""
     ctx = _context(branch_IJ)
     lo, hi = branch_IJ.param_range
     if not lo < tau_w < hi:
         raise ValueError(f"out-of-window: tau_w={tau_w} not inside "
                          f"({lo}, {hi})")
     tu, tv = branch_IJ.tangent(tau_w)
-    tau_pr = ctx.tail_back_volume(tau_w)
-    step = TANGENT_STEP * tau_pr
-    up, vp = _front_polar_state(ctx, tau_w, tau_pr + step)
-    um, vm = _front_polar_state(ctx, tau_w, tau_pr - step)
-    cross = (tu * (vp - vm) - tv * (up - um)) / math.hypot(up - um, vp - vm)
-    return math.asin(min(1.0, abs(cross)))
+    u_f, v_f, _ = ctx.fan_state(tau_w)
+    u_b, v_b, _ = branch_IJ.state(tau_w)
+    _, g_u, g_v = polar_gradient(u_b, v_b, u_f, v_f, ctx.pgas)
+    return math.asin(min(1.0, abs(tu * g_u + tv * g_v)
+                         / math.hypot(g_u, g_v)))
 
 
 def tail_tangent_acute(branch_IJ, tau_w):

@@ -266,12 +266,12 @@ def _potential_fan_field():
 
     theta_mid = alpha_hat(0.5 * (lo + hi))
     point = (math.cos(theta_mid), -math.sin(theta_mid))
-    return ck.PotentialFlowField(fn, pg), point
+    return ck.PotentialFlowField(fn, pg, tau_ref), point
 
 
 def test_decomposition_potential_uniform():
     pg = thermo.PotentialGas.from_state(G15, S98, 0.1, 4.9, bernoulli=1.0)
-    field = ck.PotentialFlowField(lambda x, y: (0.1, 0.0), pg)
+    field = ck.PotentialFlowField(lambda x, y: (0.1, 0.0), pg, 4.9)
     assert ck.decomposition_residual_potential(field, (0.2, 0.0), 1e-3) \
         == (0.0, 0.0)
 

@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,14 +62,14 @@ def test_initial_data_guards():
 
 def test_foot_outside_the_hyperbolic_region_is_coded():
     # p_tau > 0 at tau = 6 on the isentrope S = S_cr/2: the sound speed of
-    # the foot is not real, which both fan entries report by code
+    # the foot is not real, which the fan reports by code, to a finite end
+    # and to vacuum
     _, _, S_cr = thermo.critical_entropies(G15)
     S = 0.5 * S_cr
     assert thermo.pressure_tau(6.0, S, G15) > 0.0
-    with pytest.raises(ValueError, match="subsonic-thermo"):
-        fan.integrate_fan(1.0, 6.0, 0.0, S, 0.5, 10.0, G15)
-    with pytest.raises(ValueError, match="subsonic-thermo"):
-        fan.vacuum_angle(1.0, 6.0, S, G15)
+    for tau_end in (10.0, math.inf):
+        with pytest.raises(ValueError, match="subsonic-thermo"):
+            fan.integrate_fan(1.0, 6.0, 0.0, S, 0.5, tau_end, G15)
 
 
 def test_upstream_fan_reaches_target_volume():
@@ -199,8 +198,8 @@ def test_downstream_fan_slip_stop():
 
 
 def test_fan_turning_matches_quadrature():
-    # same turning from the volume-variable fan and from the speed-integral
-    # route, at the fan end and on interior rays
+    # same turning from the series in u and from QUADPACK in the volume,
+    # at the fan end and on interior rays
     phi_d, u_d, v_d, tau_d, S_d = downstream_foot()
     q_d = math.hypot(u_d, v_d)
     sigma_d = math.atan2(v_d, u_d)
@@ -211,7 +210,7 @@ def test_fan_turning_matches_quadrature():
         gas=G15, S=S_d,
         bernoulli=0.5 * q_d**2 + thermo.enthalpy(tau_d, S_d, G15))
     q_hat = pg.speed_of_tau(tau_target)
-    sigma_quad = sigma_d - fan.turning_angle(q_d, q_hat, pg)
+    sigma_quad = sigma_d - fan.turning_in_volume(tau_d, tau_target, pg)
     assert q_end == pytest.approx(q_hat, rel=1e-12)
     assert sigma_end == pytest.approx(sigma_quad, abs=1e-12)
     for theta in np.linspace(sol.theta_start, sol.theta_end, 9)[1:-1]:
@@ -221,11 +220,21 @@ def test_fan_turning_matches_quadrature():
         assert abs(theta - alpha_hat) < 1e-10
 
 
+def vacuum_angle(q_d, tau_d, S_d, gas):
+    """Turning of the fan from (q_d, tau_d, S_d) to vacuum: the end ray of
+    integrate_fan to tau = inf from sigma = 0.  A subsonic foot gets the
+    Mach angle pi/2, so that integrate_fan reports it."""
+    c_d = thermo.sound_speed(tau_d, S_d, gas)
+    return fan.integrate_fan(q_d, tau_d, 0.0, S_d,
+                             math.asin(min(c_d / q_d, 1.0)), math.inf,
+                             gas).theta_end
+
+
 def test_vacuum_angle_bounds_the_wall_fan():
     phi_d, u_d, v_d, tau_d, S_d = downstream_foot()
     q_d = math.hypot(u_d, v_d)
     sigma_d = math.atan2(v_d, u_d)
-    off = fan.vacuum_angle(q_d, tau_d, S_d, G15)
+    off = vacuum_angle(q_d, tau_d, S_d, G15)
     assert off < 0.0
     alpha_v = sigma_d + off
     assert alpha_v < sigma_d < phi_d
@@ -240,7 +249,7 @@ def test_vacuum_angle_degenerate_offset():
     # turning left (the offset scales like sqrt(1 - q_d/q_lim))
     tau_far = 1e4
     q_far = 1e3 * thermo.sound_speed(tau_far, S_D, G15)
-    off = fan.vacuum_angle(q_far, tau_far, S_D, G15)
+    off = vacuum_angle(q_far, tau_far, S_D, G15)
     assert off < 0.0
     assert abs(off) < 1e-2
 
@@ -256,16 +265,16 @@ def test_vacuum_angle_guards(tau_d, S, mach, match, brentq_calls):
     q_d = mach * thermo.sound_speed(tau_d, S, G15)
     if match:
         with pytest.raises(ValueError, match=match):
-            fan.vacuum_angle(q_d, tau_d, S, G15)
+            vacuum_angle(q_d, tau_d, S, G15)
     else:
-        assert fan.vacuum_angle(q_d, tau_d, S, G15) < 0.0
+        assert vacuum_angle(q_d, tau_d, S, G15) < 0.0
     assert brentq_calls == []
 
 
 def speed_variable_vacuum_angle(q_d, tau_d, S_d, gas):
     """Vacuum turning as the speed integral int sqrt(q^2-c^2)/(q c) dq up
     to q_lim, with q = q_lim - t^2 and the volume found by root-finding on
-    the enthalpy gap (reference for fan.vacuum_angle)."""
+    the enthalpy gap (reference for the fan to vacuum)."""
     pg = thermo.PotentialGas(
         gas=gas, S=S_d,
         bernoulli=0.5 * q_d**2 + thermo.enthalpy(tau_d, S_d, gas))
@@ -273,7 +282,7 @@ def speed_variable_vacuum_angle(q_d, tau_d, S_d, gas):
 
     def tau_of_gap(gap):
         def f(t):
-            return pg.h(t) - pg.h_limit() - gap
+            return pg.h(t) - pg.h_ref - gap
         lo, hi = 1.0 + 1e-12, 2.0
         while f(hi) >= 0.0:
             lo, hi = hi, 2.0 * hi
@@ -305,7 +314,7 @@ def test_vacuum_angle_matches_speed_integral(gamma, mach):
         q_d = mach * thermo.sound_speed(tau_d, S, gas)
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
-            got = fan.vacuum_angle(q_d, tau_d, S, gas)
+            got = vacuum_angle(q_d, tau_d, S, gas)
         ref = speed_variable_vacuum_angle(q_d, tau_d, S, gas)
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -356,7 +365,7 @@ def test_vacuum_angle_near_sonic_matches_mpmath(gamma):
     gas, S, tau_d = vacuum_fan_foot(gamma)
     q_d = (1.0 + 2.4e-8) * thermo.sound_speed(tau_d, S, gas)
     ref = mpmath_vacuum_angle(q_d, tau_d, S, gamma)
-    got = fan.vacuum_angle(q_d, tau_d, S, gas)
+    got = vacuum_angle(q_d, tau_d, S, gas)
     assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
@@ -374,7 +383,7 @@ def test_fan_to_vacuum_takes_few_refinement_rounds(gamma, monkeypatch):
 
     monkeypatch.setattr(fan, "_forms", counted)
     gas, S, tau_d = vacuum_fan_foot(gamma)
-    fan.vacuum_angle(3.0 * thermo.sound_speed(tau_d, S, gas), tau_d, S, gas)
+    vacuum_angle(3.0 * thermo.sound_speed(tau_d, S, gas), tau_d, S, gas)
     assert 1 <= len(rounds) <= 6
 
 
@@ -472,52 +481,59 @@ def test_pm_potential_monotone_and_tangent():
 
 def _flat_isentrope_found_case():
     # potential_sweep seed 109 state 10 (tau0 ~ 516): the composite-branch
-    # node tau_po - 1e-8 (tau_po - tau1_i) sits 3.5e-15 of q from the
-    # anchor speed q_po, where QUADPACK raised "extremely bad integrand
-    # behavior" on the rounding of the speed-to-volume root
+    # node tau_po - 1e-8 (tau_po - tau1_i), 3.6e-11 of the volume from P,
+    # where QUADPACK raised "extremely bad integrand behavior" on the
+    # rounding of a speed-to-volume root
     pg = thermo.PotentialGas.from_state(
         thermo.GasModel(1.7695926455780864), 0.5015107946990929,
         0.5001902721173039, 516.2033971219385, bernoulli=1.0)
     tau_po = shocks.post_sonic_tau_potential(516.2033971219385, pg)
     tau1_i, _ = pg.inflection_pair
-    node = tau_po - 1e-8 * (tau_po - tau1_i)
-    return pg, pg.speed_of_tau(tau_po), pg.speed_of_tau(node)
+    return pg, tau_po, tau_po - 1e-8 * (tau_po - tau1_i)
 
 
-@pytest.mark.parametrize("case", ["found", "0.9e-9", "-1e-10", "1e-13"])
+def _anchor_case():
+    # the volume of the speed a model is built through: 4.90000000000002,
+    # within rounding of 4.9, where QUADPACK raised the same warning
+    pg = thermo.PotentialGas.from_state(G15, S98, 0.1, 4.9, bernoulli=1.0)
+    return pg, 4.9, thermo.tau_from_speed(0.1, pg)
+
+
+@pytest.mark.parametrize("case", ["found", "anchor", "0.9e-9", "-1e-10",
+                                  "1e-13"])
 def test_turning_angle_on_short_intervals(case):
+    # the turning angle nu between two volumes within 1e-9 of each other
     if case == "found":
-        pg, q_from, q_to = _flat_isentrope_found_case()
+        pg, tau_from, tau_to = _flat_isentrope_found_case()
+    elif case == "anchor":
+        pg, tau_from, tau_to = _anchor_case()
     else:
-        pg, q_from, _ = potential_anchor()
-        q_to = q_from * (1.0 + float(case))
-    d = q_to - q_from
-    assert 0.0 < abs(d) <= 1e-9 * max(q_from, q_to)
+        pg, _, tau_from = potential_anchor()
+        tau_to = tau_from * (1.0 + float(case))
+    d = tau_to - tau_from
+    assert 0.0 < abs(d) <= 1e-9 * min(tau_from, tau_to)
     # reference: the mean of the integrand over widened intervals about the
     # same midpoint, taken by QUADPACK, differs from its value at the
     # midpoint by O(w^2); two widths a decade apart cancel that term
-    mid = 0.5 * (q_from + q_to)
+    mid = 0.5 * (tau_from + tau_to)
 
     def mean(w):
         a, b = mid - 0.5 * w, mid + 0.5 * w
-        return fan.turning_angle(a, b, pg) / (b - a)
+        return fan.turning_in_volume(a, b, pg) / (b - a)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
-        short = fan.turning_angle(q_from, q_to, pg)
-        ref = (100.0 * mean(1e-8 * q_from) - mean(1e-7 * q_from)) / 99.0
+        short = fan.turning_in_volume(tau_from, tau_to, pg)
+        ref = (100.0 * mean(1e-8 * tau_from) - mean(1e-7 * tau_from)) / 99.0
     assert short / d == pytest.approx(ref, rel=1e-9)
 
 
-def test_turning_in_volume_matches_turning_angle():
-    # the volume integral against the speed-keyed reference on long
-    # intervals of the fixture isentrope, both ways round
-    pg, q_ref, tau_ref = potential_anchor()
+def test_turning_in_volume_is_antisymmetric():
+    # long intervals of the fixture isentrope, both ways round
+    pg, _, tau_ref = potential_anchor()
     for tau in (TAU1_I + 0.25, 0.5 * (TAU1_I + tau_ref), 2.0 * tau_ref,
                 50.0 * tau_ref):
         nu = fan.turning_in_volume(tau_ref, tau, pg)
-        ref = fan.turning_angle(q_ref, pg.speed_of_tau(tau), pg)
-        assert nu == pytest.approx(ref, rel=1e-12, abs=0.0)
         assert fan.turning_in_volume(tau, tau_ref, pg) == pytest.approx(
             -nu, rel=1e-14, abs=0.0)
 
@@ -552,8 +568,7 @@ def test_pm_potential_matches_mpmath(case):
 
 def test_potential_fan_maps_no_speed_to_a_volume(monkeypatch):
     # pm_potential integrates in the volume; riemann_invariants solves the
-    # Bernoulli law only for the state and the reference speed, and the
-    # reference volume once per model (PotentialGas.tau_ref)
+    # Bernoulli law only for the state, its anchor being a volume
     calls = []
     root = fan.tau_from_speed
 
@@ -567,10 +582,9 @@ def test_potential_fan_maps_no_speed_to_a_volume(monkeypatch):
     sigma, _ = fan.pm_potential(TAU1_I + 0.25, pg, q_ref, -0.1, tau_ref)
     assert calls == []
     q = pg.speed_of_tau(TAU1_I + 0.25)
-    fan.riemann_invariants(q * math.cos(sigma), q * math.sin(sigma), pg)
-    assert len(calls) == 2
-    fan.riemann_invariants(q * math.cos(sigma), q * math.sin(sigma), pg)
-    assert len(calls) == 3
+    fan.riemann_invariants(q * math.cos(sigma), q * math.sin(sigma), pg,
+                           tau_ref)
+    assert len(calls) == 1
 
 
 def test_riemann_invariants_sum_and_fan_invariance():
@@ -583,7 +597,7 @@ def test_riemann_invariants_sum_and_fan_invariance():
         sig, alp = fan.pm_potential(tau, pg, q_ref, sigma_ref, tau_ref)
         q = anchored.speed_of_tau(tau)
         u, v = q * math.cos(sig), q * math.sin(sig)
-        rp, rm = fan.riemann_invariants(u, v, anchored)
+        rp, rm = fan.riemann_invariants(u, v, anchored, tau_ref)
         assert rp + rm == pytest.approx(2.0 * sig, abs=1e-12)
         if rp_ref is None:
             rp_ref = rp
@@ -602,33 +616,26 @@ def test_riemann_invariants_speed_partials():
     expect = q * c / (2.0 * math.sqrt(q * q - c * c))
     d = 1e-7
     # move along r_minus = const: dsigma = +dnu
-    nu = fan.turning_angle(anchored.q_ref, q + d, anchored) - \
-        fan.turning_angle(anchored.q_ref, q, anchored)
+    nu = fan.turning_in_volume(tau, thermo.tau_from_speed(q + d, anchored),
+                               anchored)
     u1, v1 = (q + d) * math.cos(sigma + nu), (q + d) * math.sin(sigma + nu)
     u0, v0 = q * math.cos(sigma), q * math.sin(sigma)
-    rp1, rm1 = fan.riemann_invariants(u1, v1, anchored)
-    rp0, rm0 = fan.riemann_invariants(u0, v0, anchored)
+    rp1, rm1 = fan.riemann_invariants(u1, v1, anchored, tau_ref)
+    rp0, rm0 = fan.riemann_invariants(u0, v0, anchored, tau_ref)
     assert rm1 == pytest.approx(rm0, abs=1e-12)
     assert d / (rp1 - rp0) == pytest.approx(expect, rel=1e-5)
     # move along r_plus = const: dsigma = -dnu
     u2, v2 = (q + d) * math.cos(sigma - nu), (q + d) * math.sin(sigma - nu)
-    rp2, rm2 = fan.riemann_invariants(u2, v2, anchored)
+    rp2, rm2 = fan.riemann_invariants(u2, v2, anchored, tau_ref)
     assert rp2 == pytest.approx(rp0, abs=1e-12)
     assert d / (rm2 - rm0) == pytest.approx(-expect, rel=1e-5)
 
 
 def test_riemann_invariants_guards():
     pg, q_ref, tau_ref = potential_anchor()
-    anchored = thermo.PotentialGas.from_state(G15, S98, q_ref, tau_ref,
-                                              bernoulli=1.0)
-    c = anchored.c(thermo.tau_from_speed(q_ref, anchored))
     with pytest.raises(ValueError, match="subsonic"):
-        stag_tau = thermo.tau_from_speed(0.45 * q_ref, anchored)
-        fan.riemann_invariants(0.45 * q_ref, 0.0, anchored)
-    bare = thermo.PotentialGas(gas=G15, S=S98, bernoulli=1.0)
-    with pytest.raises(ValueError, match="no-reference-speed"):
-        fan.riemann_invariants(q_ref, 0.0, bare)
-    # a subsonic reference speed: the integral crosses the sonic volume
-    slow = replace(anchored, q_ref=0.45 * q_ref)
+        fan.riemann_invariants(0.45 * q_ref, 0.0, pg, tau_ref)
+    # a subsonic anchor volume: the integral crosses the sonic volume
+    slow = thermo.tau_from_speed(0.45 * q_ref, pg)
     with pytest.raises(ValueError, match="subsonic"):
-        fan.riemann_invariants(q_ref, 0.0, slow)
+        fan.riemann_invariants(q_ref, 0.0, pg, slow)

@@ -358,7 +358,7 @@ def test_enthalpy_decays_to_zero():
 def test_potential_gas_anchoring():
     pgas = thermo.PotentialGas.from_state(G15, S98, q0=0.5, tau0=12.0)
     assert abs(0.5 * 0.25 + pgas.h(12.0)) < 1e-15
-    assert pgas.q_ref == 0.5
+    assert pgas.speed_of_tau(12.0) == pytest.approx(0.5, rel=1e-14)
     # Bernoulli-consistent speed at another volume round-trips
     q = pgas.speed_of_tau(20.0)
     assert thermo.tau_from_speed(q, pgas) == pytest.approx(20.0, abs=1e-11)

@@ -94,7 +94,10 @@ def leading_shock(u, v, tau_b, phi):
 def test_context_matches_oracle(pgas):
     ctx = wc.ramp_context(U0, TAU0, pgas)
     assert ctx.tau_po == pytest.approx(TAU_PO, rel=1e-12)
-    assert ctx.tau_pr_po == pytest.approx(TAU_PR_PO, rel=1e-10)
+    # the back volume of the front-sonic shock seated at P, which ends the
+    # strong polar branch
+    assert shocks.pre_sonic_tau_potential(ctx.tau_po, pgas) == \
+        pytest.approx(TAU_PR_PO, rel=1e-10)
     assert ctx.n_po == pytest.approx(N_PO, rel=1e-12)
     assert ctx.u_po == pytest.approx(U_PO, rel=1e-12)
     assert ctx.v_po == pytest.approx(V_PO, rel=1e-12)
@@ -174,7 +177,7 @@ def test_fan_branch_meets_polar_at_p(branches):
 
 def test_fan_branch_invariant_spread(branches, pgas):
     pi = branches["pi"]
-    rp = [fan.riemann_invariants(pi.u[k], pi.v[k], pgas)[0]
+    rp = [fan.riemann_invariants(pi.u[k], pi.v[k], pgas, TAU0)[0]
           for k in range(0, pi.params.size, 16)]
     assert max(rp) - min(rp) < 1e-9
 
@@ -420,7 +423,49 @@ def test_solve_wedge_state_mid(branches):
     u, v, _ = ij.state(tau_w)
     assert abs(math.atan2(v, u) - SIGMA_IJ_MID) < 1e-12
     assert tau_w == pytest.approx(TAU_W_MID, rel=1e-10)
-    assert wc.solve_wedge_state(SIGMA_IJ_MID, ij, all_roots=True) == [tau_w]
+    # the only crossing: one bracketing sample interval, no sample on it
+    f = np.arctan2(ij.v, ij.u) - SIGMA_IJ_MID
+    assert np.count_nonzero(f[:-1] * f[1:] < 0.0) == 1
+    assert not np.any(np.abs(f) <= 1e-13)
+
+
+def _deflection_branch(params, sigma):
+    """A branch of unit speed whose flow angle is sigma(param)."""
+    def state(t):
+        return math.cos(sigma(t)), math.sin(sigma(t)), 0.0
+
+    u, v, _ = np.array([state(t) for t in params]).T
+    return wc.WaveCurveBranch(
+        param_label="tau_f", param_range=(params[0], params[-1]),
+        params=params, u=u, v=v, angle=np.zeros(params.size),
+        evaluator=state)
+
+
+def _bump(t):
+    # rises to 0.4 at t = 1/4 and falls back: two crossings of 0.35
+    return 0.3 + 0.1 * math.sin(2.0 * math.pi * t)
+
+
+def test_solve_wedge_state_takes_the_first_crossing(monkeypatch):
+    # crossings at t = 1/12 and 5/12, both inside sample intervals
+    roots = _count_calls(monkeypatch, wc, "brentq")
+    b = _deflection_branch(np.linspace(0.0, 1.0, 64), _bump)
+    assert wc.solve_wedge_state(0.35, b) == pytest.approx(1.0 / 12.0,
+                                                          abs=1e-12)
+    assert len(roots) == 1
+
+
+@pytest.mark.parametrize("offset", [0.0, 5e-14], ids=["on", "within"])
+def test_solve_wedge_state_takes_a_sample_on_the_first_crossing(
+        monkeypatch, offset):
+    # theta_w on, or within 1e-13 of, the sample k = 5 of the rising flank;
+    # next to it a sample interval brackets the same crossing (offset > 0)
+    # and a later one the falling crossing: the sample wins, unsolved
+    roots = _count_calls(monkeypatch, wc, "brentq")
+    b = _deflection_branch(np.linspace(0.0, 1.0, 64), _bump)
+    theta_w = math.atan2(b.v[5], b.u[5]) + offset
+    assert wc.solve_wedge_state(theta_w, b) == b.params[5]
+    assert roots == []
 
 
 def test_solve_wedge_state_endpoint(branches):
