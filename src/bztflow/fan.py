@@ -411,8 +411,11 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
 # ---------------------------------------------------------------------------
 # turning integrals on one isentrope
 
-# (nodes, weights) of the 24- and 20-point Gauss-Legendre rules on [-1, 1]
-_GL24, _GL20 = (np.polynomial.legendre.leggauss(n) for n in (24, 20))
+# weights of the 24- and 20-point Gauss-Legendre rules on [-1, 1], and
+# the nodes of both in one array
+(_X24, _W24), (_X20, _W20) = (np.polynomial.legendre.leggauss(n)
+                              for n in (24, 20))
+_GL_X = np.concatenate((_X24, _X20))
 
 
 def _volume_rate(tau, pgas, xp):
@@ -430,8 +433,8 @@ def turning_chain(taus, pgas):
     no root; every volume between consecutive taus must be supersonic."""
     taus = np.asarray(taus, dtype=float)
     mid, half = 0.5 * (taus[1:] + taus[:-1]), 0.5 * (taus[1:] - taus[:-1])
-    i24, i20 = (half * (_volume_rate(mid[:, None] + half[:, None] * x, pgas,
-                                     np) @ w) for x, w in (_GL24, _GL20))
+    rate = _volume_rate(mid[:, None] + half[:, None] * _GL_X, pgas, np)
+    i24, i20 = half * (rate[:, :24] @ _W24), half * (rate[:, 24:] @ _W20)
     return [0.0] + np.cumsum(i24).tolist(), float(np.abs(i24 - i20).sum())
 
 

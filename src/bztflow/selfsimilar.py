@@ -33,7 +33,7 @@ from .fan import FanSolution, integrate_fan, turning_chain
 # ramp_context stays bound here: the benchmark tracer wraps
 # selfsimilar.ramp_context
 from .wavecurves import (ramp_context, shock_fan_shock_branch,  # noqa: F401
-                         solve_wedge_state, tail_shock_solution)
+                         wall_tail_shock)
 
 
 class _Vacuum:
@@ -244,7 +244,7 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
     """
     branch = shock_fan_shock_branch(u0, tau0, pgas)
     ctx = branch.context
-    tau_w = solve_wedge_state(theta_w, branch)
+    tail = wall_tail_shock(theta_w, branch)
 
     head_front = FlowState(u0, 0.0, tau0, pgas.S)
     head_back = FlowState(ctx.u_po, ctx.v_po, ctx.tau_po, pgas.S)
@@ -252,8 +252,7 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
                                 phi=ctx.phi_po, m=ctx.n_po / tau0, kind="")
     head = replace(head, kind=classify(head, pgas.gas))
 
-    tail = tail_shock_solution(branch, tau_w)
-    attached = ctx.fan(tau_w)
+    attached = ctx.fan(tail)
     alpha_tail = attached.theta_end
 
     q_t, c_t = tail.back.q, pgas.c(tail.back.tau)
@@ -267,8 +266,9 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
         Piece("fan", ctx.phi_po, alpha_tail, fan=attached),
         Piece("constant", alpha_tail, theta_w, state=wall),
     )
-    meta = {"pgas": pgas, "context": ctx, "branch": branch, "tau_w": tau_w,
-            "phi_po": ctx.phi_po, "alpha_tail": alpha_tail}
+    meta = {"pgas": pgas, "context": ctx, "branch": branch,
+            "tau_w": tail.front.tau, "phi_po": ctx.phi_po,
+            "alpha_tail": alpha_tail}
     return SelfSimilarSolution(PotentialModel(pgas), theta_w,
                                (ctx.phi_po, alpha_tail), pieces,
                                ((ctx.phi_po, head), (alpha_tail, tail)), meta)

@@ -457,7 +457,9 @@ def liu_condition_check(tau_f, tau_b, pgas, slack=1e-10):
     if d_max < 0.5 * slack * abs(m2_b) * (tau_f - t_last) * (tau_f + t_last):
         return True
     tt = np.linspace(tau_b, tau_f, LIU_GRID + 2)[:-1]
-    m2 = mass_flux_squared_potential(tau_f, tt, pgas, xp=np)
+    # points rounded onto tau_f (a 0/0 flux) are dropped, so a chord
+    # narrower than the grid keeps only points on tau_b and reads True
+    m2 = mass_flux_squared_potential(tau_f, tt[tt < tau_f], pgas, xp=np)
     return bool(np.all(m2[1:] < m2[0] + slack * abs(m2[0])))
 
 

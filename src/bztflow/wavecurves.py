@@ -32,6 +32,7 @@ that series, the type the Euler fans have.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -57,6 +58,8 @@ BRANCH_POINTS = 512
 # step of the central-difference branch tangent, relative to the branch's
 # parameter range
 TANGENT_STEP = 1e-6
+# tolerance of the wedge root, relative to 1 + |tau_w|
+WEDGE_XTOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +129,16 @@ class RampWaveContext:
         return q_hat * math.cos(sigma_hat), q_hat * math.sin(sigma_hat), \
             sigma_hat + math.asin(pg.c(tau) / q_hat)
 
-    def fan(self, tau_tail):
+    def fan(self, tail):
         """The attached fan as a FanSolution on the stored series, from its
-        head at P down to the volume tau_tail, with its end states and rays
-        from fan_state."""
-        def end(tau):
-            u, v, alpha = self.fan_state(tau)
-            return alpha, (math.hypot(u, v), tau, math.atan2(v, u))
-
-        alpha_head, head = end(self.tau_po)
-        alpha_tail, tail = end(tau_tail)
-        return FanSolution(alpha_head, alpha_tail, self.pgas.S, head, tail,
-                           self.turning)
+        head at P down to the front of the tail shock `tail`
+        (wall_tail_shock), whose inclination is the fan's last ray."""
+        front = tail.front
+        alpha_head = self.sigma_po + math.asin(self.pgas.c(self.tau_po)
+                                               / self.q_po)
+        return FanSolution(alpha_head, tail.phi, self.pgas.S,
+                           (self.q_po, self.tau_po, self.sigma_po),
+                           (front.q, front.tau, front.sigma), self.turning)
 
     def tail_back_volume(self, tau_f):
         if tau_f <= self.tau1_i * (1.0 + _TAIL_EPS):
@@ -325,9 +326,12 @@ def polar_branch_II(u0, tau0, pgas):
     # step off the detached side, where polar_state would reject the root
     while f(tau_n) > 0.0:
         tau_n = math.nextafter(tau_n, hi)
+    # the normal shock on the first node (asin of the rounded ratio: ~1e-8)
+    normal = (*oblique_back_velocity(u0, 0.0, 0.5 * math.pi, tau0, tau_n),
+              0.5 * math.pi)
+    state = lambda t: normal if t == tau_n else ctx.polar_state(t)
     grid = _graded_grid(tau_n, tau_pr_po, open_hi=True)
-    return _assemble("tau_b", (tau_n, tau_pr_po), grid, ctx.polar_state,
-                     ctx)
+    return _assemble("tau_b", (tau_n, tau_pr_po), grid, state, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +398,11 @@ def deflection_range(branch_IJ):
     return out[0], out[1]
 
 
-def solve_wedge_state(theta_w, branch_IJ):
-    """Parameter tau_w on the composite branch whose back-state flow
-    angle equals theta_w: the first sample within 1e-13 of it, or the
-    root in the first sample interval that brackets it, whichever comes
-    first in ascending parameter.  So with several crossings the smallest
-    parameter wins, after at most one root solve.
-    """
-    p = branch_IJ.params
-    f_nodes = np.arctan2(branch_IJ.v, branch_IJ.u) - theta_w
+def _wedge_root(theta_w, branch, g):
+    """(t, extra) at solve_wedge_state's tau_w, g(t) giving the exact
+    (deflection - theta_w, extra) and extra None on a sample hit."""
+    p = branch.params
+    f_nodes = np.arctan2(branch.v, branch.u) - theta_w
     # event 2k: sample k hits theta_w; event 2k + 1: (p[k], p[k+1]) brackets
     events = np.empty(2 * p.size - 1, dtype=bool)
     events[0::2] = np.abs(f_nodes) <= 1e-13
@@ -412,9 +412,58 @@ def solve_wedge_state(theta_w, branch_IJ):
             f"no-root: theta_w={theta_w} is not attained on the branch")
     k, brackets = divmod(int(np.argmax(events)), 2)
     if not brackets:
-        return float(p[k])
-    return brentq(lambda t: _deflection(branch_IJ, t) - theta_w, p[k],
-                  p[k + 1], xtol=1e-14)
+        return float(p[k]), None
+    lo = max(min(k - 1, p.size - 4), 0)
+    ts, fs = p[lo:lo + 4].tolist(), f_nodes[lo:lo + 4].tolist()
+    (a, b), (fa, fb) = ts[k - lo:k - lo + 2], fs[k - lo:k - lo + 2]
+    h, slope, step_old = b - a, (b - a) / (fb - fa), math.inf
+    x = a - fa * slope
+    if len(set(fs)) == 4 and sorted(fs) in (fs, fs[::-1]):
+        # divided differences of t(f), then Horner for t, dt/df at f = 0
+        c = list(ts)
+        for j in (1, 2, 3):
+            for i in range(3, j - 1, -1):
+                c[i] = (c[i] - c[i - 1]) / (fs[i] - fs[i - j])
+        t0, dt0 = c[3], 0.0
+        for i in (2, 1, 0):
+            t0, dt0 = t0 * -fs[i] + c[i], dt0 * -fs[i] + t0
+        if a < t0 < b:
+            x, slope = t0, dt0
+    for n in itertools.count():
+        fx, extra = g(x)
+        a, b = (x, b) if (fx < 0.0) == (fa < 0.0) else (a, x)
+        if n and fx != f_old:
+            slope = (x - x_old) / (fx - f_old)
+        x_old, f_old, step = x, fx, -fx * slope
+        # converged, or stalled on the rounding noise of the deflection
+        if (min(abs(step), b - a) <= WEDGE_XTOL * (1.0 + abs(x))
+                or 1e-6 * h >= abs(step) >= 0.5 * abs(step_old)):
+            return x, extra
+        step_old, x = step, x + step
+        if n >= 8 or not a < x < b:     # bisect past 8 secant steps
+            x = 0.5 * (a + b)
+
+
+def solve_wedge_state(theta_w, branch_IJ):
+    """Parameter tau_w on the composite branch whose back-state flow
+    angle equals theta_w: the first sample within 1e-13 of it, or the
+    root in the first sample interval that brackets it, whichever comes
+    first in ascending parameter.  So with several crossings the smallest
+    parameter wins, and a sample hit is returned unsolved.
+
+    The root starts from the inverse cubic through the four stored
+    samples around the bracket when their deflections are strictly
+    monotone (else from the bracket's chord), and a secant seeded with
+    the cubic's slope finishes it inside the bracket and its stored end
+    values, bisecting when a step leaves the bracket or after 8 steps.
+    It returns the last exact iterate once its next step is within
+    WEDGE_XTOL (1 + |tau_w|), or once steps below 1e-6 of the bracket stop
+    halving (the deflection's rounding noise): typically two or three
+    exact evaluations on the composite branch.
+    """
+    return _wedge_root(theta_w, branch_IJ,
+                       lambda t: (_deflection(branch_IJ, t) - theta_w,
+                                  None))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +534,20 @@ def tail_back_supersonic(branch_IJ, tau_w):
     return math.hypot(u, v) > ctx.pgas.c(ctx.tail_back_volume(tau_w))
 
 
-def tail_shock_solution(branch_IJ, tau_f):
-    """The tail shock at parameter tau_f as a resolved oblique shock on
-    the branch isentrope (front on the fan branch, front-sonic flux)."""
+def wall_tail_shock(theta_w, branch_IJ):
+    """The tail shock of the wall at theta_w as a resolved oblique shock
+    on the branch isentrope: front on the fan branch at solve_wedge_state's
+    tau_w, front-sonic flux, from the fan state and back volume of the
+    root's last exact iterate."""
     ctx = _context(branch_IJ)
-    u_hat, v_hat, alpha_hat = ctx.fan_state(tau_f)
-    tau_pr = ctx.tail_back_volume(tau_f)
-    u_b, v_b = _behind_tail(u_hat, v_hat, alpha_hat, tau_f, tau_pr)
+
+    def g(t):
+        hat, tau_pr = ctx.fan_state(t), ctx.tail_back_volume(t)
+        u, v = _behind_tail(*hat, t, tau_pr)
+        return math.atan2(v, u) - theta_w, (hat, tau_pr, u, v)
+
+    tau_f, last = _wedge_root(theta_w, branch_IJ, g)
+    (u_hat, v_hat, alpha_hat), tau_pr, u_b, v_b = last or g(tau_f)[1]
     S = ctx.pgas.S
     m = (u_hat * math.sin(alpha_hat) - v_hat * math.cos(alpha_hat)) / tau_f
     sol = ObliqueShockSolution(

@@ -546,6 +546,27 @@ def test_potential_wall_study_builds_the_branch_once(monkeypatch):
         assert ss.validate(sol).ok
 
 
+def test_potential_wall_solves_few_pre_sonic_roots(monkeypatch):
+    # a wall on a built branch: each exact tail state of the wedge root
+    # solves one pre-sonic root, and the tail shock and the attached fan's
+    # end take the last iterate's fan state and back volume instead of
+    # solving again
+    pgas = _pgas()
+    wc.shock_fan_shock_branch(U0_P, TAU0_P, pgas)
+    roots = []
+    original = wc.pre_sonic_tau_potential
+
+    def counted(*args):
+        roots.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(wc, "pre_sonic_tau_potential", counted)
+    sol = ss.solve_potential_sfs(U0_P, TAU0_P, THETA_W_P, pgas)
+    assert 1 <= len(roots) <= 3
+    assert sol.meta["tau_w"] == roots[-1][0]
+    assert sol.shocks[1][1].back.tau == original(*roots[-1])
+
+
 def _reference_fan_state(ctx, theta, tau_tail):
     # the ray by bracketed root finding on one QUADPACK turning integral
     # per trial volume, the speed from the Bernoulli law
@@ -589,6 +610,9 @@ def test_potential_fan_queries_make_no_quadrature_or_root_solve(monkeypatch):
     # a fresh context builds its fan series on the first fan state; neither
     # the build nor any fan state or ray query integrates or root-solves
     ctx = wc.ramp_context(U0_P, TAU0_P, _pgas())
+    branch = wc.shock_fan_shock_branch(U0_P, TAU0_P, _pgas())
+    u, v, _ = branch.state(TAU_W_MID)
+    tail = wc.wall_tail_shock(math.atan2(v, u), branch)
     calls = []
 
     def counted(fn):
@@ -600,7 +624,7 @@ def test_potential_fan_queries_make_no_quadrature_or_root_solve(monkeypatch):
     for module, name in ((fan, "quad"), (thermo, "brentq"),
                          (shocks, "brentq"), (wc, "brentq")):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    piece = ctx.fan(TAU_W_MID)
+    piece = ctx.fan(tail)
     for tau in np.linspace(ctx.tau1_i, ctx.tau_po, 9):
         ctx.fan_state(tau)
     for f in np.linspace(0.0, 1.0, 9):

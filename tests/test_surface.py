@@ -45,8 +45,10 @@ UNCALLED = {
     "wavecurves.polar_branch_I": PAPER,
     "wavecurves.shock_fan_branch": PAPER,
     "wavecurves.polar_branch_II": PAPER,
-    # the wall angles a state admits, read before solve_potential_sfs
+    # the wall angles a state admits, read before solve_potential_sfs, and
+    # the branch parameter of one wall on a branch of any kind
     "wavecurves.deflection_range": ENTRY,
+    "wavecurves.solve_wedge_state": ENTRY,
     # checks of the composite branch against its defining relations
     "wavecurves.H_residual": TEST,
     "wavecurves.polar_tangency_check": TEST,

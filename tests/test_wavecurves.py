@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from bztflow import fan, shocks, thermo, wavecurves as wc
 
@@ -265,8 +266,8 @@ def test_tail_shocks_admissible(branches, pgas):
     # tangency-root conditioning leaves in the back volume
     ij = branches["ij"]
     for k in range(8, ij.params.size, 32):
-        tau_f = ij.params[k]
-        sol = wc.tail_shock_solution(ij, tau_f)
+        sol = wc.wall_tail_shock(math.atan2(ij.v[k], ij.u[k]), ij)
+        tau_f = sol.front.tau
         assert sol.kind == "pre_sonic"
         for r in shocks.rh_residuals_potential(sol, pgas):
             assert abs(r) < 1e-10
@@ -304,7 +305,12 @@ def test_composite_deflection_free_of_rounding_noise(branches, frac):
 def test_polar_branch_II_normal_point(branches):
     jn = branches["jn"]
     assert jn.params[0] == pytest.approx(TAU_N, rel=1e-10)
-    assert abs(jn.v[0]) < 1e-8
+    # the first node is the normal shock, at no deflection to rounding,
+    # wherever the solved normal volume rounds
+    for u0 in np.linspace(0.30, 0.34, 41):
+        pg = thermo.PotentialGas.from_state(G15, S98, float(u0), TAU0,
+                                            bernoulli=1.0)
+        assert abs(wc.polar_branch_II(float(u0), TAU0, pg).v[0]) < 1e-8
     assert np.all(jn.v[1:] > 0.0)
     u, v, _ = jn.state(TAU_B_MID_JN)
     assert u == pytest.approx(U_JN_MID, rel=1e-12)
@@ -446,26 +452,72 @@ def _bump(t):
     return 0.3 + 0.1 * math.sin(2.0 * math.pi * t)
 
 
-def test_solve_wedge_state_takes_the_first_crossing(monkeypatch):
-    # crossings at t = 1/12 and 5/12, both inside sample intervals
-    roots = _count_calls(monkeypatch, wc, "brentq")
-    b = _deflection_branch(np.linspace(0.0, 1.0, 64), _bump)
+def _counted_branch(params, sigma):
+    # a _deflection_branch whose evaluator records each exact evaluation
+    b = _deflection_branch(params, sigma)
+    calls = []
+
+    def state(t):
+        calls.append(t)
+        return b.evaluator(t)
+    return replace(b, evaluator=state), calls
+
+
+def test_solve_wedge_state_takes_the_first_crossing():
+    # crossings at t = 1/12 and 5/12, both inside sample intervals; the
+    # four samples about the first are monotone, so the root starts from
+    # their inverse cubic and takes a few exact evaluations
+    b, calls = _counted_branch(np.linspace(0.0, 1.0, 64), _bump)
     assert wc.solve_wedge_state(0.35, b) == pytest.approx(1.0 / 12.0,
                                                           abs=1e-12)
-    assert len(roots) == 1
+    assert 1 <= len(calls) <= 3
+    assert all(b.params[5] < t < b.params[6] for t in calls)
+
+
+def test_solve_wedge_state_without_a_monotone_cubic():
+    # on 8 samples the four about the first crossing rise and fall: the
+    # root starts from the bracket's chord instead, and still returns the
+    # first crossing, not the one at 5/12
+    b, calls = _counted_branch(np.linspace(0.0, 1.0, 8), _bump)
+    (a, c), (fa, fc) = b.params[:2], np.arctan2(b.v[:2], b.u[:2]) - 0.35
+    assert wc.solve_wedge_state(0.35, b) == pytest.approx(1.0 / 12.0,
+                                                          abs=1e-12)
+    assert calls[0] == pytest.approx(a - fa * (c - a) / (fc - fa),
+                                     rel=1e-15)
+    assert all(a < t < c for t in calls)
 
 
 @pytest.mark.parametrize("offset", [0.0, 5e-14], ids=["on", "within"])
-def test_solve_wedge_state_takes_a_sample_on_the_first_crossing(
-        monkeypatch, offset):
+def test_solve_wedge_state_takes_a_sample_on_the_first_crossing(offset):
     # theta_w on, or within 1e-13 of, the sample k = 5 of the rising flank;
     # next to it a sample interval brackets the same crossing (offset > 0)
-    # and a later one the falling crossing: the sample wins, unsolved
-    roots = _count_calls(monkeypatch, wc, "brentq")
-    b = _deflection_branch(np.linspace(0.0, 1.0, 64), _bump)
+    # and a later one the falling crossing: the sample wins, unevaluated
+    b, calls = _counted_branch(np.linspace(0.0, 1.0, 64), _bump)
     theta_w = math.atan2(b.v[5], b.u[5]) + offset
     assert wc.solve_wedge_state(theta_w, b) == b.params[5]
-    assert roots == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["fixture", "204/12", "209/15"])
+def test_wedge_root_matches_a_tight_brentq(case):
+    # walls across each window, next to both extremes too: the secant's
+    # root against brentq at xtol 1e-15 on the same first bracket, and the
+    # tail shock of the wall seated at the same parameter
+    g, S, u0, tau0 = RAMP_STATES[case]
+    pg = thermo.PotentialGas.from_state(thermo.GasModel(g), S, u0, tau0,
+                                        bernoulli=1.0)
+    b = wc.shock_fan_shock_branch(u0, tau0, pg)
+    sigma_m, sigma_M = wc.deflection_range(b)
+    for frac in (0.02, 0.25, 0.5, 0.75, 0.98):
+        theta_w = sigma_m + frac * (sigma_M - sigma_m)
+        f = np.arctan2(b.v, b.u) - theta_w
+        k = int(np.argmax(f[:-1] * f[1:] < 0.0))
+        assert not np.any(np.abs(f[:k + 1]) <= 1e-13)
+        ref = brentq(lambda t: wc._deflection(b, t) - theta_w, b.params[k],
+                     b.params[k + 1], xtol=1e-15)
+        tau_w = wc.solve_wedge_state(theta_w, b)
+        assert tau_w == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert wc.wall_tail_shock(theta_w, b).front.tau == tau_w
 
 
 def test_solve_wedge_state_endpoint(branches):
