@@ -12,7 +12,7 @@ Modules:
   thermo          reduced van der Waals relations, loci, entropy landmarks
   shocks          oblique shock jump relations, sonic shock families
   fan             centered expansion fans and turning-angle integrals
-  characteristics characteristic frames, directional derivatives, identities
+  characteristics characteristic frames and the decomposition residuals
   wavecurves      composite wave curves in the hodograph plane
   selfsimilar     self-similar ramp-flow assemblies (fan-shock-fan and
                   shock-fan-shock)

@@ -1,25 +1,20 @@
 """
-Characteristic geometry of 2D steady supersonic flow, and numerical
-residual evaluators for the commutator relations and characteristic
-decompositions that the wave constructions lean on.
+Characteristic frames of 2D steady supersonic flow, and numerical
+residual evaluators for the characteristic decompositions that the wave
+constructions lean on.
 
 A supersonic state (u, v) with sound speed c carries a frame of angles:
 the flow angle sigma = atan2(v, u), the Mach angle A = arcsin(c/q), and
-the two characteristic angles alpha = sigma + A, beta = sigma - A. The
-plus/minus characteristic slopes are tan(alpha) and tan(beta), and the
-velocity is recovered from the frame by u = c cos(sigma)/sin(A),
-v = c sin(sigma)/sin(A).
+the two characteristic angles alpha = sigma + A, beta = sigma - A.
 
-Directional derivatives along the frame directions,
+The decompositions are written in the derivatives along the two
+characteristic directions,
 
     d+ = cos(alpha) d_x + sin(alpha) d_y,
     d- = cos(beta)  d_x + sin(beta)  d_y,
-    d0 = cos(sigma) d_x + sin(sigma) d_y,
 
-do not commute when the frame varies in space; the residual evaluators
-below check the exact exchange relations against black-box flow fields.
-The operators take their direction as a frame-angle getter: PLUS, MINUS
-and STREAM read alpha, beta and sigma off a frame.
+which the operators take as a frame-angle getter: PLUS and MINUS read
+alpha and beta off a frame.
 First derivatives are taken by central differences of step h along the
 frame direction of the evaluation point; the second (nested) application
 uses a forward step, so the composed residuals shrink at first order
@@ -56,22 +51,18 @@ class CharacteristicFrame:
     """Angle frame of one supersonic state.
 
     sigma: flow angle; A: Mach angle; alpha/beta: plus and minus
-    characteristic angles; lambda_plus/lambda_minus: the slopes
-    tan(alpha), tan(beta).
+    characteristic angles.
     """
 
     sigma: float
     A: float
     alpha: float
     beta: float
-    lambda_plus: float
-    lambda_minus: float
 
 
-# frame-angle getters: the directions of d+, d- and d0
+# frame-angle getters: the directions of d+ and d-
 PLUS = attrgetter("alpha")
 MINUS = attrgetter("beta")
-STREAM = attrgetter("sigma")
 
 
 def frame_from_state(u, v, c):
@@ -84,92 +75,8 @@ def frame_from_state(u, v, c):
         raise ValueError(f"subsonic: speed q={q} not above sound speed c={c}")
     sigma = math.atan2(v, u)
     A = math.asin(c / q)
-    alpha = sigma + A
-    beta = sigma - A
-    return CharacteristicFrame(sigma=sigma, A=A, alpha=alpha, beta=beta,
-                               lambda_plus=math.tan(alpha),
-                               lambda_minus=math.tan(beta))
-
-
-def velocity_from_frame(frame, c):
-    """(u, v) = c (cos sigma, sin sigma)/sin A, inverse of frame_from_state."""
-    f = c / math.sin(frame.A)
-    return f * math.cos(frame.sigma), f * math.sin(frame.sigma)
-
-
-# ---------------------------------------------------------------------------
-# pointwise samples
-
-@dataclass(frozen=True)
-class FieldSample:
-    """One state and its first plane partials at a point."""
-
-    u: float
-    v: float
-    tau: float
-    S: float
-    u_x: float
-    u_y: float
-    v_x: float
-    v_y: float
-    tau_x: float
-    tau_y: float
-    S_x: float
-    S_y: float
-
-    @property
-    def omega(self):
-        """Vorticity u_y - v_x."""
-        return self.u_y - self.v_x
-
-
-@dataclass(frozen=True)
-class Directional:
-    """Directional derivatives of the four state components."""
-
-    u: float
-    v: float
-    tau: float
-    S: float
-
-
-def _project(sample, theta):
-    cx, sy = math.cos(theta), math.sin(theta)
-    return Directional(u=cx * sample.u_x + sy * sample.u_y,
-                       v=cx * sample.v_x + sy * sample.v_y,
-                       tau=cx * sample.tau_x + sy * sample.tau_y,
-                       S=cx * sample.S_x + sy * sample.S_y)
-
-
-def directional_derivatives(sample, frame):
-    """(d+, d-, d0) of the sample's components along the frame directions.
-
-    Satisfies d+ + d- = 2 cos(A) d0 componentwise.
-    """
-    return tuple(_project(sample, angle(frame))
-                 for angle in (PLUS, MINUS, STREAM))
-
-
-def plane_gradient(dplus, dminus, frame):
-    """Recover the plane partials (d_x, d_y) from the pair (d+, d-).
-
-    Inverts the 2x2 direction system; sin(2A) never vanishes on a strictly
-    supersonic frame.
-    """
-    s2A = math.sin(2.0 * frame.A)
-    sa, sb = math.sin(frame.alpha), math.sin(frame.beta)
-    ca, cb = math.cos(frame.alpha), math.cos(frame.beta)
-
-    def inv(p, m):
-        return (-(sb * p - sa * m) / s2A, (cb * p - ca * m) / s2A)
-
-    gx = {}
-    gy = {}
-    for name in ("u", "v", "tau", "S"):
-        x, y = inv(getattr(dplus, name), getattr(dminus, name))
-        gx[name] = x
-        gy[name] = y
-    return Directional(**gx), Directional(**gy)
+    return CharacteristicFrame(sigma=sigma, A=A, alpha=sigma + A,
+                               beta=sigma - A)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +142,8 @@ class PotentialFlowField:
 def dbar(field, scalar, direction, h):
     """Central-difference derivative of scalar(x, y) as a new callable.
 
-    direction is a frame-angle getter, PLUS, MINUS or STREAM for d+, d- or
-    d0; it is read at each evaluation point's own frame.
+    direction is a frame-angle getter, PLUS or MINUS for d+ or d-; it is
+    read at each evaluation point's own frame.
     """
     def d(x, y):
         th = direction(field.frame(x, y))
@@ -256,42 +163,12 @@ def _dbar_forward(field, scalar, direction, h):
     return d
 
 
-def _mixed(field, f, g, other, point, h):
-    # (d_o d+ f, d+ d_o g, d+ f, d_o g) at the point, d_o along other
+def _mixed(field, f, g, point, h):
+    # (d- d+ f, d+ d- g, d+ f, d- g) at the point
     dp = dbar(field, f, PLUS, h)
-    do = dbar(field, g, other, h)
-    return (_dbar_forward(field, dp, other, h)(*point),
-            _dbar_forward(field, do, PLUS, h)(*point), dp(*point), do(*point))
-
-
-# ---------------------------------------------------------------------------
-# commutator residuals
-
-def commutator_residual(field, point, h, other=MINUS, test=None):
-    """Residual of the exchange relation of d+ with another frame derivative.
-
-    other is the frame-angle getter MINUS or STREAM of the derivative d_o,
-    at the angle gamma, and delta = alpha - gamma is the angle between the
-    two directions (2A for MINUS, A for STREAM). Checks
-
-        (d_o d+ - d+ d_o) f = [ (cos(delta) d+gamma - d_o alpha) d_o f
-                                - (d+gamma - cos(delta) d_o alpha) d+ f ]
-                              / sin(delta).
-
-    f defaults to the field's density. Returns |lhs - rhs|; first order
-    in h on smooth fields.
-    """
-    if test is None:
-        test = field.density
-    fr0 = field.frame(*point)
-    delta = PLUS(fr0) - other(fr0)
-
-    dodp, dpdo, dp0, do0 = _mixed(field, test, test, other, point, h)
-    dpg = dbar(field, lambda x, y: other(field.frame(x, y)), PLUS, h)(*point)
-    doa = dbar(field, lambda x, y: PLUS(field.frame(x, y)), other, h)(*point)
-    cd = math.cos(delta)
-    rhs = ((cd * dpg - doa) * do0 - (dpg - cd * doa) * dp0) / math.sin(delta)
-    return abs(dodp - dpdo - rhs)
+    dm = dbar(field, g, MINUS, h)
+    return (_dbar_forward(field, dp, MINUS, h)(*point),
+            _dbar_forward(field, dm, PLUS, h)(*point), dp(*point), dm(*point))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +190,7 @@ def decomposition_residual_potential(field, point, h):
 
     rp_of = lambda x, y: field.invariants(x, y)[0]
     rm_of = lambda x, y: field.invariants(x, y)[1]
-    lhs_plus, lhs_minus, dp0, dm0 = _mixed(field, rp_of, rm_of, MINUS,
-                                           point, h)
+    lhs_plus, lhs_minus, dp0, dm0 = _mixed(field, rp_of, rm_of, point, h)
 
     u, v = field.state(*point)
     q = math.hypot(u, v)
@@ -354,7 +230,7 @@ def decomposition_residual_euler_isentropic(field, point, h):
             "apply")
 
     lhs_plus, lhs_minus, dp0, dm0 = _mixed(field, field.density,
-                                           field.density, MINUS, point, h)
+                                           field.density, point, h)
 
     u, v, tau, S = field.state(*point)
     c = sound_speed(tau, S, field.gas)

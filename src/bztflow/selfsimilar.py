@@ -99,10 +99,10 @@ def evaluate(solution, x, y):
     On a shock ray the upstream (larger-angle) side is returned; inside
     a cavitation sector the distinguished VACUUM value is returned.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"outside-domain: x={x} not positive")
     theta = math.atan2(y, x)
-    if theta <= solution.theta_w:
+    if not theta > solution.theta_w:
         raise ValueError(
             f"outside-domain: theta={theta} at or below the wall angle "
             f"{solution.theta_w}")
@@ -142,9 +142,9 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
     c0 = None
     if tau0 > 1.0:
         c0 = sound_speed(tau0, S0, gas)
-        if u0 <= c0:
+        if not u0 > c0:
             clauses.append(f"u0={u0} not above c0={c0}")
-    if theta_w >= 0.0:
+    if not theta_w < 0.0:
         clauses.append(f"theta_w={theta_w} not negative")
     if clauses:
         raise ValueError("assumption-A1-violated: " + "; ".join(clauses))

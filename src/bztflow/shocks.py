@@ -217,18 +217,15 @@ def eta_roots(tau_k, p_k, m2, gas):
 # ---------------------------------------------------------------------------
 # sonic shock families, Euler side
 
-def double_sonic_back_state(tau_f, gas, S_f=None):
+def double_sonic_back_state(tau_f, gas, S_f):
     """
     Back state of the shock whose chord is tangent to the isentropes at
     both endpoints, given the front volume on the tangent-point locus.
 
     Returns (tau_b, S_b, m) with tau_b = eta_hat(tau_f) tau_f and S_b the
-    locus entropy at tau_b; |m| equals rho c on both sides. S_f defaults
-    to the locus entropy at tau_f; if given, it is checked against the
-    locus ("not-on-locus" on mismatch).
+    locus entropy at tau_b; |m| equals rho c on both sides. The front
+    entropy S_f is checked against the locus ("not-on-locus" on mismatch).
     """
-    if S_f is None:
-        S_f = double_sonic_entropy(tau_f, gas)
     p_f = pressure(tau_f, S_f, gas)
     d_f = double_sonic_locus(tau_f, gas)
     if abs(p_f - d_f) > LOCUS_TOL * max(abs(p_f), abs(d_f), 1e-30):
@@ -480,22 +477,6 @@ def oblique_back_velocity(u_f, v_f, phi, tau_f, tau_b):
             f"expansive-normal: upstream normal component N={dec.N} <= 0")
     back = VelocityDecomposition(L=dec.L, N=tau_b / tau_f * dec.N, phi=phi)
     return back.velocity()
-
-
-def shock_angle(u, v, N):
-    """
-    Front inclination phi = sigma + arcsin(N/q) for a given upstream
-    normal component N, with sigma the flow direction.
-
-    Raises ValueError("normal-exceeds-speed...") if N > q and
-    ValueError("expansive-normal...") if N <= 0.
-    """
-    q = math.hypot(u, v)
-    if N > q:
-        raise ValueError(f"normal-exceeds-speed: N={N} > q={q}")
-    if N <= 0.0:
-        raise ValueError(f"expansive-normal: N={N} <= 0")
-    return math.atan2(v, u) + math.asin(N / q)
 
 
 def classify(sol, gas):

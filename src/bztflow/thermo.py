@@ -134,13 +134,6 @@ def enthalpy(tau, S, gas):
             + S / (tau - 1.0) ** g - 2.0 / tau)
 
 
-def enthalpy_S(tau, S, gas):
-    """d h / d S at fixed tau."""
-    g = gas.gamma
-    return (g / ((g - 1.0) * (tau - 1.0) ** (g - 1.0))
-            + 1.0 / (tau - 1.0) ** g)
-
-
 # ---------------------------------------------------------------------------
 # the two organising loci
 
@@ -323,9 +316,6 @@ class PotentialGas:
         return cls(gas=gas, S=S, bernoulli=bernoulli, h_ref=h_ref)
 
     # -- curve evaluations on the frozen isentrope ------------------------
-    def p(self, tau):
-        return pressure(tau, self.S, self.gas)
-
     def p_tau(self, tau):
         return pressure_tau(tau, self.S, self.gas)
 

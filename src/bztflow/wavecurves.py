@@ -203,7 +203,6 @@ class WaveCurveBranch:
     inclination phi on the polar branches and the ray angle alpha_hat on
     the fan-based ones; `evaluator` gives (u, v, angle) at any param."""
 
-    param_label: str
     param_range: tuple
     params: np.ndarray
     u: np.ndarray
@@ -239,7 +238,7 @@ def _graded_grid(lo, hi, open_hi=False):
     return np.unique(pts)
 
 
-def _assemble(label, rng, grid, fn, ctx):
+def _assemble(rng, grid, fn, ctx):
     uu = np.empty(grid.size)
     vv = np.empty(grid.size)
     aa = np.empty(grid.size)
@@ -248,8 +247,8 @@ def _assemble(label, rng, grid, fn, ctx):
     # a memoised branch is handed to every caller of its incoming state
     for arr in (grid, uu, vv, aa):
         arr.setflags(write=False)
-    return WaveCurveBranch(param_label=label, param_range=rng, params=grid,
-                           u=uu, v=vv, angle=aa, context=ctx, evaluator=fn)
+    return WaveCurveBranch(param_range=rng, params=grid, u=uu, v=vv,
+                           angle=aa, context=ctx, evaluator=fn)
 
 
 def polar_branch_I(u0, tau0, pgas):
@@ -262,8 +261,7 @@ def polar_branch_I(u0, tau0, pgas):
     """
     ctx = ramp_context(u0, tau0, pgas)
     grid = _graded_grid(ctx.tau_po, tau0, open_hi=True)
-    return _assemble("tau_b", (ctx.tau_po, tau0), grid, ctx.polar_state,
-                     ctx)
+    return _assemble((ctx.tau_po, tau0), grid, ctx.polar_state, ctx)
 
 
 def _require_supersonic_post_state(ctx):
@@ -281,8 +279,7 @@ def shock_fan_branch(u0, tau0, pgas):
     ctx = ramp_context(u0, tau0, pgas)
     _require_supersonic_post_state(ctx)
     grid = _graded_grid(ctx.tau1_i, ctx.tau_po)
-    return _assemble("tau", (ctx.tau1_i, ctx.tau_po), grid, ctx.fan_state,
-                     ctx)
+    return _assemble((ctx.tau1_i, ctx.tau_po), grid, ctx.fan_state, ctx)
 
 
 def shock_fan_shock_branch(u0, tau0, pgas):
@@ -305,8 +302,7 @@ def _shock_fan_shock_branch(u0, tau0, pgas):
     ctx = ramp_context(u0, tau0, pgas)
     _require_supersonic_post_state(ctx)
     grid = _graded_grid(ctx.tau1_i, ctx.tau_po)
-    return _assemble("tau_f", (ctx.tau1_i, ctx.tau_po), grid,
-                     ctx.tail_state, ctx)
+    return _assemble((ctx.tau1_i, ctx.tau_po), grid, ctx.tail_state, ctx)
 
 
 def polar_branch_II(u0, tau0, pgas):
@@ -331,7 +327,7 @@ def polar_branch_II(u0, tau0, pgas):
               0.5 * math.pi)
     state = lambda t: normal if t == tau_n else ctx.polar_state(t)
     grid = _graded_grid(tau_n, tau_pr_po, open_hi=True)
-    return _assemble("tau_b", (tau_n, tau_pr_po), grid, state, ctx)
+    return _assemble((tau_n, tau_pr_po), grid, state, ctx)
 
 
 # ---------------------------------------------------------------------------

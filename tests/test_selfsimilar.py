@@ -310,6 +310,27 @@ def test_euler_precondition_errors(u0, tau0, S0, theta_w, msg):
         ss.solve_euler_fsf(u0, tau0, S0, theta_w, G15)
 
 
+_BUILDS = {"euler": _euler_sol, "vacuum": _vacuum_sol,
+           "potential": _potential_sol}
+
+
+@pytest.mark.parametrize("call, msg", [
+    (lambda: ss.solve_euler_fsf(math.nan, TAU0_R, S98, -0.5, G15),
+     "assumption-A1-violated: u0=nan not above"),
+    (lambda: ss.solve_euler_fsf(U0_R, TAU0_R, S98, math.nan, G15),
+     "assumption-A1-violated: theta_w=nan not negative"),
+    *[(lambda b=build, p=point: ss.evaluate(b(), *p), "outside-domain")
+      for build in _BUILDS.values()
+      for point in ((math.nan, 1.0), (1.0, math.nan))],
+], ids=["solve-u0", "solve-theta_w",
+        *[f"{name}-{axis}" for name in _BUILDS for axis in "xy"]])
+def test_nan_inputs_raise_coded_errors(call, msg):
+    # every comparison with NaN is false, so the domain tests are written
+    # to fail closed
+    with pytest.raises(ValueError, match=msg):
+        call()
+
+
 @settings(max_examples=25, deadline=None)
 @given(theta=st.floats(min_value=THETA_W_R + 1e-6,
                        max_value=0.5 * math.pi - 1e-6))

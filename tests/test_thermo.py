@@ -346,8 +346,6 @@ def test_enthalpy_consistency():
             assert central(
                 lambda t: thermo.enthalpy(t, S, gas), tau) == pytest.approx(
                     tau * thermo.pressure_tau(tau, S, gas), abs=1e-8)
-            assert thermo.enthalpy_S(tau, S, gas) == pytest.approx(
-                central(lambda s: thermo.enthalpy(tau, s, gas), S), rel=1e-8)
 
 
 def test_enthalpy_decays_to_zero():

@@ -413,9 +413,8 @@ def test_deflection_range_constant_branch():
         return 0.2 + 0.1 * t
 
     b = wc.WaveCurveBranch(
-        param_label="tau_f", param_range=(0.0, 1.0),
-        params=np.linspace(0.0, 1.0, 64), u=q * math.cos(0.3),
-        v=q * math.sin(0.3), angle=np.zeros(64),
+        param_range=(0.0, 1.0), params=np.linspace(0.0, 1.0, 64),
+        u=q * math.cos(0.3), v=q * math.sin(0.3), angle=np.zeros(64),
         evaluator=lambda t: (q_of(t) * math.cos(0.3),
                              q_of(t) * math.sin(0.3), 0.0))
     sm, sM = wc.deflection_range(b)
@@ -442,9 +441,8 @@ def _deflection_branch(params, sigma):
 
     u, v, _ = np.array([state(t) for t in params]).T
     return wc.WaveCurveBranch(
-        param_label="tau_f", param_range=(params[0], params[-1]),
-        params=params, u=u, v=v, angle=np.zeros(params.size),
-        evaluator=state)
+        param_range=(params[0], params[-1]), params=params, u=u, v=v,
+        angle=np.zeros(params.size), evaluator=state)
 
 
 def _bump(t):
