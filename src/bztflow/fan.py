@@ -277,9 +277,15 @@ class _Turning:
         return [m - h for m, h, _, _ in self.panels]
 
     def sigma_at(self, u):
-        """sigma at u, by Clenshaw on the panel holding u."""
-        p = max(bisect_right(self._lower_edges, u) - 1, 0)
-        mid, hw, c0, rest = self.panels[p]
+        """sigma at u, a float or an array, by Clenshaw on the panel
+        holding each u."""
+        if isinstance(u, float):
+            p = max(bisect_right(self._lower_edges, u) - 1, 0)
+            mid, hw, c0, rest = self.panels[p]
+        else:
+            p = np.searchsorted(self._lower_edges, u, "right").clip(1) - 1
+            mid, hw, c0, rest = (np.array(col)[p] for col in zip(*self.panels))
+            rest = rest.T       # one row per coefficient, one column per u
         return _clenshaw(c0, rest, (u - mid) / hw)
 
     def ray(self, theta):

@@ -118,8 +118,9 @@ def evaluate(solution, x, y):
 
 def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
     """
-    Centred turn of the uniform supersonic stream (u0, 0) at volume tau0
-    and entropy S0 around a wall dropping at theta_w < 0.
+    Centred turn of the uniform supersonic stream (u0, 0) at finite speed
+    u0, volume tau0 and entropy S0 around a wall dropping at theta_w in
+    (-pi, 0); a direction at or below -pi is the line of one at or above 0.
 
     The incoming volume must lie below the front volume of the
     double-sonic pair of its isentrope, with the entropy between the
@@ -142,10 +143,10 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
     c0 = None
     if tau0 > 1.0:
         c0 = sound_speed(tau0, S0, gas)
-        if not u0 > c0:
-            clauses.append(f"u0={u0} not above c0={c0}")
-    if not theta_w < 0.0:
-        clauses.append(f"theta_w={theta_w} not negative")
+        if not c0 < u0 < math.inf:
+            clauses.append(f"u0={u0} not above c0={c0} or not finite")
+    if not -math.pi < theta_w < 0.0:
+        clauses.append(f"theta_w={theta_w} not negative or not above -pi")
     if clauses:
         raise ValueError("assumption-A1-violated: " + "; ".join(clauses))
 

@@ -91,11 +91,6 @@ class VelocityDecomposition:
                    N=u * math.sin(phi) - v * math.cos(phi),
                    phi=phi)
 
-    def velocity(self):
-        """Reconstruct (u, v)."""
-        sp, cp = math.sin(self.phi), math.cos(self.phi)
-        return self.N * sp + self.L * cp, self.L * sp - self.N * cp
-
 
 @dataclass(frozen=True)
 class ObliqueShockSolution:
@@ -463,20 +458,23 @@ def liu_condition_check(tau_f, tau_b, pgas, slack=1e-10):
 # ---------------------------------------------------------------------------
 # velocity bookkeeping across a front
 
-def oblique_back_velocity(u_f, v_f, phi, tau_f, tau_b):
+def oblique_back_velocity(u_f, v_f, phi, tau_f, tau_b, xp=math):
     """
     Back velocity across a front of inclination phi: tangential component
     kept, normal component scaled by tau_b/tau_f (mass conservation).
+    `xp` is math for scalars or numpy for arrays.
 
     Raises ValueError("expansive-normal...") when the upstream normal
-    component is not positive.
+    component is not positive (the least one of an array).
     """
-    dec = VelocityDecomposition.of(u_f, v_f, phi)
-    if dec.N <= 0.0:
+    sp, cp = xp.sin(phi), xp.cos(phi)
+    L, N = u_f * cp + v_f * sp, u_f * sp - v_f * cp
+    n_min = N if xp is math else N.min()
+    if n_min <= 0.0:
         raise ValueError(
-            f"expansive-normal: upstream normal component N={dec.N} <= 0")
-    back = VelocityDecomposition(L=dec.L, N=tau_b / tau_f * dec.N, phi=phi)
-    return back.velocity()
+            f"expansive-normal: upstream normal component N={n_min} <= 0")
+    N = tau_b / tau_f * N
+    return N * sp + L * cp, L * sp - N * cp
 
 
 def classify(sol, gas):

@@ -18,9 +18,12 @@ Everything lives on one isentrope and the Bernoulli constant of the
 supplied potential model is conserved across every front, so speed alone
 determines the volume throughout.  Branches are immutable once built and
 their samples (BRANCH_POINTS graded nodes) read-only; the samples only
-bracket.  Every query (distance, flow-angle extremes, wedge state,
-tangents) polishes on `state`, which re-evaluates the defining relations
-at any parameter value, so no answer interpolates between samples.
+bracket.  The composite branch takes its fan states and back velocities at
+all nodes from one array pass, around one scalar pre-sonic root per node.
+Every query (distance, flow-angle extremes, wedge state, tangents)
+polishes on `state`, the scalar evaluator, which re-evaluates the defining
+relations at any parameter value, so no answer interpolates between
+samples.
 
 The composite branch of the last incoming state is memoised: the
 deflection range of a state and the wall solves on it
@@ -118,16 +121,17 @@ class RampWaveContext:
         tr.shift(self.sigma_po - tr.sigmas[0])
         return tr
 
-    def fan_state(self, tau):
+    def fan_state(self, tau, xp=math):
         """(u, v, alpha_hat) on the fan branch at volume tau: sigma_hat from
-        the stored series, the speed from the Bernoulli law."""
+        the stored series, the speed from the Bernoulli law.  `xp` is math
+        for scalars or numpy for arrays."""
         pg = self.pgas
         tr = self.turning
         sigma_hat = tr.sigma_at(tau**-tr.k)
-        q_hat = math.sqrt(self.q_po**2
-                          + 2.0 * (pg.h(self.tau_po) - pg.h(tau)))
-        return q_hat * math.cos(sigma_hat), q_hat * math.sin(sigma_hat), \
-            sigma_hat + math.asin(pg.c(tau) / q_hat)
+        q_hat = xp.sqrt(self.q_po**2 + 2.0 * (pg.h(self.tau_po) - pg.h(tau)))
+        c = pg.c(tau) if xp is math else tau * xp.sqrt(-pg.p_tau(tau))
+        return q_hat * xp.cos(sigma_hat), q_hat * xp.sin(sigma_hat), \
+            sigma_hat + xp.asin(c / q_hat)
 
     def fan(self, tail):
         """The attached fan as a FanSolution on the stored series, from its
@@ -154,12 +158,15 @@ class RampWaveContext:
         return u, v, alpha_hat
 
 
-def _behind_tail(u_hat, v_hat, alpha_hat, tau_f, tau_pr):
+def _behind_tail(u_hat, v_hat, alpha_hat, tau_f, tau_pr, xp=math):
     # back velocity of the tail shock from the fan state at tau_f to tau_pr;
     # the front velocity itself at zero strength
-    if tau_pr >= tau_f:
-        return u_hat, v_hat
-    return oblique_back_velocity(u_hat, v_hat, alpha_hat, tau_f, tau_pr)
+    zero = tau_pr >= tau_f
+    if xp is math:
+        return (u_hat, v_hat) if zero else oblique_back_velocity(
+            u_hat, v_hat, alpha_hat, tau_f, tau_pr)
+    u, v = oblique_back_velocity(u_hat, v_hat, alpha_hat, tau_f, tau_pr, xp)
+    return xp.where(zero, u_hat, u), xp.where(zero, v_hat, v)
 
 
 def ramp_context(u0, tau0, pgas):
@@ -238,12 +245,13 @@ def _graded_grid(lo, hi, open_hi=False):
     return np.unique(pts)
 
 
-def _assemble(rng, grid, fn, ctx):
-    uu = np.empty(grid.size)
-    vv = np.empty(grid.size)
-    aa = np.empty(grid.size)
-    for k, t in enumerate(grid):
-        uu[k], vv[k], aa[k] = fn(t)
+def _sampled(fn, grid):
+    # (u, v, angle) rows of fn at the nodes, called on Python floats
+    return np.array([fn(t) for t in grid.tolist()]).T
+
+
+def _assemble(rng, grid, samples, fn, ctx):
+    uu, vv, aa = samples
     # a memoised branch is handed to every caller of its incoming state
     for arr in (grid, uu, vv, aa):
         arr.setflags(write=False)
@@ -261,7 +269,8 @@ def polar_branch_I(u0, tau0, pgas):
     """
     ctx = ramp_context(u0, tau0, pgas)
     grid = _graded_grid(ctx.tau_po, tau0, open_hi=True)
-    return _assemble((ctx.tau_po, tau0), grid, ctx.polar_state, ctx)
+    return _assemble((ctx.tau_po, tau0), grid,
+                     _sampled(ctx.polar_state, grid), ctx.polar_state, ctx)
 
 
 def _require_supersonic_post_state(ctx):
@@ -279,7 +288,8 @@ def shock_fan_branch(u0, tau0, pgas):
     ctx = ramp_context(u0, tau0, pgas)
     _require_supersonic_post_state(ctx)
     grid = _graded_grid(ctx.tau1_i, ctx.tau_po)
-    return _assemble((ctx.tau1_i, ctx.tau_po), grid, ctx.fan_state, ctx)
+    return _assemble((ctx.tau1_i, ctx.tau_po), grid,
+                     _sampled(ctx.fan_state, grid), ctx.fan_state, ctx)
 
 
 def shock_fan_shock_branch(u0, tau0, pgas):
@@ -302,7 +312,21 @@ def _shock_fan_shock_branch(u0, tau0, pgas):
     ctx = ramp_context(u0, tau0, pgas)
     _require_supersonic_post_state(ctx)
     grid = _graded_grid(ctx.tau1_i, ctx.tau_po)
-    return _assemble((ctx.tau1_i, ctx.tau_po), grid, ctx.tail_state, ctx)
+    try:
+        # fan states first: as on the scalar path, the series is built (and
+        # fails) before any root is solved
+        with np.errstate(all="raise", under="ignore"):
+            u_hat, v_hat, alpha_hat = ctx.fan_state(grid, np)
+            tau_pr = np.array([ctx.tail_back_volume(t)
+                               for t in grid.tolist()])
+            samples = (*_behind_tail(u_hat, v_hat, alpha_hat, grid, tau_pr,
+                                     np), alpha_hat)
+    except FloatingPointError:
+        # a node outside the array pass's domain: there the scalar path
+        # raises its own error
+        samples = _sampled(ctx.tail_state, grid)
+    return _assemble((ctx.tau1_i, ctx.tau_po), grid, samples,
+                     ctx.tail_state, ctx)
 
 
 def polar_branch_II(u0, tau0, pgas):
@@ -327,7 +351,8 @@ def polar_branch_II(u0, tau0, pgas):
               0.5 * math.pi)
     state = lambda t: normal if t == tau_n else ctx.polar_state(t)
     grid = _graded_grid(tau_n, tau_pr_po, open_hi=True)
-    return _assemble((tau_n, tau_pr_po), grid, state, ctx)
+    return _assemble((tau_n, tau_pr_po), grid, _sampled(state, grid), state,
+                     ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +361,11 @@ def polar_branch_II(u0, tau0, pgas):
 def _refine(f, params, k):
     """(t, f(t)) at the least of f over the samples either side of sample
     k and the bounded Brent point between them."""
-    lo, hi = params[max(k - 1, 0)], params[min(k + 1, params.size - 1)]
+    lo, hi = params[[max(k - 1, 0), min(k + 1, params.size - 1)]].tolist()
     if hi <= lo:
         return lo, f(lo)
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
+    res = minimize_scalar(lambda t: f(float(t)), bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-12})
     return min(((t, f(t)) for t in (lo, hi, float(res.x))),
                key=lambda c: c[1])
 

@@ -317,18 +317,34 @@ _BUILDS = {"euler": _euler_sol, "vacuum": _vacuum_sol,
 @pytest.mark.parametrize("call, msg", [
     (lambda: ss.solve_euler_fsf(math.nan, TAU0_R, S98, -0.5, G15),
      "assumption-A1-violated: u0=nan not above"),
+    (lambda: ss.solve_euler_fsf(math.inf, TAU0_R, S98, -0.5, G15),
+     "assumption-A1-violated: u0=inf not above"),
     (lambda: ss.solve_euler_fsf(U0_R, TAU0_R, S98, math.nan, G15),
      "assumption-A1-violated: theta_w=nan not negative"),
     *[(lambda b=build, p=point: ss.evaluate(b(), *p), "outside-domain")
       for build in _BUILDS.values()
       for point in ((math.nan, 1.0), (1.0, math.nan))],
-], ids=["solve-u0", "solve-theta_w",
+], ids=["solve-u0", "solve-u0-inf", "solve-theta_w",
         *[f"{name}-{axis}" for name in _BUILDS for axis in "xy"]])
 def test_nan_inputs_raise_coded_errors(call, msg):
     # every comparison with NaN is false, so the domain tests are written
-    # to fail closed
+    # to fail closed; an infinite speed fails the same clause
     with pytest.raises(ValueError, match=msg):
         call()
+
+
+@pytest.mark.parametrize("theta_w", [-math.inf, -4.0, -math.pi,
+                                     math.nextafter(-math.pi, 0.0), -2.0])
+def test_wall_angles_down_to_minus_pi(theta_w):
+    # a wall direction at or below -pi is the line of one at or above 0;
+    # above it a convex corner may turn the flow past pi/2
+    if theta_w <= -math.pi:
+        with pytest.raises(ValueError,
+                           match="assumption-A1-violated: theta_w"):
+            ss.solve_euler_fsf(U0_R, TAU0_R, S98, theta_w, G15)
+    else:
+        sol = ss.solve_euler_fsf(U0_R, TAU0_R, S98, theta_w, G15)
+        assert sol.theta_w == theta_w and ss.validate(sol).ok
 
 
 @settings(max_examples=25, deadline=None)
@@ -586,6 +602,26 @@ def test_potential_wall_solves_few_pre_sonic_roots(monkeypatch):
     assert 1 <= len(roots) <= 3
     assert sol.meta["tau_w"] == roots[-1][0]
     assert sol.shocks[1][1].back.tau == original(*roots[-1])
+
+
+def test_potential_roots_take_python_floats(monkeypatch):
+    # a cold branch build, its deflection range and one wall: every front
+    # volume reaches the pre-sonic root as a Python float, since NumPy
+    # scalars slow each step of the root's objective
+    types = set()
+    original = wc.pre_sonic_tau_potential
+
+    def recorded(tau_f, pgas):
+        types.add(type(tau_f))
+        return original(tau_f, pgas)
+
+    monkeypatch.setattr(wc, "pre_sonic_tau_potential", recorded)
+    wc._shock_fan_shock_branch.cache_clear()
+    pgas = _pgas()
+    sigma_m, sigma_M = wc.deflection_range(
+        wc.shock_fan_shock_branch(U0_P, TAU0_P, pgas))
+    ss.solve_potential_sfs(U0_P, TAU0_P, 0.5 * (sigma_m + sigma_M), pgas)
+    assert types == {float}
 
 
 def _reference_fan_state(ctx, theta, tau_tail):

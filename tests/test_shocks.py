@@ -490,7 +490,8 @@ def test_liu_condition_matches_the_grid(gamma, s_frac, kind, x, y, slack):
 def test_velocity_decomposition_round_trip():
     u, v, phi = 2.2, -0.7, 0.9
     dec = shocks.VelocityDecomposition.of(u, v, phi)
-    uu, vv = dec.velocity()
+    # the back velocity at equal volumes recombines the split
+    uu, vv = shocks.oblique_back_velocity(u, v, phi, 1.0, 1.0)
     assert uu == pytest.approx(u, abs=1e-15)
     assert vv == pytest.approx(v, abs=1e-15)
     # N = q sin(phi - sigma)
@@ -514,6 +515,21 @@ def test_oblique_back_velocity_preserves_tangential():
     assert dec_b.N == pytest.approx(9.0 / 5.0 * dec_f.N, rel=1e-15)
     with pytest.raises(ValueError, match="expansive-normal"):
         shocks.oblique_back_velocity(2.0, 0.0, -0.3, 5.0, 9.0)
+
+
+def test_oblique_back_velocity_on_arrays():
+    # the array form against the scalar one front by front; one expansive
+    # front fails the whole array with the scalar code
+    u, v, phi = np.array([2.0, 1.5, 0.4]), np.array([0.0, 0.3, -0.2]), 1.1
+    tau_f, tau_b = np.array([5.0, 6.0, 7.0]), np.array([9.0, 6.0, 4.0])
+    u_b, v_b = shocks.oblique_back_velocity(u, v, phi, tau_f, tau_b, xp=np)
+    for k in range(3):
+        want = shocks.oblique_back_velocity(u[k], v[k], phi, tau_f[k],
+                                            tau_b[k])
+        assert (u_b[k], v_b[k]) == pytest.approx(want, rel=1e-15, abs=1e-15)
+    with pytest.raises(ValueError, match="expansive-normal"):
+        shocks.oblique_back_velocity(u, v, np.array([1.1, -0.3, 1.1]),
+                                     tau_f, tau_b, xp=np)
 
 
 # ---------------------------------------------------------------------------

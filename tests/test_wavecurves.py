@@ -230,6 +230,46 @@ def test_fan_series_matches_pm_potential(case):
         assert abs(alpha_hat - alpha) <= 1e-14
 
 
+@pytest.mark.parametrize("case", sorted(RAMP_STATES))
+def test_composite_samples_match_the_evaluator(case):
+    # the array pass at every node against the scalar evaluator the
+    # queries polish on; the first node is the zero-strength tail, whose
+    # back state is the fan state itself
+    g, S, u0, tau0 = RAMP_STATES[case]
+    pg = thermo.PotentialGas.from_state(thermo.GasModel(g), S, u0, tau0,
+                                        bernoulli=1.0)
+    b = wc.shock_fan_shock_branch(u0, tau0, pg)
+    exact = np.array([b.state(t) for t in b.params.tolist()]).T
+    for sampled, want in zip((b.u, b.v, b.angle), exact):
+        assert np.all(np.abs(sampled - want) <= 1e-13 * np.abs(want))
+    ctx, t0 = b.context, float(b.params[0])
+    assert ctx.tail_back_volume(t0) == t0
+    assert ([b.u[0], b.v[0], b.angle[0]]
+            == [x[0] for x in ctx.fan_state(b.params, np)])
+    pi = wc.shock_fan_branch(u0, tau0, pg)
+    assert [b.u[0], b.v[0], b.angle[0]] == pytest.approx(
+        pi.state(pi.params[0]), rel=1e-13)
+
+
+def test_composite_build_fails_as_the_scalar_path(pgas, monkeypatch):
+    # a context whose head speed is lowered below sound under the fan
+    # series of the true one: where the array pass meets c > q, the build
+    # raises the scalar path's error
+    ctx = wc.ramp_context(U0, TAU0, pgas)
+    slow = replace(ctx, q_po=0.9 * pgas.c(ctx.tau_po))
+    slow.__dict__["turning"] = ctx.turning
+    grid = wc._graded_grid(ctx.tau1_i, ctx.tau_po)
+    with pytest.raises(ValueError) as scalar:
+        for t in grid.tolist():
+            slow.tail_state(t)
+    monkeypatch.setattr(wc, "ramp_context", lambda *args: slow)
+    monkeypatch.setattr(wc, "_require_supersonic_post_state", lambda c: None)
+    wc._shock_fan_shock_branch.cache_clear()
+    with pytest.raises(ValueError) as built:
+        wc.shock_fan_shock_branch(U0, TAU0, pgas)
+    assert str(built.value) == str(scalar.value)
+
+
 def test_subsonic_post_state():
     u0 = N_PO * (1.0 + 1e-13)
     pg = thermo.PotentialGas.from_state(G15, S98, u0, TAU0, bernoulli=1.0)
