@@ -37,7 +37,6 @@ from .thermo import (
     double_sonic_entropy,
     double_sonic_locus,
     enthalpy,
-    entropy_of,
     eta_hat,
     inflection_roots,
     locus_intersections,
@@ -73,23 +72,6 @@ class FlowState:
     @property
     def sigma(self):
         return math.atan2(self.v, self.u)
-
-
-@dataclass(frozen=True)
-class VelocityDecomposition:
-    """Velocity split along a front of inclination phi: tangential L,
-    normal N, with u = N sin(phi) + L cos(phi), v = L sin(phi) - N cos(phi).
-    """
-
-    L: float
-    N: float
-    phi: float
-
-    @classmethod
-    def of(cls, u, v, phi):
-        return cls(L=u * math.cos(phi) + v * math.sin(phi),
-                   N=u * math.sin(phi) - v * math.cos(phi),
-                   phi=phi)
 
 
 @dataclass(frozen=True)
@@ -138,75 +120,6 @@ def hugoniot_residual(tau_f, p_f, tau_b, p_b, gas):
     g = gas.gamma
     return (_energy_of(p_f, tau_f, g) - _energy_of(p_b, tau_b, g)
             + 0.5 * (tau_f - tau_b) * (p_f + p_b))
-
-
-def eta_roots(tau_k, p_k, m2, gas):
-    """
-    Volume ratios eta = tau_other/tau_k compatible with a shock of squared
-    mass flux m2 through the state (tau_k, p_k).
-
-    Returns (roots, has_complex): roots is a sorted tuple of the real
-    ratios, always containing the trivial eta = 1; has_complex flags a
-    discarded complex-conjugate pair ("complex-roots"). When m2 is sonic
-    relative to the state, i.e. -p_tau on the isentrope through it, the
-    cofactor reduces to a quadratic whose double root is the tangent-chord
-    ratio 2/((2-gamma) tau_k - 2).
-    """
-    if m2 <= 0.0:
-        raise ValueError(f"non-compressive-chord: m^2={m2} <= 0")
-    g = gas.gamma
-    f_k = -pressure_tau(tau_k, entropy_of(p_k, tau_k, gas), gas)
-    roots = [1.0]
-    if abs(m2 - f_k) <= 1e-9 * abs(f_k):
-        # sonic cofactor: quadratic in eta
-        A = 0.5 * (g + 1.0) * f_k * tau_k
-        B = 2.0 / tau_k**3 + (g - 2.0) / tau_k**2
-        C = 1.0 / tau_k**3
-        disc = B * B - 4.0 * A * C
-        scale = B * B + abs(4.0 * A * C)
-        if disc < -1e-12 * scale:
-            return tuple(sorted(roots)), True
-        if disc <= 1e-12 * scale:
-            roots += [-B / (2.0 * A)] * 2
-        else:
-            sq = math.sqrt(disc)
-            roots += [(-B - sq) / (2.0 * A), (-B + sq) / (2.0 * A)]
-        return tuple(sorted(roots)), False
-    # general cofactor: cubic in eta
-    a3 = 0.5 * (g + 1.0) * m2 * tau_k
-    a2 = -(m2 + 0.5 * (g - 1.0) * tau_k * m2 + g * p_k)
-    a1 = -(1.0 / tau_k**3 + (g - 2.0) / tau_k**2)
-    a0 = -1.0 / tau_k**3
-
-    def cubic(e):
-        return ((a3 * e + a2) * e + a1) * e + a0
-
-    # a tangent chord makes the conjugate ratio a double root, which a
-    # companion-matrix solve splits by ~sqrt(roundoff); snap such a pair to
-    # the stationary point of the cubic when the residual there vanishes
-    disc_b = 4.0 * a2 * a2 - 12.0 * a3 * a1
-    if disc_b > 0.0:
-        for v in ((-2.0 * a2 - math.sqrt(disc_b)) / (6.0 * a3),
-                  (-2.0 * a2 + math.sqrt(disc_b)) / (6.0 * a3)):
-            local = max(abs(a3 * v**3), abs(a2 * v**2), abs(a1 * v), abs(a0))
-            if abs(cubic(v)) <= 1e-10 * local:
-                third = -a0 / (a3 * v * v)
-                roots += [v, v, third]
-                return tuple(sorted(roots)), False
-    terms = (18.0 * a3 * a2 * a1 * a0, -4.0 * a2**3 * a0, a2**2 * a1**2,
-             -4.0 * a3 * a1**3, -27.0 * a3**2 * a0**2)
-    disc = sum(terms)
-    has_complex = disc < -1e-12 * sum(abs(t) for t in terms)
-    for z in np.roots([a3, a2, a1, a0]):
-        if has_complex and abs(z.imag) > 1e-9 * (1.0 + abs(z)):
-            continue
-        e = float(z.real)
-        for _ in range(2):     # polish simple roots
-            d = (3.0 * a3 * e + 2.0 * a2) * e + a1
-            if d != 0.0:
-                e -= cubic(e) / d
-        roots.append(e)
-    return tuple(sorted(roots)), has_complex
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +371,18 @@ def liu_condition_check(tau_f, tau_b, pgas, slack=1e-10):
 # ---------------------------------------------------------------------------
 # velocity bookkeeping across a front
 
+def normal_split(u, v, phi, xp=math):
+    """
+    (L, N): the velocity split along a front of inclination phi, tangential
+    L and normal N, with u = N sin(phi) + L cos(phi) and
+    v = L sin(phi) - N cos(phi).  The split is a reflection, so it is its
+    own inverse: normal_split(L, N, phi) gives back (u, v).  `xp` is math
+    for scalars or numpy for arrays.
+    """
+    sp, cp = xp.sin(phi), xp.cos(phi)
+    return u * cp + v * sp, u * sp - v * cp
+
+
 def oblique_back_velocity(u_f, v_f, phi, tau_f, tau_b, xp=math):
     """
     Back velocity across a front of inclination phi: tangential component
@@ -467,14 +392,12 @@ def oblique_back_velocity(u_f, v_f, phi, tau_f, tau_b, xp=math):
     Raises ValueError("expansive-normal...") when the upstream normal
     component is not positive (the least one of an array).
     """
-    sp, cp = xp.sin(phi), xp.cos(phi)
-    L, N = u_f * cp + v_f * sp, u_f * sp - v_f * cp
+    L, N = normal_split(u_f, v_f, phi, xp)
     n_min = N if xp is math else N.min()
     if n_min <= 0.0:
         raise ValueError(
             f"expansive-normal: upstream normal component N={n_min} <= 0")
-    N = tau_b / tau_f * N
-    return N * sp + L * cp, L * sp - N * cp
+    return normal_split(L, tau_b / tau_f * N, phi, xp)
 
 
 def classify(sol, gas):
@@ -505,17 +428,17 @@ def rh_residuals_euler(sol, gas):
     magnitude of its two sides.
     """
     f, b = sol.front, sol.back
-    df = VelocityDecomposition.of(f.u, f.v, sol.phi)
-    db = VelocityDecomposition.of(b.u, b.v, sol.phi)
+    L_f, N_f = normal_split(f.u, f.v, sol.phi)
+    L_b, N_b = normal_split(b.u, b.v, sol.phi)
     p_f = pressure(f.tau, f.S, gas)
     p_b = pressure(b.tau, b.S, gas)
     h_f = enthalpy(f.tau, f.S, gas)
     h_b = enthalpy(b.tau, b.S, gas)
     pairs = (
-        (df.N / f.tau, db.N / b.tau),
-        (df.N**2 / f.tau + p_f, db.N**2 / b.tau + p_b),
-        (df.L, db.L),
-        (df.N**2 + 2.0 * h_f, db.N**2 + 2.0 * h_b),
+        (N_f / f.tau, N_b / b.tau),
+        (N_f**2 / f.tau + p_f, N_b**2 / b.tau + p_b),
+        (L_f, L_b),
+        (N_f**2 + 2.0 * h_f, N_b**2 + 2.0 * h_b),
     )
     return tuple((x - y) / max(abs(x), abs(y), 1e-30) for x, y in pairs)
 
@@ -527,9 +450,9 @@ def rh_residuals_potential(sol, pgas):
     the Bernoulli pair by the larger q^2, as h has a free offset.
     """
     f, b = sol.front, sol.back
-    df = VelocityDecomposition.of(f.u, f.v, sol.phi)
-    db = VelocityDecomposition.of(b.u, b.v, sol.phi)
-    pairs = ((df.N / f.tau, db.N / b.tau), (df.L, db.L))
+    L_f, N_f = normal_split(f.u, f.v, sol.phi)
+    L_b, N_b = normal_split(b.u, b.v, sol.phi)
+    pairs = ((N_f / f.tau, N_b / b.tau), (L_f, L_b))
     bern = ((0.5 * f.q**2 + pgas.h(f.tau)) - (0.5 * b.q**2 + pgas.h(b.tau)))
     return (tuple((x - y) / max(abs(x), abs(y), 1e-30) for x, y in pairs)
             + (bern / max(f.q**2, b.q**2, 1e-30),))

@@ -8,10 +8,11 @@ S > 0, so that the pressure along an isentrope is
 
     p(tau, S) = S/(tau-1)^gamma - 1/tau^2.
 
-For gamma between 1 and 2 an isentrope can lose convexity: the fundamental
-derivative changes sign between two inflection points, which is the mechanism
-behind the nonclassical (rarefaction-shock) wave objects built on top of this
-module. Two loci organise that structure:
+For gamma between 1 and 2 an isentrope can lose convexity: p_tautau changes
+sign between two inflection points (and with it the fundamental derivative
+-tau p_tautau/(2 p_tau)), which is the mechanism behind the nonclassical
+(rarefaction-shock) wave objects built on top of this module. Two loci
+organise that structure:
 
   * the inflection locus i(tau): states where p_tautau = 0,
   * the double-sonic locus d(tau): states that can be an endpoint of a shock
@@ -101,20 +102,6 @@ def sound_speed(tau, S, gas):
             f"subsonic-thermo: p_tau={pt} >= 0 at tau={tau}, S={S}; "
             "state outside the hyperbolic region")
     return tau * (-pt) ** 0.5
-
-
-def fundamental_derivative(tau, S, gas):
-    """
-    Fundamental derivative G = -tau * p_tautau / (2 p_tau).
-
-    G < 0 marks the nonconvex (BZT) segment of the isentrope.
-    """
-    pt = pressure_tau(tau, S, gas)
-    if pt == 0.0:
-        raise ValueError(
-            f"subsonic-thermo: p_tau=0 at tau={tau}, S={S}; "
-            "fundamental derivative undefined")
-    return -tau * pressure_tautau(tau, S, gas) / (2.0 * pt)
 
 
 def internal_energy(tau, S, gas):

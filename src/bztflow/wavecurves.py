@@ -20,10 +20,9 @@ determines the volume throughout.  Branches are immutable once built and
 their samples (BRANCH_POINTS graded nodes) read-only; the samples only
 bracket.  The composite branch takes its fan states and back velocities at
 all nodes from one array pass, around one scalar pre-sonic root per node.
-Every query (distance, flow-angle extremes, wedge state, tangents)
-polishes on `state`, the scalar evaluator, which re-evaluates the defining
-relations at any parameter value, so no answer interpolates between
-samples.
+Every query (flow-angle extremes, wedge state, tangents) polishes on
+`state`, the scalar evaluator, which re-evaluates the defining relations
+at any parameter value, so no answer interpolates between samples.
 
 The composite branch of the last incoming state is memoised: the
 deflection range of a state and the wall solves on it
@@ -48,6 +47,7 @@ from .shocks import (
     ObliqueShockSolution,
     classify,
     mass_flux_squared_potential,
+    normal_split,
     oblique_back_velocity,
     post_sonic_tau_potential,
     pre_sonic_tau_potential,
@@ -124,12 +124,21 @@ class RampWaveContext:
     def fan_state(self, tau, xp=math):
         """(u, v, alpha_hat) on the fan branch at volume tau: sigma_hat from
         the stored series, the speed from the Bernoulli law.  `xp` is math
-        for scalars or numpy for arrays."""
+        for scalars or numpy for arrays.  Raises "sonic-degeneracy" on the
+        math path where the speed does not clear the sound speed."""
         pg = self.pgas
         tr = self.turning
         sigma_hat = tr.sigma_at(tau**-tr.k)
-        q_hat = xp.sqrt(self.q_po**2 + 2.0 * (pg.h(self.tau_po) - pg.h(tau)))
-        c = pg.c(tau) if xp is math else tau * xp.sqrt(-pg.p_tau(tau))
+        q2 = self.q_po**2 + 2.0 * (pg.h(self.tau_po) - pg.h(tau))
+        if xp is math:
+            c = pg.c(tau)
+            if not c * c < q2:
+                raise ValueError(
+                    f"sonic-degeneracy: q^2={q2} not above c^2={c * c} "
+                    f"on the fan at tau={tau}")
+        else:
+            c = tau * xp.sqrt(-pg.p_tau(tau))
+        q_hat = xp.sqrt(q2)
         return q_hat * xp.cos(sigma_hat), q_hat * xp.sin(sigma_hat), \
             sigma_hat + xp.asin(c / q_hat)
 
@@ -370,37 +379,6 @@ def _refine(f, params, k):
                key=lambda c: c[1])
 
 
-def H_residual(u, v, branch_IJ):
-    """Signed distance of (u, v) from the composite branch.
-
-    The nearest stored sample brackets the foot c of the perpendicular,
-    which a bounded search on the exact squared distance then places.
-    The result is the cross-track component T x (p - c), T the unit
-    tangent at c: positive on the left of the curve walked in ascending
-    parameter, and only second order in the along-track error of the foot.
-    Raises "extrapolation" when the foot sits on the first sample with
-    (u, v) behind it along T, or on the last sample with (u, v) beyond it.
-    """
-    p = branch_IJ.params
-
-    def dist2(t):
-        bu, bv, _ = branch_IJ.state(t)
-        return (bu - u) ** 2 + (bv - v) ** 2
-
-    i0 = int(np.argmin((branch_IJ.u - u) ** 2 + (branch_IJ.v - v) ** 2))
-    t, _ = _refine(dist2, p, i0)
-    cu, cv, _ = branch_IJ.state(t)
-    tu, tv = branch_IJ.tangent(t)
-    along = tu * (u - cu) + tv * (v - cv)
-    if t == p[0] and along < 0.0:
-        raise ValueError(
-            f"extrapolation: ({u}, {v}) projects before the branch start")
-    if t == p[-1] and along > 0.0:
-        raise ValueError(
-            f"extrapolation: ({u}, {v}) projects past the branch end")
-    return tu * (v - cv) - tv * (u - cu)
-
-
 def _deflection(branch, param):
     u, v, _ = branch.state(param)
     return math.atan2(v, u)
@@ -570,7 +548,7 @@ def wall_tail_shock(theta_w, branch_IJ):
     tau_f, last = _wedge_root(theta_w, branch_IJ, g)
     (u_hat, v_hat, alpha_hat), tau_pr, u_b, v_b = last or g(tau_f)[1]
     S = ctx.pgas.S
-    m = (u_hat * math.sin(alpha_hat) - v_hat * math.cos(alpha_hat)) / tau_f
+    m = normal_split(u_hat, v_hat, alpha_hat)[1] / tau_f
     sol = ObliqueShockSolution(
         front=FlowState(u=u_hat, v=v_hat, tau=tau_f, S=S),
         back=FlowState(u=u_b, v=v_b, tau=tau_pr, S=S),

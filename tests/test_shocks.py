@@ -16,7 +16,6 @@ from bztflow import shocks, thermo
 G15 = thermo.GasModel(1.5)
 
 # frozen by tests/oracles/gen_expected.py
-S_STAR_15 = 0.3544893358184198
 S98 = 0.3473995491020514
 TAU1_I = 6.222021767887082
 TAU2_I = 10.602988762877068
@@ -64,59 +63,6 @@ def test_hugoniot_residual_zero_on_identical_states():
     # and strictly off the locus for a perturbed back pressure
     r = shocks.hugoniot_residual(5.0, p, 5.0, p + 1e-3, G15)
     assert abs(r) > 1e-6
-
-
-def test_eta_roots_trivial_root_and_sorting():
-    p = thermo.pressure(5.0, S98, G15)
-    roots, has_complex = shocks.eta_roots(5.0, p, 2e-4, G15)
-    assert 1.0 in roots
-    assert list(roots) == sorted(roots)
-
-
-def test_eta_roots_double_root_on_locus():
-    # sonic mass flux at a point of the tangent-chord locus: the cofactor
-    # quadratic has the double root 2/((2-gamma) tau - 2)
-    tau = TAU_F_E
-    S = thermo.double_sonic_entropy(tau, G15)
-    p = thermo.pressure(tau, S, G15)
-    m2 = -thermo.pressure_tau(tau, S, G15)
-    roots, has_complex = shocks.eta_roots(tau, p, m2, G15)
-    assert not has_complex
-    assert len(roots) == 3
-    assert roots[1] == pytest.approx(ETA_HAT_F_E, rel=1e-10)
-    assert roots[2] == pytest.approx(ETA_HAT_F_E, rel=1e-10)
-
-
-def test_eta_roots_zero_strength_at_tau_star():
-    # at tau* the tangent-chord ratio degenerates to 1
-    S = thermo.double_sonic_entropy(8.0, G15)
-    p = thermo.pressure(8.0, S, G15)
-    m2 = -thermo.pressure_tau(8.0, S, G15)
-    roots, has_complex = shocks.eta_roots(8.0, p, m2, G15)
-    assert not has_complex
-    for r in roots:
-        assert r == pytest.approx(1.0, rel=1e-7)
-
-
-def test_eta_roots_complex_flag():
-    # sonic flux on a convex isentrope (S above S*): no tangent chord
-    S = 1.2 * S_STAR_15
-    p = thermo.pressure(8.0, S, G15)
-    m2 = -thermo.pressure_tau(8.0, S, G15)
-    roots, has_complex = shocks.eta_roots(8.0, p, m2, G15)
-    assert has_complex
-    assert roots == (1.0,)
-
-
-def test_eta_roots_general_flux_contains_hugoniot_ratio():
-    # build a genuine jump first, then recover its ratio from the cubic
-    tau_b, S_b = shocks.post_sonic_back_state_euler(TAU_F_MID_EULER, S98, G15)
-    p_f = thermo.pressure(TAU_F_MID_EULER, S98, G15)
-    p_b = thermo.pressure(tau_b, S_b, G15)
-    m2 = shocks.mass_flux_squared(TAU_F_MID_EULER, p_f, tau_b, p_b)
-    roots, _ = shocks.eta_roots(TAU_F_MID_EULER, p_f, m2, G15)
-    eta = tau_b / TAU_F_MID_EULER
-    assert min(abs(r - eta) for r in roots) < 1e-8 * eta
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +435,7 @@ def test_liu_condition_matches_the_grid(gamma, s_frac, kind, x, y, slack):
 
 def test_velocity_decomposition_round_trip():
     u, v, phi = 2.2, -0.7, 0.9
-    dec = shocks.VelocityDecomposition.of(u, v, phi)
+    _, N = shocks.normal_split(u, v, phi)
     # the back velocity at equal volumes recombines the split
     uu, vv = shocks.oblique_back_velocity(u, v, phi, 1.0, 1.0)
     assert uu == pytest.approx(u, abs=1e-15)
@@ -497,7 +443,7 @@ def test_velocity_decomposition_round_trip():
     # N = q sin(phi - sigma)
     q = math.hypot(u, v)
     sigma = math.atan2(v, u)
-    assert dec.N == pytest.approx(q * math.sin(phi - sigma), abs=1e-15)
+    assert N == pytest.approx(q * math.sin(phi - sigma), abs=1e-15)
 
 
 def test_oblique_back_velocity_zero_strength():
@@ -509,10 +455,10 @@ def test_oblique_back_velocity_zero_strength():
 def test_oblique_back_velocity_preserves_tangential():
     phi = 1.1
     u_b, v_b = shocks.oblique_back_velocity(2.0, 0.0, phi, 5.0, 9.0)
-    dec_f = shocks.VelocityDecomposition.of(2.0, 0.0, phi)
-    dec_b = shocks.VelocityDecomposition.of(u_b, v_b, phi)
-    assert dec_b.L == pytest.approx(dec_f.L, abs=1e-15)
-    assert dec_b.N == pytest.approx(9.0 / 5.0 * dec_f.N, rel=1e-15)
+    L_f, N_f = shocks.normal_split(2.0, 0.0, phi)
+    L_b, N_b = shocks.normal_split(u_b, v_b, phi)
+    assert L_b == pytest.approx(L_f, abs=1e-15)
+    assert N_b == pytest.approx(9.0 / 5.0 * N_f, rel=1e-15)
     with pytest.raises(ValueError, match="expansive-normal"):
         shocks.oblique_back_velocity(2.0, 0.0, -0.3, 5.0, 9.0)
 

@@ -1,5 +1,6 @@
 """The package surface: every public name that no package code uses is
-listed here with the reason it stays."""
+listed here with the reason it stays, and no module imports a name it
+never reads."""
 
 import ast
 from pathlib import Path
@@ -26,13 +27,10 @@ UNCALLED = {
     "selfsimilar.evaluate": ENTRY,
     "selfsimilar.validate": ENTRY,
     "selfsimilar.ValidationReport.ok": ENTRY,
-    # the sonic-shock quadratic, against the closed-form sonic shocks
-    "shocks.eta_roots": TEST,
     # the shock of the Euler expansion ramp past tau_f_e, a planned
     # construction (ROADMAP)
     "shocks.post_sonic_back_state_euler": PAPER,
-    # closed-form thermodynamics the tests differentiate against
-    "thermo.fundamental_derivative": TEST,
+    # the closed-form internal energy the tests check the enthalpy against
     "thermo.internal_energy": TEST,
     # the hodograph wave curves of a compression-ramp state
     "wavecurves.polar_branch_I": PAPER,
@@ -43,7 +41,6 @@ UNCALLED = {
     "wavecurves.deflection_range": ENTRY,
     "wavecurves.solve_wedge_state": ENTRY,
     # checks of the composite branch against its defining relations
-    "wavecurves.H_residual": TEST,
     "wavecurves.polar_tangency_check": TEST,
     "wavecurves.tail_tangent_acute": TEST,
     "wavecurves.tail_back_supersonic": TEST,
@@ -84,3 +81,28 @@ def test_every_uncalled_public_name_has_a_reason():
     found = _uncalled_public_names()
     assert sorted(found - set(UNCALLED)) == [], "uncalled, no reason given"
     assert sorted(set(UNCALLED) - found) == [], "listed, but now called"
+
+
+def _unused_imports():
+    """module: name for each name a package module imports and never
+    reads, other than __future__ features and imports marked
+    `# noqa: F401` on their first line."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in lines[node.lineno - 1]):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.stem}: {name}")
+    return unused
+
+
+def test_no_unused_import():
+    assert _unused_imports() == []

@@ -139,17 +139,6 @@ def test_sound_speed_raises_outside_hyperbolic_region():
     assert thermo.sound_speed(6.0, S98, G15) > 0.0
 
 
-def test_fundamental_derivative_signs():
-    # G = 0 exactly on the inflection locus, negative between the two roots
-    S = S98
-    assert thermo.fundamental_derivative(TAU1_I, S, G15) == pytest.approx(
-        0.0, abs=1e-9)
-    assert thermo.fundamental_derivative(
-        0.5 * (TAU1_I + TAU2_I), S, G15) < 0.0
-    assert thermo.fundamental_derivative(2.0, S, G15) > 0.0
-    assert thermo.fundamental_derivative(40.0, S, G15) > 0.0
-
-
 def test_inflection_roots():
     t1, t2 = thermo.inflection_roots(S98, G15)
     assert t1 == pytest.approx(TAU1_I, abs=1e-10)

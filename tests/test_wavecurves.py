@@ -268,6 +268,7 @@ def test_composite_build_fails_as_the_scalar_path(pgas, monkeypatch):
     with pytest.raises(ValueError) as built:
         wc.shock_fan_shock_branch(U0, TAU0, pgas)
     assert str(built.value) == str(scalar.value)
+    assert str(built.value).startswith("sonic-degeneracy:")
 
 
 def test_subsonic_post_state():
@@ -376,60 +377,6 @@ def test_polar_branch_II_starts_attached():
         # point, so a volume within xtol of it deflects by ~1e-8
         assert abs(jn.v[0]) < 1e-7
         assert jn.angle[0] <= 0.5 * math.pi
-
-
-# ---------------------------------------------------------------------------
-# distance query
-
-
-def test_distance_vanishes_on_samples(branches):
-    ij = branches["ij"]
-    for k in range(0, ij.params.size, 7):
-        assert abs(wc.H_residual(ij.u[k], ij.v[k], ij)) < 1e-10
-
-
-def test_distance_of_displaced_point(branches):
-    ij = branches["ij"]
-    u0, v0, _ = ij.state(TAU_W_MID)
-    e = 1e-6
-    u1, v1, _ = ij.state(TAU_W_MID + e)
-    u2, v2, _ = ij.state(TAU_W_MID - e)
-    t = math.hypot(u1 - u2, v1 - v2)
-    nx, ny = -(v1 - v2) / t, (u1 - u2) / t
-    r_plus = wc.H_residual(u0 + 1e-3 * nx, v0 + 1e-3 * ny, ij)
-    r_minus = wc.H_residual(u0 - 1e-3 * nx, v0 - 1e-3 * ny, ij)
-    assert abs(abs(r_plus) - 1e-3) < 1e-5
-    assert abs(abs(r_minus) - 1e-3) < 1e-5
-    assert r_plus * r_minus < 0.0
-
-
-def test_distance_to_independent_back_states(branches):
-    # back states rebuilt off-node from the defining relations lie on the
-    # exact curve, so only rounding separates them from it
-    ij = branches["ij"]
-    for tau_f in np.linspace(TAU1_I + 0.05, TAU_PO - 0.05, 9):
-        u, v, _ = ij.context.tail_state(tau_f)
-        assert abs(wc.H_residual(u, v, ij)) < 1e-12
-
-
-def test_distance_ignores_the_sample_spacing(branches):
-    # on every 16th sample the samples only bracket the foot, which is
-    # placed on the exact relations: no interpolation error shows
-    ij = branches["ij"]
-    thin = replace(ij, params=ij.params[::16], u=ij.u[::16],
-                   v=ij.v[::16], angle=ij.angle[::16])
-    for tau_f in np.linspace(TAU1_I + 0.05, TAU_PO - 0.05, 9):
-        u, v, _ = ij.context.tail_state(tau_f)
-        assert abs(wc.H_residual(u, v, thin)) < 1e-12
-
-
-@pytest.mark.parametrize("u, v, where", [
-    (0.5, -0.2, "before the branch start"),
-    (0.0, 0.3, "past the branch end"),
-], ids=["start", "end"])
-def test_distance_extrapolation_guard(branches, u, v, where):
-    with pytest.raises(ValueError, match=f"extrapolation: .* {where}"):
-        wc.H_residual(u, v, branches["ij"])
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +503,31 @@ def test_wedge_root_matches_a_tight_brentq(case):
         tau_w = wc.solve_wedge_state(theta_w, b)
         assert tau_w == pytest.approx(ref, rel=1e-13, abs=0.0)
         assert wc.wall_tail_shock(theta_w, b).front.tau == tau_w
+
+
+@pytest.mark.parametrize("case", sorted(RAMP_STATES))
+def test_queries_ignore_the_sample_spacing(case):
+    # the samples only bracket: on every 4th, 16th and 32nd node, and the
+    # last, where sigma_M sits on these states, the deflection range and
+    # the wedge states are placed on the exact relations as on all nodes
+    g, S, u0, tau0 = RAMP_STATES[case]
+    pg = thermo.PotentialGas.from_state(thermo.GasModel(g), S, u0, tau0,
+                                        bernoulli=1.0)
+    b = wc.shock_fan_shock_branch(u0, tau0, pg)
+    sigma_m, sigma_M = wc.deflection_range(b)
+    thetas = [sigma_m + frac * (sigma_M - sigma_m)
+              for frac in (0.02, 0.25, 0.5, 0.75, 0.98)]
+    taus = [wc.solve_wedge_state(theta_w, b) for theta_w in thetas]
+    for step in (4, 16, 32):
+        keep = np.unique(np.r_[np.arange(0, b.params.size, step),
+                               b.params.size - 1])
+        thin = replace(b, params=b.params[keep], u=b.u[keep], v=b.v[keep],
+                       angle=b.angle[keep])
+        assert wc.deflection_range(thin) == pytest.approx(
+            (sigma_m, sigma_M), rel=0.0, abs=1e-15)
+        for theta_w, tau_w in zip(thetas, taus):
+            assert wc.solve_wedge_state(theta_w, thin) == pytest.approx(
+                tau_w, rel=1e-13, abs=0.0)
 
 
 def test_solve_wedge_state_endpoint(branches):
