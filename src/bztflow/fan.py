@@ -35,9 +35,8 @@ FanSolution is the fan sector of both systems: the attached fan of
 potential flow is the same series (wavecurves.RampWaveContext.fan), inside
 the inflection window where the ray angle falls as u rises.  The
 invariant nu of r+ = sigma + nu is the rate above integrated in tau itself,
-independent of any series: turning_chain by fixed Gauss-Legendre rules
-between given volumes (validate), turning_in_volume by QUADPACK, the
-reference of riemann_invariants and pm_potential.
+independent of any series, by fixed Gauss-Legendre rules between given
+volumes (turning_chain, read by validate).
 """
 
 import math
@@ -46,18 +45,13 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev
-# solve_ivp stays bound here: the benchmark tracer wraps fan.solve_ivp
+# quad, solve_ivp and tau_from_speed stay bound here: the benchmark tracer
+# wraps fan.quad, fan.solve_ivp and fan.tau_from_speed
 from scipy.integrate import quad, solve_ivp  # noqa: F401
 
 from .shocks import FlowState
-from .thermo import (
-    PotentialGas,
-    critical_entropies,
-    enthalpy,
-    pressure_tautau,
-    sound_speed,
-    tau_from_speed,
-)
+from .thermo import critical_entropies, enthalpy, pressure_tautau, sound_speed
+from .thermo import tau_from_speed  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -433,75 +427,13 @@ def _volume_rate(tau, pgas, xp):
 
 
 def turning_chain(taus, pgas):
-    """(nu, err): the turning integral of turning_in_volume from taus[0] to
-    each volume of taus, chained by the 24-point Gauss-Legendre rule, and
-    the summed moduli of its differences from the 20-point rule.  Solves
-    no root; every volume between consecutive taus must be supersonic."""
+    """(nu, err): the turning integral int c sqrt(q^2 - c^2)/(tau q^2) dtau
+    on the isentrope of pgas from taus[0] to each volume of taus, chained
+    by the 24-point Gauss-Legendre rule, and the summed moduli of its
+    differences from the 20-point rule.  Solves no root; every volume
+    between consecutive taus must be supersonic."""
     taus = np.asarray(taus, dtype=float)
     mid, half = 0.5 * (taus[1:] + taus[:-1]), 0.5 * (taus[1:] - taus[:-1])
     rate = _volume_rate(mid[:, None] + half[:, None] * _GL_X, pgas, np)
     i24, i20 = half * (rate[:, :24] @ _W24), half * (rate[:, 24:] @ _W20)
     return [0.0] + np.cumsum(i24).tolist(), float(np.abs(i24 - i20).sum())
-
-
-def turning_in_volume(tau_from, tau_to, pgas):
-    """Turning integral int c sqrt(q^2 - c^2)/(tau q^2) dtau from tau_from
-    to tau_to on the isentrope of pgas by QUADPACK, the rate in closed form
-    (_volume_rate): the reference value of nu between two volumes.  Raises
-    "subsonic" at a node where q is not above c."""
-    if abs(tau_to - tau_from) <= 1e-9 * min(tau_from, tau_to):
-        # QUADPACK reads the rounding on so short an interval as bad
-        # integrand behaviour; the smooth rate is exact under turning_chain
-        return turning_chain((tau_from, tau_to), pgas)[0][1]
-
-    def rate(tau):
-        q2 = 2.0 * (pgas.bernoulli - pgas.h(tau))
-        c = pgas.c(tau)
-        if q2 <= c * c:
-            raise ValueError(f"subsonic: q={math.sqrt(max(q2, 0.0))} at "
-                             f"or below c={c} at tau={tau}")
-        return _volume_rate(tau, pgas, math)
-
-    val, _ = quad(rate, tau_from, tau_to, epsabs=1e-13, epsrel=1e-12,
-                  limit=200)
-    return val
-
-
-def pm_potential(tau, pgas, q_ref, sigma_ref, tau_ref):
-    """
-    Potential-flow fan on the isentrope of pgas, anchored at the state
-    (q_ref, sigma_ref, tau_ref): returns (sigma_hat, alpha_hat) at volume
-    tau, where sigma_hat is the flow direction after the turning integral
-    and alpha_hat = sigma_hat + arcsin(c/q) the ray angle.  The integral is
-    taken in the volume from tau_ref to tau (turning_in_volume).  A
-    reference outside the hot path: the wave curves and the assembled
-    solutions read the stored series (RampWaveContext.turning) instead.
-    """
-    anchored = PotentialGas.from_state(pgas.gas, pgas.S, q_ref, tau_ref,
-                                       bernoulli=pgas.bernoulli)
-    q_hat = anchored.speed_of_tau(tau)
-    c_hat = anchored.c(tau)
-    if q_hat <= c_hat:
-        raise ValueError(f"subsonic: q={q_hat} at or below c={c_hat} "
-                         f"at tau={tau}")
-    sigma_hat = sigma_ref - turning_in_volume(tau_ref, tau, anchored)
-    return sigma_hat, sigma_hat + math.asin(c_hat / q_hat)
-
-
-def riemann_invariants(u, v, pgas, tau_ref):
-    """
-    (r_plus, r_minus) = sigma +/- nu with nu the turning integral on the
-    isentrope of pgas from the anchor volume tau_ref to the root of the
-    Bernoulli law at q, taken in the volume (turning_in_volume).  The
-    invariants of two states compare only under one anchor.
-
-    Raises "subsonic" when the state is not supersonic.
-    """
-    q = math.hypot(u, v)
-    tau = tau_from_speed(q, pgas)
-    c = pgas.c(tau)
-    if q <= c:
-        raise ValueError(f"subsonic: q={q} at or below c={c}")
-    sigma = math.atan2(v, u)
-    nu = turning_in_volume(tau_ref, tau, pgas)
-    return sigma + nu, sigma - nu

@@ -24,16 +24,16 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .thermo import (GasModel, PotentialGas, critical_entropies, enthalpy,
-                     locus_intersections, sound_speed)
+                     front_locus_volume, sound_speed)
 from .shocks import (FlowState, ObliqueShockSolution, classify,
                      double_sonic_back_state, liu_condition_check,
                      oblique_back_velocity, rh_residuals_euler,
                      rh_residuals_potential)
 from .fan import FanSolution, integrate_fan, turning_chain
+from .wavecurves import shock_fan_shock_branch, wall_tail_shock
 # ramp_context stays bound here: the benchmark tracer wraps
 # selfsimilar.ramp_context
-from .wavecurves import (ramp_context, shock_fan_shock_branch,  # noqa: F401
-                         wall_tail_shock)
+from .wavecurves import ramp_context  # noqa: F401
 
 
 class _Vacuum:
@@ -122,9 +122,12 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
     u0, volume tau0 and entropy S0 around a wall dropping at theta_w in
     (-pi, 0); a direction at or below -pi is the line of one at or above 0.
 
-    The incoming volume must lie below the front volume of the
-    double-sonic pair of its isentrope, with the entropy between the
-    hyperbolicity bound and the window-closing value; violations raise
+    Assumption A1: S0 lies in (S_cr, S*), between the hyperbolicity bound
+    and the window-closing value, and tau0 in (1, tau_f_e), below the
+    front volume of the double-sonic pair of its isentrope, where it
+    crosses the double-sonic locus (thermo.front_locus_volume).  The
+    locus's back crossing plays no part, so the band of entropies that
+    lack one (thermo.locus_intersections) is solved too.  Violations raise
     "assumption-A1-violated" listing the failing clauses.  A wall angle
     at or above the flow deflection behind the embedded shock leaves the
     trailing fan nothing to do and raises "wedge-angle-above-sigma_d".
@@ -137,7 +140,7 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
     if not S_cr < S0 < S_star:
         clauses.append(f"S0={S0} not in (S_cr={S_cr}, S_star={S_star})")
     else:
-        tau_fe, _ = locus_intersections(S0, gas)
+        tau_fe = front_locus_volume(S0, gas)
         if not 1.0 < tau0 < tau_fe:
             clauses.append(f"tau0={tau0} not in (1, tau_f_e={tau_fe})")
     c0 = None

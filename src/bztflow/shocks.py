@@ -38,8 +38,8 @@ from .thermo import (
     double_sonic_locus,
     enthalpy,
     eta_hat,
+    front_locus_volume,
     inflection_roots,
-    locus_intersections,
     pressure,
     pressure_tau,
     sound_speed,
@@ -178,7 +178,7 @@ def post_sonic_back_state_euler(tau_f, S_f, gas):
     inflection pair that still admits the tangency
     ("out-of-post-sonic-window" otherwise).
     """
-    tau_f_e, _ = locus_intersections(S_f, gas)
+    tau_f_e = front_locus_volume(S_f, gas)
     tau1_i, _ = inflection_roots(S_f, gas)
     pad = 1e-9 * (tau1_i - tau_f_e)
     if not (tau_f_e - pad <= tau_f <= tau1_i + pad):

@@ -25,8 +25,10 @@ the hyperbolic region (p_tau < 0 everywhere), reached at tau_cr = 3/(2-gamma).
 Both are closed forms.  The entropy S_hat(tau) of the double-sonic locus rises
 from 0 at tau = 1 to S* at tau*, then falls to a minimum S_b at a closed-form
 tau_m before rising again, so the crossings of an isentrope with that locus
-are single bracketed roots (locus_intersections); for gamma above about 1.404,
-S_b > S_cr and isentropes in (S_cr, S_b] have no back crossing.
+are single bracketed roots.  The front crossing tau_f_e < tau* exists on every
+isentrope below S* (front_locus_volume); for gamma above about 1.404,
+S_b > S_cr and isentropes in (S_cr, S_b] have no back crossing
+(locus_intersections).
 
 Euler flow carries (tau, S) states; potential flow freezes one isentrope and
 adds a Bernoulli constant, wrapped in PotentialGas.
@@ -102,12 +104,6 @@ def sound_speed(tau, S, gas):
             f"subsonic-thermo: p_tau={pt} >= 0 at tau={tau}, S={S}; "
             "state outside the hyperbolic region")
     return tau * (-pt) ** 0.5
-
-
-def internal_energy(tau, S, gas):
-    """Specific internal energy on the isentrope S."""
-    g = gas.gamma
-    return S / ((g - 1.0) * (tau - 1.0) ** (g - 1.0)) - 1.0 / tau
 
 
 def enthalpy(tau, S, gas):
@@ -234,6 +230,28 @@ def inflection_roots(S, gas):
     return tau1, tau2
 
 
+def _locus_gap(S, gas):
+    # p - d on the isentrope S, (S - S_hat(tau)) / (tau-1)^gamma
+    return lambda t: pressure(t, S, gas) - double_sonic_locus(t, gas)
+
+
+def front_locus_volume(S, gas):
+    """
+    Volume tau_f_e < tau* where the isentrope S crosses the double-sonic
+    locus: the front volume of its double-sonic shock.
+
+    S_hat rises from 0 at tau = 1 to S* at tau* (see locus_intersections),
+    so for every S in (0, S*) this is the one root of p - d on (1, tau*).
+    Raises ValueError("no-intersection...") when S is not in (0, S*).
+    """
+    tau_star, S_star = _tangency(gas)
+    if not 0.0 < S < S_star:
+        raise ValueError(
+            f"no-intersection: S={S} not in (0, S*={S_star})")
+    return brentq(_locus_gap(S, gas), 1.0 + 1e-12, tau_star,
+                  xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
+
+
 def locus_intersections(S, gas):
     """
     Volumes (tau_f_e, tau_b_e) where the isentrope S crosses the
@@ -244,31 +262,23 @@ def locus_intersections(S, gas):
     S_hat' vanishes for tau > 1 only at tau* and at
     tau_m = (3 gamma - 2 + sqrt(5 gamma^2 - 4)) / ((gamma-1)(2-gamma)):
     S_hat rises from 0 at tau = 1 to S* at tau*, then falls to its minimum
-    S_b = S_hat(tau_m).  So tau_f_e is the one root of p - d on (1, tau*),
-    and a back crossing exists exactly when S > S_b, as the one root on
-    (tau*, tau_m).  S_b lies above S_cr for gamma above about 1.404, where
-    it closes the window on a band of entropies.
+    S_b = S_hat(tau_m).  So tau_f_e is the one root of p - d on (1, tau*)
+    (front_locus_volume), and a back crossing exists exactly when S > S_b,
+    as the one root on (tau*, tau_m).  S_b lies above S_cr for gamma above
+    about 1.404, where it closes the back crossing on a band of entropies.
 
     Raises ValueError("no-intersection...") when S is not in (0, S*) or
     not above S_b (no crossings adjacent to tau*).
     """
     g = gas.gamma
-    tau_star, S_star = _tangency(gas)
-    if not 0.0 < S < S_star:
-        raise ValueError(
-            f"no-intersection: S={S} not in (0, S*={S_star})")
-
-    def f(t):
-        return pressure(t, S, gas) - double_sonic_locus(t, gas)
-
+    tau_f_e = front_locus_volume(S, gas)
+    f = _locus_gap(S, gas)
     tau_m = ((3.0 * g - 2.0 + (5.0 * g * g - 4.0) ** 0.5)
              / ((g - 1.0) * (2.0 - g)))
     if not f(tau_m) > 0.0:
         raise ValueError(f"no-intersection: no locus crossing at S={S}")
-    return (brentq(f, 1.0 + 1e-12, tau_star, xtol=BRENT_XTOL,
-                   maxiter=BRENT_MAXITER),
-            brentq(f, tau_star, tau_m, xtol=BRENT_XTOL,
-                   maxiter=BRENT_MAXITER))
+    return tau_f_e, brentq(f, 4.0 / (2.0 - g), tau_m, xtol=BRENT_XTOL,
+                           maxiter=BRENT_MAXITER)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +316,6 @@ class PotentialGas:
     def p_tau(self, tau):
         return pressure_tau(tau, self.S, self.gas)
 
-    def p_tautau(self, tau):
-        return pressure_tautau(tau, self.S, self.gas)
-
     def h(self, tau):
         return enthalpy(tau, self.S, self.gas) + self.h_ref
 
@@ -329,15 +336,6 @@ class PotentialGas:
             raise ValueError(
                 f"cavitation: bernoulli={self.bernoulli} at or below the "
                 "vacuum enthalpy")
-        return gap ** 0.5
-
-    def speed_of_tau(self, tau):
-        """Flow speed at volume tau from the Bernoulli invariant."""
-        gap = 2.0 * (self.bernoulli - self.h(tau))
-        if gap < 0.0:
-            raise ValueError(
-                f"stagnation-out-of-range: h(tau={tau}) above the Bernoulli "
-                "level; no real speed")
         return gap ** 0.5
 
 

@@ -20,7 +20,7 @@ determines the volume throughout.  Branches are immutable once built and
 their samples (BRANCH_POINTS graded nodes) read-only; the samples only
 bracket.  The composite branch takes its fan states and back velocities at
 all nodes from one array pass, around one scalar pre-sonic root per node.
-Every query (flow-angle extremes, wedge state, tangents) polishes on
+Every query (the flow-angle extremes, the wedge state) polishes on
 `state`, the scalar evaluator, which re-evaluates the defining relations
 at any parameter value, so no answer interpolates between samples.
 
@@ -52,15 +52,15 @@ from .shocks import (
     post_sonic_tau_potential,
     pre_sonic_tau_potential,
 )
-from .thermo import enthalpy, tau_from_speed
+from .thermo import enthalpy
+# tau_from_speed stays bound here: the benchmark tracer wraps
+# wavecurves.tau_from_speed
+from .thermo import tau_from_speed  # noqa: F401
 
 # relative width below which a tail shock is treated as zero strength
 _TAIL_EPS = 1e-12
 # nodes of the uniform part of every branch's sample grid
 BRANCH_POINTS = 512
-# step of the central-difference branch tangent, relative to the branch's
-# parameter range
-TANGENT_STEP = 1e-6
 # tolerance of the wedge root, relative to 1 + |tau_w|
 WEDGE_XTOL = 1e-14
 
@@ -231,16 +231,6 @@ class WaveCurveBranch:
         """(u, v, angle) at any parameter value, re-evaluated from the
         defining relations by the branch's evaluator."""
         return self.evaluator(param)
-
-    def tangent(self, param):
-        """Unit tangent (t_u, t_v) in ascending parameter: the central
-        difference of `state` with step TANGENT_STEP * (hi - lo)."""
-        lo, hi = self.param_range
-        step = TANGENT_STEP * (hi - lo)
-        up, vp, _ = self.state(param + step)
-        um, vm, _ = self.state(param - step)
-        norm = math.hypot(up - um, vp - vm)
-        return (up - um) / norm, (vp - vm) / norm
 
 
 def _graded_grid(lo, hi, open_hi=False):
@@ -465,80 +455,14 @@ def solve_wedge_state(theta_w, branch_IJ):
                                   None))[0]
 
 
-# ---------------------------------------------------------------------------
-# polar function of an oblique front state and tangency diagnostics
-
-
-def polar_gradient(u, v, u_f, v_f, pgas):
-    """Shock-polar function of the front state (u_f, v_f) at (u, v), and
-    its gradient.
-
-    G = (rho u - rho_f u_f)(u - u_f) + (rho v - rho_f v_f)(v - v_f)
-    with each density taken from the Bernoulli law of pgas; G vanishes on
-    the polar and (G_u, G_v) is normal to it.
-    """
-    q = math.hypot(u, v)
-    q_f = math.hypot(u_f, v_f)
-    tau = tau_from_speed(q, pgas)
-    tau_f = tau_from_speed(q_f, pgas)
-    rho = 1.0 / tau
-    rho_f = 1.0 / tau_f
-    c2 = pgas.c(tau) ** 2
-    du, dv = u - u_f, v - v_f
-    G = (rho * u - rho_f * u_f) * du + (rho * v - rho_f * v_f) * dv
-    G_u = ((rho - rho * u * u / c2) * du + (rho * u - rho_f * u_f)
-           - rho * u * v / c2 * dv)
-    G_v = (-rho * u * v / c2 * du + (rho - rho * v * v / c2) * dv
-           + (rho * v - rho_f * v_f))
-    return G, G_u, G_v
-
-
-def _context(branch):
-    if branch.context is None:
-        raise ValueError("no-context: branch carries no ramp context")
-    return branch.context
-
-
-def polar_tangency_check(branch_IJ, tau_w):
-    """Angle defect between the composite-branch tangent at tau_w and the
-    shock polar of the fan-branch front state through the same back
-    point, whose normal is the polar_gradient there.  The two curves
-    touch, so the defect measures only the finite-difference error of the
-    branch tangent (TANGENT_STEP)."""
-    ctx = _context(branch_IJ)
-    lo, hi = branch_IJ.param_range
-    if not lo < tau_w < hi:
-        raise ValueError(f"out-of-window: tau_w={tau_w} not inside "
-                         f"({lo}, {hi})")
-    tu, tv = branch_IJ.tangent(tau_w)
-    u_f, v_f, _ = ctx.fan_state(tau_w)
-    u_b, v_b, _ = branch_IJ.state(tau_w)
-    _, g_u, g_v = polar_gradient(u_b, v_b, u_f, v_f, ctx.pgas)
-    return math.asin(min(1.0, abs(tu * g_u + tv * g_v)
-                         / math.hypot(g_u, g_v)))
-
-
-def tail_tangent_acute(branch_IJ, tau_w):
-    """True when the angle between the backward tangent -(u', v') of the
-    composite branch and the state vector (u, v) at tau_w is acute."""
-    u, v, _ = branch_IJ.state(tau_w)
-    tu, tv = branch_IJ.tangent(tau_w)
-    return -(tu * u + tv * v) > 0.0
-
-
-def tail_back_supersonic(branch_IJ, tau_w):
-    """True when the back state of the tail shock at tau_w is supersonic."""
-    ctx = _context(branch_IJ)
-    u, v, _ = ctx.tail_state(tau_w)
-    return math.hypot(u, v) > ctx.pgas.c(ctx.tail_back_volume(tau_w))
-
-
 def wall_tail_shock(theta_w, branch_IJ):
     """The tail shock of the wall at theta_w as a resolved oblique shock
     on the branch isentrope: front on the fan branch at solve_wedge_state's
     tau_w, front-sonic flux, from the fan state and back volume of the
     root's last exact iterate."""
-    ctx = _context(branch_IJ)
+    ctx = branch_IJ.context
+    if ctx is None:
+        raise ValueError("no-context: branch carries no ramp context")
 
     def g(t):
         hat, tau_pr = ctx.fan_state(t), ctx.tail_back_volume(t)

@@ -20,6 +20,9 @@ frame direction of the evaluation point; the second (nested) application
 uses a forward step, so the composed residuals shrink at first order
 in h. Fields are assumed smooth on the stencil (within ~2h of the
 point) with the flow angle away from the atan2 branch cut.
+
+Nothing here reads the fan series of bztflow.fan, so a residual read on
+a solver fan checks that series independently.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
 
-from .fan import riemann_invariants
-from .thermo import (
+from bztflow.thermo import (
     GasModel,
     PotentialGas,
     pressure_tau,
@@ -38,6 +40,8 @@ from .thermo import (
     sound_speed,
     tau_from_speed,
 )
+
+from .turning import riemann_invariants
 
 # largest |d+ S| at which a field counts as isentropic
 ENTROPY_GRADIENT_TOL = 1e-8
@@ -197,7 +201,7 @@ def decomposition_residual_potential(field, point, h):
     tau = tau_from_speed(q, pgas)
     c = pgas.c(tau)
     A = math.asin(c / q)
-    F = (-q * q * tau * pgas.p_tautau(tau)
+    F = (-q * q * tau * pressure_tautau(tau, pgas.S, pgas.gas)
          / (4.0 * (q * q - c * c) * pgas.p_tau(tau) * math.sin(2.0 * A)))
 
     c2A = math.cos(2.0 * A)

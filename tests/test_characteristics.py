@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from bztflow import characteristics as ck
 from bztflow import fan, thermo
+from reference import characteristics as ck
+from reference import turning
 
 G15 = thermo.GasModel(1.5)
 
@@ -143,13 +144,13 @@ def _potential_fan_field():
     lo, hi = TAU1_I + 0.3, tau_ref
 
     def alpha_hat(tau):
-        return fan.pm_potential(tau, pg, q_ref, 0.0, tau_ref)[1]
+        return turning.pm_potential(tau, pg, q_ref, 0.0, tau_ref)[1]
 
     def fn(x, y):
         th = math.atan2(-y, x)
         tau = brentq(lambda t: alpha_hat(t) - th, lo, hi, xtol=1e-14)
-        sig, _ = fan.pm_potential(tau, pg, q_ref, 0.0, tau_ref)
-        q = pg.speed_of_tau(tau)
+        sig, _ = turning.pm_potential(tau, pg, q_ref, 0.0, tau_ref)
+        q = turning.speed_of_tau(pg, tau)
         return q * math.cos(sig), -q * math.sin(sig)
 
     theta_mid = alpha_hat(0.5 * (lo + hi))

@@ -9,6 +9,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from bztflow import fan, shocks, thermo
+from reference import turning
 
 G15 = thermo.GasModel(1.5)
 
@@ -209,13 +210,14 @@ def test_fan_turning_matches_quadrature():
     pg = thermo.PotentialGas(
         gas=G15, S=S_d,
         bernoulli=0.5 * q_d**2 + thermo.enthalpy(tau_d, S_d, G15))
-    q_hat = pg.speed_of_tau(tau_target)
-    sigma_quad = sigma_d - fan.turning_in_volume(tau_d, tau_target, pg)
+    q_hat = turning.speed_of_tau(pg, tau_target)
+    sigma_quad = sigma_d - turning.turning_in_volume(tau_d, tau_target, pg)
     assert q_end == pytest.approx(q_hat, rel=1e-12)
     assert sigma_end == pytest.approx(sigma_quad, abs=1e-12)
     for theta in np.linspace(sol.theta_start, sol.theta_end, 9)[1:-1]:
         q, tau, sigma, _ = sol.state(theta)
-        sigma_hat, alpha_hat = fan.pm_potential(tau, pg, q_d, sigma_d, tau_d)
+        sigma_hat, alpha_hat = turning.pm_potential(tau, pg, q_d, sigma_d,
+                                                    tau_d)
         assert abs(sigma - sigma_hat) < 1e-10
         assert abs(theta - alpha_hat) < 1e-10
 
@@ -443,7 +445,7 @@ def potential_anchor():
 def test_pm_potential_trivial_at_anchor():
     pg, q_ref, tau_ref = potential_anchor()
     sigma_ref = -0.1
-    sig, alp = fan.pm_potential(tau_ref, pg, q_ref, sigma_ref, tau_ref)
+    sig, alp = turning.pm_potential(tau_ref, pg, q_ref, sigma_ref, tau_ref)
     assert sig == pytest.approx(sigma_ref, abs=1e-13)
     A_ref = math.asin(pg.c(tau_ref) / q_ref)
     assert alp == pytest.approx(sigma_ref + A_ref, abs=1e-13)
@@ -456,8 +458,8 @@ def test_pm_potential_monotone_and_tangent():
                                               bernoulli=1.0)
 
     def row(tau):
-        sig, alp = fan.pm_potential(tau, pg, q_ref, sigma_ref, tau_ref)
-        q = anchored.speed_of_tau(tau)
+        sig, alp = turning.pm_potential(tau, pg, q_ref, sigma_ref, tau_ref)
+        q = turning.speed_of_tau(anchored, tau)
         return sig, alp, q
 
     taus = np.linspace(TAU1_I + 0.25, tau_ref, 9)
@@ -519,11 +521,11 @@ def test_turning_angle_on_short_intervals(case):
 
     def mean(w):
         a, b = mid - 0.5 * w, mid + 0.5 * w
-        return fan.turning_in_volume(a, b, pg) / (b - a)
+        return turning.turning_in_volume(a, b, pg) / (b - a)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
-        short = fan.turning_in_volume(tau_from, tau_to, pg)
+        short = turning.turning_in_volume(tau_from, tau_to, pg)
         ref = (100.0 * mean(1e-8 * tau_from) - mean(1e-7 * tau_from)) / 99.0
     assert short / d == pytest.approx(ref, rel=1e-9)
 
@@ -533,8 +535,8 @@ def test_turning_in_volume_is_antisymmetric():
     pg, _, tau_ref = potential_anchor()
     for tau in (TAU1_I + 0.25, 0.5 * (TAU1_I + tau_ref), 2.0 * tau_ref,
                 50.0 * tau_ref):
-        nu = fan.turning_in_volume(tau_ref, tau, pg)
-        assert fan.turning_in_volume(tau, tau_ref, pg) == pytest.approx(
+        nu = turning.turning_in_volume(tau_ref, tau, pg)
+        assert turning.turning_in_volume(tau, tau_ref, pg) == pytest.approx(
             -nu, rel=1e-14, abs=0.0)
 
 
@@ -561,7 +563,7 @@ def test_pm_potential_matches_mpmath(case):
     pg = thermo.PotentialGas(gas=thermo.GasModel(g), S=S, bernoulli=1.0)
     for f in (0.05, 0.5, 0.95):
         tau = tau1_i + f * (tau_po - tau1_i)
-        sigma, _ = fan.pm_potential(tau, pg, q_po, sigma_po, tau_po)
+        sigma, _ = turning.pm_potential(tau, pg, q_po, sigma_po, tau_po)
         ref, _ = mpmath_fan_end(q_po, tau_po, sigma_po, tau, S, g)
         assert sigma == pytest.approx(ref, rel=0.0, abs=2e-15)
 
@@ -570,20 +572,20 @@ def test_potential_fan_maps_no_speed_to_a_volume(monkeypatch):
     # pm_potential integrates in the volume; riemann_invariants solves the
     # Bernoulli law only for the state, its anchor being a volume
     calls = []
-    root = fan.tau_from_speed
+    root = turning.tau_from_speed
 
     def counted(q, pgas):
         calls.append(q)
         return root(q, pgas)
 
-    monkeypatch.setattr(fan, "tau_from_speed", counted)
+    monkeypatch.setattr(turning, "tau_from_speed", counted)
     monkeypatch.setattr(thermo, "tau_from_speed", counted)
     pg, q_ref, tau_ref = potential_anchor()
-    sigma, _ = fan.pm_potential(TAU1_I + 0.25, pg, q_ref, -0.1, tau_ref)
+    sigma, _ = turning.pm_potential(TAU1_I + 0.25, pg, q_ref, -0.1, tau_ref)
     assert calls == []
-    q = pg.speed_of_tau(TAU1_I + 0.25)
-    fan.riemann_invariants(q * math.cos(sigma), q * math.sin(sigma), pg,
-                           tau_ref)
+    q = turning.speed_of_tau(pg, TAU1_I + 0.25)
+    turning.riemann_invariants(q * math.cos(sigma), q * math.sin(sigma), pg,
+                               tau_ref)
     assert len(calls) == 1
 
 
@@ -594,10 +596,10 @@ def test_riemann_invariants_sum_and_fan_invariance():
     sigma_ref = -0.1
     rp_ref = None
     for tau in np.linspace(TAU1_I + 0.25, tau_ref, 7):
-        sig, alp = fan.pm_potential(tau, pg, q_ref, sigma_ref, tau_ref)
-        q = anchored.speed_of_tau(tau)
+        sig, alp = turning.pm_potential(tau, pg, q_ref, sigma_ref, tau_ref)
+        q = turning.speed_of_tau(anchored, tau)
         u, v = q * math.cos(sig), q * math.sin(sig)
-        rp, rm = fan.riemann_invariants(u, v, anchored, tau_ref)
+        rp, rm = turning.riemann_invariants(u, v, anchored, tau_ref)
         assert rp + rm == pytest.approx(2.0 * sig, abs=1e-12)
         if rp_ref is None:
             rp_ref = rp
@@ -616,17 +618,17 @@ def test_riemann_invariants_speed_partials():
     expect = q * c / (2.0 * math.sqrt(q * q - c * c))
     d = 1e-7
     # move along r_minus = const: dsigma = +dnu
-    nu = fan.turning_in_volume(tau, thermo.tau_from_speed(q + d, anchored),
-                               anchored)
+    nu = turning.turning_in_volume(tau, thermo.tau_from_speed(q + d, anchored),
+                                   anchored)
     u1, v1 = (q + d) * math.cos(sigma + nu), (q + d) * math.sin(sigma + nu)
     u0, v0 = q * math.cos(sigma), q * math.sin(sigma)
-    rp1, rm1 = fan.riemann_invariants(u1, v1, anchored, tau_ref)
-    rp0, rm0 = fan.riemann_invariants(u0, v0, anchored, tau_ref)
+    rp1, rm1 = turning.riemann_invariants(u1, v1, anchored, tau_ref)
+    rp0, rm0 = turning.riemann_invariants(u0, v0, anchored, tau_ref)
     assert rm1 == pytest.approx(rm0, abs=1e-12)
     assert d / (rp1 - rp0) == pytest.approx(expect, rel=1e-5)
     # move along r_plus = const: dsigma = -dnu
     u2, v2 = (q + d) * math.cos(sigma - nu), (q + d) * math.sin(sigma - nu)
-    rp2, rm2 = fan.riemann_invariants(u2, v2, anchored, tau_ref)
+    rp2, rm2 = turning.riemann_invariants(u2, v2, anchored, tau_ref)
     assert rp2 == pytest.approx(rp0, abs=1e-12)
     assert d / (rm2 - rm0) == pytest.approx(-expect, rel=1e-5)
 
@@ -634,8 +636,8 @@ def test_riemann_invariants_speed_partials():
 def test_riemann_invariants_guards():
     pg, q_ref, tau_ref = potential_anchor()
     with pytest.raises(ValueError, match="subsonic"):
-        fan.riemann_invariants(0.45 * q_ref, 0.0, pg, tau_ref)
+        turning.riemann_invariants(0.45 * q_ref, 0.0, pg, tau_ref)
     # a subsonic anchor volume: the integral crosses the sonic volume
     slow = thermo.tau_from_speed(0.45 * q_ref, pg)
     with pytest.raises(ValueError, match="subsonic"):
-        fan.riemann_invariants(q_ref, 0.0, pg, slow)
+        turning.riemann_invariants(q_ref, 0.0, pg, slow)

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from bztflow import characteristics as ck
 from bztflow import fan, shocks, thermo
 from bztflow import selfsimilar as ss
 from bztflow import wavecurves as wc
 from bztflow.shocks import normal_split, rh_residuals_euler
 from bztflow.thermo import GasModel, PotentialGas, sound_speed
+from reference import characteristics as ck
+from reference import turning
 
 G15 = GasModel(gamma=1.5)
 
@@ -630,12 +631,13 @@ def _reference_fan_state(ctx, theta, tau_tail):
     pg = ctx.pgas
 
     def ray(tau):
-        return fan.pm_potential(tau, pg, ctx.q_po, ctx.sigma_po,
-                                ctx.tau_po)[1] - theta
+        return turning.pm_potential(tau, pg, ctx.q_po, ctx.sigma_po,
+                                    ctx.tau_po)[1] - theta
 
     tau = brentq(ray, tau_tail, ctx.tau_po, xtol=1e-13)
-    sigma, _ = fan.pm_potential(tau, pg, ctx.q_po, ctx.sigma_po, ctx.tau_po)
-    q = pg.speed_of_tau(tau)
+    sigma, _ = turning.pm_potential(tau, pg, ctx.q_po, ctx.sigma_po,
+                                    ctx.tau_po)
+    q = turning.speed_of_tau(pg, tau)
     return q * math.cos(sigma), q * math.sin(sigma)
 
 
@@ -878,7 +880,13 @@ def test_potential_sonic_shocks_are_characteristic_envelopes(case):
         assert max(_envelope_defects(sol)) <= 1e-12
 
 
-@pytest.mark.parametrize("case", ENVELOPE_EULER)
+# gamma = 1.7, S = S_cr + 0.01 (S* - S_cr), tau0 halfway to tau_f_e, Mach 2:
+# an isentrope in the band with no back crossing of the double-sonic locus
+BAND_EULER = (1.7, 0.4437126348522719, 0.46704062838274985,
+              4.829922237499346, -0.6)
+
+
+@pytest.mark.parametrize("case", ENVELOPE_EULER + (BAND_EULER,))
 def test_euler_sonic_shocks_are_characteristic_envelopes(case):
     g, S0, u0, tau0, theta_w = case
     sol = ss.solve_euler_fsf(u0, tau0, S0, theta_w, GasModel(g))

@@ -1,6 +1,7 @@
 """The package surface: every public name that no package code uses is
-listed here with the reason it stays, and no module imports a name it
-never reads."""
+listed here with the reason it stays, no module imports a name it never
+reads, and an import kept only for the benchmark binds no name its module
+reads."""
 
 import ast
 from pathlib import Path
@@ -9,19 +10,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bztflow"
 
 ENTRY = "entry point"
 PAPER = "paper object"
-TEST = "test reference"
+BENCH = "benchmark pin (ROADMAP item 1)"
 
 # module.name (or module.Class.method) -> why it stays public
 UNCALLED = {
-    # the finite-difference residuals of the paper's decompositions, read
-    # on the solver fans and the sweep solutions, independent of the fan
-    # series
-    "characteristics.FlowField": TEST,
-    "characteristics.PotentialFlowField": TEST,
-    "characteristics.decomposition_residual_potential": TEST,
-    "characteristics.decomposition_residual_euler_isentropic": TEST,
-    # QUADPACK turning of a potential fan, against the stored series
-    "fan.pm_potential": TEST,
     "selfsimilar.solve_euler_fsf": ENTRY,
     "selfsimilar.solve_potential_sfs": ENTRY,
     "selfsimilar.evaluate": ENTRY,
@@ -30,8 +22,17 @@ UNCALLED = {
     # the shock of the Euler expansion ramp past tau_f_e, a planned
     # construction (ROADMAP)
     "shocks.post_sonic_back_state_euler": PAPER,
-    # the closed-form internal energy the tests check the enthalpy against
-    "thermo.internal_energy": TEST,
+    # both crossings of the double-sonic locus; the solvers read only the
+    # front one (front_locus_volume), and bench/tests/test_bench_inputs.py
+    # checks the benchmark's generator against this pair
+    "thermo.locus_intersections": BENCH,
+    # the speed-to-volume root, no longer on a solver path: the benchmark
+    # tracer wraps it under thermo, fan and wavecurves, and
+    # bench/tests/test_bench_tracer.py asserts those bindings
+    "thermo.tau_from_speed": BENCH,
+    # the potential model through an incoming state, as its callers build
+    # it
+    "thermo.PotentialGas.from_state": ENTRY,
     # the hodograph wave curves of a compression-ramp state
     "wavecurves.polar_branch_I": PAPER,
     "wavecurves.shock_fan_branch": PAPER,
@@ -40,38 +41,64 @@ UNCALLED = {
     # the branch parameter of one wall on a branch of any kind
     "wavecurves.deflection_range": ENTRY,
     "wavecurves.solve_wedge_state": ENTRY,
-    # checks of the composite branch against its defining relations
-    "wavecurves.polar_tangency_check": TEST,
-    "wavecurves.tail_tangent_acute": TEST,
-    "wavecurves.tail_back_supersonic": TEST,
 }
+
+# module.name of every name bound by an import marked `# noqa: F401`: each
+# is kept only for the benchmark tracer, which wraps it under that module
+NOQA_BINDINGS = {
+    "fan.quad",
+    "fan.solve_ivp",
+    "fan.tau_from_speed",
+    "selfsimilar.ramp_context",
+    "wavecurves.tau_from_speed",
+}
+
+
+def _modules():
+    """(stem, tree, lines) of each package module."""
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        yield path.stem, ast.parse(text), text.splitlines()
+
+
+def _imports(tree, lines):
+    """(name, noqa) for each name a module imports, other than
+    __future__ features; noqa is True when the import is marked
+    `# noqa: F401` on its first line."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            noqa = "# noqa: F401" in lines[node.lineno - 1]
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], noqa
+
+
+def _read(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
 
 def _uncalled_public_names():
     """Public module-level functions and classes whose identifier no
-    package module names (by reference, attribute or import), and public
-    methods that no package module reads as an attribute."""
+    package module names (by reference, attribute or import other than a
+    `# noqa: F401` one), and public methods that no package module reads
+    as an attribute."""
     functions, methods, names, attrs = {}, {}, set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for stem, tree, lines in _modules():
         for node in tree.body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_")):
                 continue
-            functions[f"{path.stem}.{node.name}"] = node.name
+            functions[f"{stem}.{node.name}"] = node.name
             if isinstance(node, ast.ClassDef):
                 methods.update(
-                    (f"{path.stem}.{node.name}.{sub.name}", sub.name)
+                    (f"{stem}.{node.name}.{sub.name}", sub.name)
                     for sub in node.body
                     if isinstance(sub, ast.FunctionDef)
                     and not sub.name.startswith("_"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attrs.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
+        names |= _read(tree)
+        names |= {name for name, noqa in _imports(tree, lines) if not noqa}
+        attrs |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)}
     # a local variable of the same name is no call of a method
     return ({q for q, name in functions.items() if name not in names | attrs}
             | {q for q, name in methods.items() if name not in attrs})
@@ -83,26 +110,24 @@ def test_every_uncalled_public_name_has_a_reason():
     assert sorted(set(UNCALLED) - found) == [], "listed, but now called"
 
 
-def _unused_imports():
-    """module: name for each name a package module imports and never
-    reads, other than __future__ features and imports marked
-    `# noqa: F401` on their first line."""
-    unused = []
-    for path in sorted(SRC.glob("*.py")):
-        text = path.read_text()
-        lines, tree = text.splitlines(), ast.parse(text)
-        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        for node in ast.walk(tree):
-            if (not isinstance(node, (ast.Import, ast.ImportFrom))
-                    or getattr(node, "module", None) == "__future__"
-                    or "# noqa: F401" in lines[node.lineno - 1]):
-                continue
-            for alias in node.names:
-                name = (alias.asname or alias.name).split(".")[0]
-                if name not in read:
-                    unused.append(f"{path.stem}: {name}")
-    return unused
-
-
 def test_no_unused_import():
-    assert _unused_imports() == []
+    # module: name for each name imported without `# noqa: F401` and
+    # never read
+    unused = []
+    for stem, tree, lines in _modules():
+        read = _read(tree)
+        unused += [f"{stem}: {name}" for name, noqa in _imports(tree, lines)
+                   if not noqa and name not in read]
+    assert unused == []
+
+
+def test_noqa_imports_bind_only_unread_names():
+    # a name its module reads needs no `# noqa: F401`, which would hide it
+    # when it falls out of use
+    bound, read = set(), []
+    for stem, tree, lines in _modules():
+        names = {name for name, noqa in _imports(tree, lines) if noqa}
+        bound |= {f"{stem}.{name}" for name in names}
+        read += [f"{stem}.{name}" for name in sorted(names & _read(tree))]
+    assert bound == NOQA_BINDINGS
+    assert read == []

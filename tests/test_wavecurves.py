@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from bztflow import fan, shocks, thermo, wavecurves as wc
+from bztflow import shocks, thermo, wavecurves as wc
+from reference import polar, turning
 
 G15 = thermo.GasModel(1.5)
 
@@ -178,7 +179,7 @@ def test_fan_branch_meets_polar_at_p(branches):
 
 def test_fan_branch_invariant_spread(branches, pgas):
     pi = branches["pi"]
-    rp = [fan.riemann_invariants(pi.u[k], pi.v[k], pgas, TAU0)[0]
+    rp = [turning.riemann_invariants(pi.u[k], pi.v[k], pgas, TAU0)[0]
           for k in range(0, pi.params.size, 16)]
     assert max(rp) - min(rp) < 1e-9
 
@@ -223,8 +224,8 @@ def test_fan_series_matches_pm_potential(case):
                                         bernoulli=1.0)
     ctx = wc.ramp_context(u0, tau0, pg)
     for tau in np.linspace(ctx.tau1_i, ctx.tau_po, 41):
-        sigma, alpha = fan.pm_potential(tau, pg, ctx.q_po, ctx.sigma_po,
-                                        ctx.tau_po)
+        sigma, alpha = turning.pm_potential(tau, pg, ctx.q_po,
+                                            ctx.sigma_po, ctx.tau_po)
         u, v, alpha_hat = ctx.fan_state(tau)
         assert abs(math.atan2(v, u) - sigma) <= 1e-14
         assert abs(alpha_hat - alpha) <= 1e-14
@@ -558,13 +559,13 @@ def test_wedge_state_round_trip(tau_w):
 
 def test_polar_tangency(branches, pgas):
     ij = branches["ij"]
-    defect = wc.polar_tangency_check(ij, TAU_W_MID)
+    defect = polar.polar_tangency_check(ij, TAU_W_MID)
     assert defect < 1e-7
 
     # (G_u, G_v) of the front-state polar is normal to the branch
     u_f, v_f, _ = ij.context.fan_state(TAU_W_MID)
     u_b, v_b, _ = ij.state(TAU_W_MID)
-    _, g_u, g_v = wc.polar_gradient(u_b, v_b, u_f, v_f, pgas)
+    _, g_u, g_v = polar.polar_gradient(u_b, v_b, u_f, v_f, pgas)
     e = 1e-6
     u1, v1, _ = ij.state(TAU_W_MID + e)
     u2, v2, _ = ij.state(TAU_W_MID - e)
@@ -576,15 +577,15 @@ def test_polar_tangency(branches, pgas):
     # branch samples satisfy the polar relation of their own front state
     for k in range(4, ij.params.size, 16):
         uf, vf, _ = ij.context.fan_state(ij.params[k])
-        g, g_u, g_v = wc.polar_gradient(ij.u[k], ij.v[k], uf, vf, pgas)
+        g, g_u, g_v = polar.polar_gradient(ij.u[k], ij.v[k], uf, vf, pgas)
         scale = math.hypot(g_u, g_v) * math.hypot(ij.u[k], ij.v[k])
         assert abs(g) / scale < 1e-10
 
 
 def test_tail_predicates(branches):
     ij = branches["ij"]
-    assert wc.tail_tangent_acute(ij, TAU_W_MID)
-    assert wc.tail_back_supersonic(ij, TAU_W_MID)
+    assert polar.tail_tangent_acute(ij, TAU_W_MID)
+    assert polar.tail_back_supersonic(ij, TAU_W_MID)
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +622,12 @@ def test_memo_rebuilds_for_a_new_state(pgas, monkeypatch):
     base = wc.shock_fan_shock_branch(U0, TAU0, pgas)
     # another incoming state on the same isentrope and Bernoulli constant
     tau0 = 0.99 * TAU0
-    moved = wc.shock_fan_shock_branch(pgas.speed_of_tau(tau0), tau0, pgas)
+    moved = wc.shock_fan_shock_branch(turning.speed_of_tau(pgas, tau0),
+                                      tau0, pgas)
     assert len(assembled) == 2
     assert moved.context.tau0 == tau0 != base.context.tau0
     assert moved.context.tau_po != base.context.tau_po
-    assert wc.shock_fan_shock_branch(pgas.speed_of_tau(tau0), tau0,
+    assert wc.shock_fan_shock_branch(turning.speed_of_tau(pgas, tau0), tau0,
                                      pgas) is moved
     assert len(assembled) == 2
 
