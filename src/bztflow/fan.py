@@ -50,7 +50,7 @@ from numpy.polynomial import chebyshev
 from scipy.integrate import quad, solve_ivp  # noqa: F401
 
 from .shocks import FlowState
-from .thermo import critical_entropies, enthalpy, pressure_tautau, sound_speed
+from .thermo import enthalpy, pressure_tautau, sound_speed
 from .thermo import tau_from_speed  # noqa: F401
 
 
@@ -88,6 +88,7 @@ _FIT = (2.0 / _M) * _HALF[:, None] * _T[:, :PANEL_POINTS].T * _HALF
 _INT = chebyshev.chebint(np.eye(PANEL_POINTS), axis=1)
 _XS = _X.tolist()
 _VACUUM_EDGES = np.append(0.0, 2.0 ** -np.arange(VACUUM_SPLITS, 0, -1))
+_ALT = (-1.0) ** np.arange(PANEL_POINTS + 1)       # T_n(-1)
 
 
 def _forms(lw, g, S, q_lim2, xp):
@@ -126,23 +127,12 @@ class _Turning:
     PANEL_POINTS); an accepted panel keeps its node values from that round,
     so every node is evaluated once."""
 
+    @np.errstate(divide="ignore")
     def __init__(self, u_lo, u_hi, sigma0, S, q_lim2, gas):
         g = gas.gamma
         self.g, self.k, self.S, self.q_lim2 = g, 0.5 * (g - 1.0), S, q_lim2
         k = self.k
         span = u_hi - u_lo
-
-        def integrand(mid, hw, x):
-            u = mid + hw * x
-            with np.errstate(divide="ignore"):
-                c_u2, q2, P = _forms(np.log(u) / k, g, S, q_lim2, np)
-            m2 = q2 - c_u2 * u * u
-            if not (np.all(c_u2 > 0.0) and np.all(m2 > -1e-12 * q2)):
-                raise ValueError(
-                    "sonic-degeneracy: q reached c along the fan")
-            m2 = np.maximum(m2, 0.0)
-            return np.stack([np.sqrt(c_u2 * m2) / (k * q2), u, c_u2, q2, P,
-                             m2])
 
         # adaptive panels; every round evaluates all pending panels [a, b]
         # at once and keeps the accepted ones with their node values
@@ -150,19 +140,32 @@ class _Turning:
         edges = np.linspace(u_lo, u_hi, 5)
         a, b = edges[:-1], edges[1:]
         scale, n_done = 0.0, 0
-        while len(a):
+        while True:
+            # keep each round's panel set: NumPy rounds an element by where
+            # it sits in the array, so another set moves every fan's bits
             mid, hw = 0.5 * (a + b), 0.5 * (b - a)
-            V = integrand(mid[:, None], hw[:, None], _X)
-            scale = max(scale, float(np.max(V[0])))
-            coef = V[0] @ _FIT.T
+            u = mid[:, None] + hw[:, None] * _X
+            c_u2, q2, P = _forms(np.log(u) / k, g, S, q_lim2, np)
+            m2 = q2 - c_u2 * u * u
+            if not ((c_u2 > 0.0).all() and (m2 > -1e-12 * q2).all()):
+                raise ValueError(
+                    "sonic-degeneracy: q reached c along the fan")
+            m2 = np.maximum(m2, 0.0)
+            f = np.sqrt(c_u2 * m2) / (k * q2)
+            V = np.array([f, u, c_u2, q2, P, m2])
+            scale = max(scale, float(f.max()))
+            coef = f @ _FIT.T
             tail = np.abs(coef[:, -1]) + np.abs(coef[:, -2])
             ok = ((tail <= TAIL_TOL * scale)
                   | (tail * hw <= BUDGET_TOL * max(scale * span, 1.0)))
+            if ok.all():
+                kept.append((a, mid, hw, coef, V))
+                break
             kept.append((a[ok], mid[ok], hw[ok], coef[ok], V[:, ok]))
-            n_done += int(np.count_nonzero(ok))
             lo, m, hi = a[~ok], mid[~ok], b[~ok]
+            n_done += len(a) - len(lo)
             a, b = np.concatenate([lo, m]), np.concatenate([m, hi])
-            if len(lo) and lo[0] == 0.0:
+            if lo[0] == 0.0:
                 # the panel on vacuum, cut at hi 2^-j at once (VACUUM_SPLITS)
                 e = hi[0] * _VACUUM_EDGES
                 a, b = np.append(e[:-1], a[1:]), np.append(e[1:], b[1:])
@@ -170,14 +173,16 @@ class _Turning:
                 raise ValueError(
                     f"no-convergence: fan integrand needs more than "
                     f"{MAX_PANELS} panels on u in [{u_lo}, {u_hi}]")
-        a, mid, hw, coef, V = zip(*kept)
-        order = np.argsort(np.concatenate(a))
-        mid, hw, coef = (np.concatenate(v)[order] for v in (mid, hw, coef))
-        V = np.concatenate(V, axis=1)[:, order]
+        if len(kept) > 1:
+            a, mid, hw, coef, V = zip(*kept)
+            order = np.argsort(np.concatenate(a))
+            mid, hw, coef = (np.concatenate(v)[order]
+                             for v in (mid, hw, coef))
+            V = np.concatenate(V, axis=1)[:, order]
 
         # sigma series: antiderivative per panel, chained down from the foot
         G = (coef @ _INT) * hw[:, None]
-        top, bottom = G.sum(axis=1), G @ (-1.0) ** np.arange(G.shape[1])
+        top, bottom = G.sum(axis=1), G @ _ALT
         drop = top - bottom
         sigma_top = sigma0 - (np.cumsum(drop[::-1])[::-1] - drop)
         G[:, 0] += sigma_top - top
@@ -194,12 +199,9 @@ class _Turning:
         theta = sig + np.arcsin(np.minimum(np.sqrt(c_u2 / q2) * u, 1.0))
         self.sign = s = 1.0 if theta[-1] >= theta[0] else -1.0
         self.rays = (s * theta).tolist()
-        with np.errstate(divide="ignore"):
-            self.ray_slopes = (s * (P / (2.0 * k * np.sqrt(c_u2 * m2)))
-                               ).tolist()
-        self.panels = [(m_, h_, c[0], c[:0:-1])
-                       for m_, h_, c in zip(mid.tolist(), hw.tolist(),
-                                            G.tolist())]
+        self.ray_slopes = (s * (P / (2.0 * k * np.sqrt(c_u2 * m2)))).tolist()
+        self.panels = list(zip(mid.tolist(), hw.tolist(), G[:, 0].tolist(),
+                               G[:, :0:-1].tolist()))
 
     def point(self, p, x):
         """(sigma, theta, dsigma/du, dtheta/du, q^2, log w) at x on panel
@@ -386,9 +388,8 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
         raise ValueError(
             f"no-convergence: tau_end={tau_end} lies behind the foot "
             f"tau0={tau0}; a fan expands")
-    # psi peaks on [tau0, tau_end] at its point nearest tau*
-    _, tau_star, _ = critical_entropies(gas)
-    tau_near = min(max(tau_star, tau0), tau_end)
+    # psi peaks on [tau0, tau_end] at its point nearest tau* = 4/(2-gamma)
+    tau_near = min(max(4.0 / (2.0 - gas.gamma), tau0), tau_end)
     if pressure_tautau(tau_near, S0, gas) <= 0.0:
         raise ValueError(
             f"inflection-hit: [{tau0}, {tau_end}] meets the p_tautau <= 0 "

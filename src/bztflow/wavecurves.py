@@ -52,7 +52,7 @@ from .shocks import (
     post_sonic_tau_potential,
     pre_sonic_tau_potential,
 )
-from .thermo import enthalpy
+from .thermo import BRENT_MAXITER, BRENT_XTOL, enthalpy
 # tau_from_speed stays bound here: the benchmark tracer wraps
 # wavecurves.tau_from_speed
 from .thermo import tau_from_speed  # noqa: F401
@@ -341,7 +341,7 @@ def polar_branch_II(u0, tau0, pgas):
         raise ValueError(
             f"empty-branch: the normal speed never falls below u0={u0} "
             f"ahead of tau_b={tau_pr_po}")
-    tau_n = brentq(f, lo, hi, xtol=1e-13)
+    tau_n = brentq(f, lo, hi, xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
     # step off the detached side, where polar_state would reject the root
     while f(tau_n) > 0.0:
         tau_n = math.nextafter(tau_n, hi)

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
-from bztflow import fan, shocks, thermo
+from bztflow import fan, shocks, thermo, wavecurves
 from reference import turning
 
 G15 = thermo.GasModel(1.5)
@@ -22,6 +22,7 @@ TAU_F_E = 5.451165090410962
 TAU_D = 15.025623552912846
 S_D = 0.34813341598088193
 TAU_PO_POTENTIAL = 7.481738396911066
+TAU_F_MID_PO = 25.006597968134916
 
 
 def upstream_state(mach=2.0, tau0=4.9):
@@ -371,22 +372,54 @@ def test_vacuum_angle_near_sonic_matches_mpmath(gamma):
     assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("gamma", [1.3, 1.6, 1.9, 1.99])
-def test_fan_to_vacuum_takes_few_refinement_rounds(gamma, monkeypatch):
-    # u = 0 is a fractional-power point of the integrand (w^(2-gamma)):
-    # refined by halving alone it takes one round per level, 44 at 1.99
+def count_rounds(monkeypatch):
+    """A list that gains one entry, the number of panels evaluated, per
+    integrand round of a _Turning build: each round is one array call of
+    fan._forms."""
     rounds = []
     forms = fan._forms
 
     def counted(lw, g, S, q_lim2, xp):
         if xp is np:
-            rounds.append(1)
+            rounds.append(len(lw))
         return forms(lw, g, S, q_lim2, xp)
 
     monkeypatch.setattr(fan, "_forms", counted)
+    return rounds
+
+
+@pytest.mark.parametrize("gamma", [1.3, 1.6, 1.9, 1.99])
+def test_fan_to_vacuum_takes_few_refinement_rounds(gamma, monkeypatch):
+    # u = 0 is a fractional-power point of the integrand (w^(2-gamma)):
+    # refined by halving alone it takes one round per level, 44 at 1.99
+    rounds = count_rounds(monkeypatch)
     gas, S, tau_d = vacuum_fan_foot(gamma)
     vacuum_angle(3.0 * thermo.sound_speed(tau_d, S, gas), tau_d, S, gas)
     assert 1 <= len(rounds) <= 6
+
+
+def euler_fixture_leading_turning():
+    # the expansion fixture's incoming state: Mach 2 at tau0 = 0.9 tau_f_e
+    return upstream_fan(2.0, 0.9 * TAU_F_E)._turning
+
+
+def potential_fixture_attached_turning():
+    pg = thermo.PotentialGas.from_state(G15, S98, 0.32, TAU_F_MID_PO,
+                                        bernoulli=1.0)
+    return wavecurves.ramp_context(0.32, TAU_F_MID_PO, pg).turning
+
+
+@pytest.mark.parametrize("build, panels", [
+    (euler_fixture_leading_turning, 4),
+    (potential_fixture_attached_turning, 4),
+], ids=["euler-leading", "potential-attached"])
+def test_finite_fixture_fans_take_one_refinement_round(build, panels,
+                                                       monkeypatch):
+    # both fixture fans are resolved by the first round's four panels; a
+    # change to the panel rule or the acceptance test shows here first
+    rounds = count_rounds(monkeypatch)
+    assert len(build().panels) == panels
+    assert rounds == [panels]
 
 
 def mpmath_fan_end(q0, tau0, sigma0, tau_end, S, gamma):

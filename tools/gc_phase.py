@@ -15,9 +15,9 @@ generation-2 collection falls.  Inside a reference sample it slows the
 sample, which scales every op timed next to it up, so a change that only
 moves garbage can read as a speed change of code it did not touch.  The
 probe only reports: it changes no file under bench/, and nothing in the
-package may steer the collector.  CI runs it on two workloads as a smoke
-test, so that it keeps working as bench/ changes; nothing asserts where a
-collection falls.
+package may steer the collector.  CI runs it on all three workloads as a
+smoke test, so that it keeps working as bench/ changes; nothing asserts
+where a collection falls.
 """
 
 import argparse
