@@ -17,17 +17,18 @@ samples them at a point and `validate` re-checks the jump relations,
 junction continuity, admissibility and the wall condition, reporting
 residuals without raising.  It serves both systems through the model
 each solution carries (`EulerModel`, `PotentialModel`), and admits a
-shock when every side of it that borders a fan is sonic (`SONIC_SIDES`).
+shock when every side of it that borders a fan is sonic
+(`shocks.SONIC_SIDES`).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .thermo import (GasModel, PotentialGas, critical_entropies, enthalpy,
                      front_locus_volume, sound_speed)
-from .shocks import (FlowState, ObliqueShockSolution, classify,
-                     double_sonic_back_state, liu_condition_check,
-                     oblique_back_velocity, rh_residuals_euler,
+from .shocks import (SONIC_SIDES, FlowState, double_sonic_back_state,
+                     liu_condition_check, oblique_back_velocity,
+                     oblique_shock, rh_residuals_euler,
                      rh_residuals_potential)
 from .fan import FanSolution, integrate_fan, turning_chain
 from .wavecurves import shock_fan_shock_branch, wall_tail_shock
@@ -109,7 +110,6 @@ def evaluate(solution, x, y):
     for piece in solution.pieces:
         if theta >= piece.theta_lo:
             return piece.state_at(theta)
-    return solution.pieces[-1].state_at(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,10 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
     at or above the flow deflection behind the embedded shock leaves the
     trailing fan nothing to do and raises "wedge-angle-above-sigma_d".
     Walls steeper than the total available turning produce a cavitation
-    sector instead of a slip line.
+    sector instead of a slip line.  A failure inside a stage is re-raised
+    with the stage's prefix, chained to the inner coded error:
+    "leading-fan: " and "trailing-fan: " (fan.integrate_fan and
+    FanSolution.slip_line), "embedded-shock: " (the double-sonic jump).
     """
     S_star, _, S_cr = critical_entropies(gas)
     clauses = []
@@ -170,19 +173,16 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
     except ValueError as exc:
         raise ValueError(f"embedded-shock: {exc}") from exc
     back = FlowState(u_d, v_d, tau_d, S_d)
-    shock = ObliqueShockSolution(front=front, back=back, phi=phi_d,
-                                 m=m_ds, kind="")
-    shock = replace(shock, kind=classify(shock, gas))
+    shock = oblique_shock(front, back, phi_d, m_ds, gas)
 
     sigma_d = back.sigma
     if theta_w >= sigma_d:
         raise ValueError(
             f"wedge-angle-above-sigma_d: theta_w={theta_w} not below "
             f"sigma_d={sigma_d}")
-    q_d = back.q
     # the trailing fan runs to vacuum once; its end ray is the vacuum ray
     try:
-        right = integrate_fan(q_d, tau_d, sigma_d, S_d, phi_d, math.inf,
+        right = integrate_fan(back.q, tau_d, sigma_d, S_d, phi_d, math.inf,
                               gas)
     except ValueError as exc:
         raise ValueError(f"trailing-fan: {exc}") from exc
@@ -192,39 +192,28 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
     meta = {"gas": gas, "S0": S0, "S_d": S_d, "tau_f_e": tau_fe,
             "tau_d": tau_d, "alpha0": alpha0, "phi_d": phi_d,
             "sigma_d": sigma_d, "alpha_v": alpha_v}
-    head = (Piece("constant", 0.5 * math.pi, alpha0, state=state0),
-            Piece("fan", alpha0, phi_d, fan=left))
-
     if theta_w > alpha_v:
         try:
             right = right.slip_line(theta_w)
         except ValueError as exc:
             raise ValueError(f"trailing-fan: {exc}") from exc
-        alpha_w = right.theta_end
-        q_w, tau_w, _, _ = right.state(alpha_w)
+        alpha_end = meta["alpha_w"] = right.theta_end
+        q_w, tau_w, _, _ = right.state(alpha_end)
         # the wall state keeps the slip speed and volume and is aligned
         # with the wall exactly; the root residual lands in the junction
         # gap, orders below its tolerance
-        wall = FlowState(q_w * math.cos(theta_w), q_w * math.sin(theta_w),
-                         tau_w, S_d)
-        meta["alpha_w"] = alpha_w
-        pieces = head + (
-            Piece("fan", phi_d, alpha_w, fan=right),
-            Piece("constant", alpha_w, theta_w, state=wall),
-        )
-        breakpoints = (alpha0, phi_d, alpha_w)
+        wall = Piece("constant", alpha_end, theta_w, state=FlowState(
+            q_w * math.cos(theta_w), q_w * math.sin(theta_w), tau_w, S_d))
     else:
-        meta["theta_cav"] = alpha_v
-        meta["q_lim"] = math.sqrt(q_d * q_d
-                                  + 2.0 * enthalpy(tau_d, S_d, gas))
-        pieces = head + (
-            Piece("fan", phi_d, alpha_v, fan=right),
-            Piece("vacuum", alpha_v, theta_w),
-        )
-        breakpoints = (alpha0, phi_d, alpha_v)
+        alpha_end = meta["theta_cav"] = alpha_v
+        meta["q_lim"] = right.state(alpha_v)[0]
+        wall = Piece("vacuum", alpha_v, theta_w)
 
-    return SelfSimilarSolution(model, theta_w, breakpoints, pieces,
-                               ((phi_d, shock),), meta)
+    pieces = (Piece("constant", 0.5 * math.pi, alpha0, state=state0),
+              Piece("fan", alpha0, phi_d, fan=left),
+              Piece("fan", phi_d, alpha_end, fan=right), wall)
+    return SelfSimilarSolution(model, theta_w, (alpha0, phi_d, alpha_end),
+                               pieces, ((phi_d, shock),), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +240,9 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
     tail = wall_tail_shock(theta_w, branch)
 
     head_front = FlowState(u0, 0.0, tau0, pgas.S)
-    head_back = FlowState(ctx.u_po, ctx.v_po, ctx.tau_po, pgas.S)
-    head = ObliqueShockSolution(front=head_front, back=head_back,
-                                phi=ctx.phi_po, m=ctx.n_po / tau0, kind="")
-    head = replace(head, kind=classify(head, pgas.gas))
+    head = oblique_shock(head_front,
+                         FlowState(ctx.u_po, ctx.v_po, ctx.tau_po, pgas.S),
+                         ctx.phi_po, ctx.n_po / tau0, pgas.gas)
 
     attached = ctx.fan(tail)
     alpha_tail = attached.theta_end
@@ -285,20 +273,21 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
 @dataclass(frozen=True)
 class ValidationReport:
     """Residual summary of a solution; every check reports, none raises.
-    Both systems fill bernoulli_spread, potential fans r_plus_spread."""
+    Both systems fill bernoulli_spread; the checks a system does not make
+    (liu_ok, entropy_increasing, r_plus_spread) stay None."""
 
     system: str
     max_junction_gap: float
     max_rh_residual: float
     shock_kinds: tuple
     admissible: bool
-    liu_ok: bool            # None when not applicable
     slip_residual: float
     wall_supersonic: bool
-    entropy_increasing: bool
     bernoulli_spread: float
-    r_plus_spread: float
     vacuum_match: float
+    liu_ok: bool = None
+    entropy_increasing: bool = None
+    r_plus_spread: float = None
 
     @property
     def ok(self):
@@ -315,12 +304,6 @@ class ValidationReport:
         return all(gates)
 
 
-# the sonic sides of a shock by its kind: a sonic side is an envelope of
-# that side's characteristics, so only a sonic side can border a fan
-SONIC_SIDES = {"ordinary": (), "pre_sonic": ("front",),
-               "post_sonic": ("back",), "double_sonic": ("front", "back")}
-
-
 def _bernoulli_spread(solution, h, B):
     """max |0.5 q^2 + h(state) - B| on three rays of each non-vacuum piece"""
     spread = 0.0
@@ -334,9 +317,8 @@ def _bernoulli_spread(solution, h, B):
 
 @dataclass(frozen=True)
 class EulerModel:
-    """Full Euler system.  `checks` returns (liu_ok, entropy_increasing,
-    bernoulli_spread, r_plus_spread), None where a check does not apply:
-    here the entropy rise across the shocks and 0.5 q^2 + h about B0."""
+    """Full Euler system.  `checks` returns the ValidationReport fields it
+    fills: the entropy rise across the shocks and 0.5 q^2 + h about B0."""
 
     gas: GasModel
     B0: float
@@ -349,18 +331,18 @@ class EulerModel:
         return sound_speed(state.tau, state.S, self.gas)
 
     def checks(self, solution):
-        entropy_increasing = all(sh.back.S > sh.front.S
-                                 for _, sh in solution.shocks)
-        spread = _bernoulli_spread(
-            solution, lambda st: enthalpy(st.tau, st.S, self.gas), self.B0)
-        return None, entropy_increasing, spread, None
+        h = lambda st: enthalpy(st.tau, st.S, self.gas)
+        return {"entropy_increasing": all(sh.back.S > sh.front.S
+                                          for _, sh in solution.shocks),
+                "bernoulli_spread": _bernoulli_spread(solution, h, self.B0)}
 
 
 @dataclass(frozen=True)
 class PotentialModel:
-    """Potential system on the isentrope of pgas; its `checks` fill the Liu
-    condition on every shock, 0.5 q^2 + h about pgas.bernoulli, and the
-    spread of r+ over five rays of each fan (fan.turning_chain)."""
+    """Potential system on the isentrope of pgas; its `checks` return the
+    ValidationReport fields of the Liu condition on every shock, 0.5 q^2 +
+    h about pgas.bernoulli, and the spread of r+ over five rays of each fan
+    (fan.turning_chain)."""
 
     pgas: PotentialGas
     system = "potential"
@@ -394,7 +376,8 @@ class PotentialModel:
             nu, err = turning_chain([st.tau for st in states], pgas)
             r_plus = [st.sigma + n for st, n in zip(states, nu)]
             spreads.append(max(r_plus) - min(r_plus) + err)
-        return liu_ok, None, bernoulli_spread, max(spreads, default=None)
+        return {"liu_ok": liu_ok, "bernoulli_spread": bernoulli_spread,
+                "r_plus_spread": max(spreads, default=None)}
 
 
 def _state_gap(a, b):
@@ -447,20 +430,14 @@ def validate(solution):
         slip_residual = abs(wall.v - wall.u * math.tan(solution.theta_w))
         wall_supersonic = wall.q > model.sound(wall)
 
-    liu_ok, entropy_increasing, bernoulli_spread, r_plus_spread = \
-        model.checks(solution)
-
     return ValidationReport(
         system=model.system,
         max_junction_gap=max_gap,
         max_rh_residual=max_rh,
         shock_kinds=tuple(sh.kind for _, sh in solution.shocks),
         admissible=admissible,
-        liu_ok=liu_ok,
         slip_residual=slip_residual,
         wall_supersonic=wall_supersonic,
-        entropy_increasing=entropy_increasing,
-        bernoulli_spread=bernoulli_spread,
-        r_plus_spread=r_plus_spread,
         vacuum_match=vacuum_match,
+        **model.checks(solution),
     )

@@ -26,7 +26,7 @@ front-sonic tangency solved with its double root divided out.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -398,6 +398,19 @@ def oblique_back_velocity(u_f, v_f, phi, tau_f, tau_b, xp=math):
         raise ValueError(
             f"expansive-normal: upstream normal component N={n_min} <= 0")
     return normal_split(L, tau_b / tau_f * N, phi, xp)
+
+
+# the sonic sides of a shock by its kind: a sonic side is an envelope of
+# that side's characteristics, so only a sonic side can border a fan
+SONIC_SIDES = {"ordinary": (), "pre_sonic": ("front",),
+               "post_sonic": ("back",), "double_sonic": ("front", "back")}
+
+
+def oblique_shock(front, back, phi, m, gas):
+    """The shock from front to back at inclination phi and mass flux m,
+    with its kind from classify."""
+    shock = ObliqueShockSolution(front, back, phi, m, kind="")
+    return replace(shock, kind=classify(shock, gas))
 
 
 def classify(sol, gas):

@@ -204,7 +204,8 @@ def inflection_roots(S, gas):
     The two inflection volumes tau1 < tau* < tau2 of the isentrope S.
 
     Raises ValueError("no-inflection...") when S >= S* (the pair has
-    coalesced) or S <= 0.
+    coalesced) or S <= 0, and when no bracket of 200 doublings above tau*
+    reaches tau2 (near gamma = 2 it lies past the largest float).
     """
     tau_star, S_star = _tangency(gas)
     if S <= 0.0 or S >= S_star:
@@ -226,6 +227,8 @@ def inflection_roots(S, gas):
         if f(hi) > 0.0:
             break
         hi *= 2.0
+    else:
+        raise ValueError(f"no-inflection: no upper bracket at S={S}")
     tau2 = brentq(f, tau_star, hi, xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
     return tau1, tau2
 

@@ -36,7 +36,7 @@ that series, the type the Euler fans have.
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -44,11 +44,10 @@ from scipy.optimize import brentq, minimize_scalar
 from .fan import FanSolution, _Turning
 from .shocks import (
     FlowState,
-    ObliqueShockSolution,
-    classify,
     mass_flux_squared_potential,
     normal_split,
     oblique_back_velocity,
+    oblique_shock,
     post_sonic_tau_potential,
     pre_sonic_tau_potential,
 )
@@ -86,7 +85,6 @@ class RampWaveContext:
     tau0: float
     pgas: object
     tau1_i: float
-    tau2_i: float
     tau_po: float
     n_po: float
     u_po: float
@@ -193,7 +191,7 @@ def ramp_context(u0, tau0, pgas):
     c0 = pgas.c(tau0)
     if not u0 > c0:
         raise ValueError(f"subsonic: u0={u0} not above sound speed c={c0}")
-    tau1_i, tau2_i = pgas.inflection_pair
+    tau1_i, _ = pgas.inflection_pair
     tau_po = post_sonic_tau_potential(tau0, pgas)
     n_po = _normal_speed(tau0, tau_po, pgas)
     if n_po >= u0:
@@ -203,9 +201,8 @@ def ramp_context(u0, tau0, pgas):
     phi_po = math.asin(n_po / u0)
     u_po, v_po = oblique_back_velocity(u0, 0.0, phi_po, tau0, tau_po)
     return RampWaveContext(
-        u0=u0, tau0=tau0, pgas=pgas, tau1_i=tau1_i, tau2_i=tau2_i,
-        tau_po=tau_po, n_po=n_po, u_po=u_po,
-        v_po=v_po, q_po=math.hypot(u_po, v_po),
+        u0=u0, tau0=tau0, pgas=pgas, tau1_i=tau1_i, tau_po=tau_po,
+        n_po=n_po, u_po=u_po, v_po=v_po, q_po=math.hypot(u_po, v_po),
         sigma_po=math.atan2(v_po, u_po), phi_po=phi_po)
 
 
@@ -217,20 +214,16 @@ def ramp_context(u0, tau0, pgas):
 class WaveCurveBranch:
     """One sampled branch; params ascend.  `angle` holds the shock
     inclination phi on the polar branches and the ray angle alpha_hat on
-    the fan-based ones; `evaluator` gives (u, v, angle) at any param."""
+    the fan-based ones; `state` gives (u, v, angle) at any param,
+    re-evaluated from the branch's defining relations."""
 
     param_range: tuple
     params: np.ndarray
     u: np.ndarray
     v: np.ndarray
     angle: np.ndarray
-    evaluator: object
+    state: object
     context: RampWaveContext = None
-
-    def state(self, param):
-        """(u, v, angle) at any parameter value, re-evaluated from the
-        defining relations by the branch's evaluator."""
-        return self.evaluator(param)
 
 
 def _graded_grid(lo, hi, open_hi=False):
@@ -255,7 +248,7 @@ def _assemble(rng, grid, samples, fn, ctx):
     for arr in (grid, uu, vv, aa):
         arr.setflags(write=False)
     return WaveCurveBranch(param_range=rng, params=grid, u=uu, v=vv,
-                           angle=aa, context=ctx, evaluator=fn)
+                           angle=aa, context=ctx, state=fn)
 
 
 def polar_branch_I(u0, tau0, pgas):
@@ -361,8 +354,6 @@ def _refine(f, params, k):
     """(t, f(t)) at the least of f over the samples either side of sample
     k and the bounded Brent point between them."""
     lo, hi = params[[max(k - 1, 0), min(k + 1, params.size - 1)]].tolist()
-    if hi <= lo:
-        return lo, f(lo)
     res = minimize_scalar(lambda t: f(float(t)), bounds=(lo, hi),
                           method="bounded", options={"xatol": 1e-12})
     return min(((t, f(t)) for t in (lo, hi, float(res.x))),
@@ -387,9 +378,9 @@ def deflection_range(branch_IJ):
     return out[0], out[1]
 
 
-def _wedge_root(theta_w, branch, g):
-    """(t, extra) at solve_wedge_state's tau_w, g(t) giving the exact
-    (deflection - theta_w, extra) and extra None on a sample hit."""
+def _wedge_root(theta_w, branch, state):
+    """(t, state(t)) at solve_wedge_state's tau_w, the deflection taken from
+    state(t)'s leading (u, v); the state is None on a sample hit."""
     p = branch.params
     f_nodes = np.arctan2(branch.v, branch.u) - theta_w
     # event 2k: sample k hits theta_w; event 2k + 1: (p[k], p[k+1]) brackets
@@ -419,7 +410,8 @@ def _wedge_root(theta_w, branch, g):
         if a < t0 < b:
             x, slope = t0, dt0
     for n in itertools.count():
-        fx, extra = g(x)
+        last = state(x)
+        fx = math.atan2(last[1], last[0]) - theta_w
         a, b = (x, b) if (fx < 0.0) == (fa < 0.0) else (a, x)
         if n and fx != f_old:
             slope = (x - x_old) / (fx - f_old)
@@ -427,7 +419,7 @@ def _wedge_root(theta_w, branch, g):
         # converged, or stalled on the rounding noise of the deflection
         if (min(abs(step), b - a) <= WEDGE_XTOL * (1.0 + abs(x))
                 or 1e-6 * h >= abs(step) >= 0.5 * abs(step_old)):
-            return x, extra
+            return x, last
         step_old, x = step, x + step
         if n >= 8 or not a < x < b:     # bisect past 8 secant steps
             x = 0.5 * (a + b)
@@ -450,9 +442,7 @@ def solve_wedge_state(theta_w, branch_IJ):
     halving (the deflection's rounding noise): typically two or three
     exact evaluations on the composite branch.
     """
-    return _wedge_root(theta_w, branch_IJ,
-                       lambda t: (_deflection(branch_IJ, t) - theta_w,
-                                  None))[0]
+    return _wedge_root(theta_w, branch_IJ, branch_IJ.state)[0]
 
 
 def wall_tail_shock(theta_w, branch_IJ):
@@ -464,17 +454,15 @@ def wall_tail_shock(theta_w, branch_IJ):
     if ctx is None:
         raise ValueError("no-context: branch carries no ramp context")
 
-    def g(t):
+    def tail(t):
+        # back velocity, fan state and back volume of the tail at front t
         hat, tau_pr = ctx.fan_state(t), ctx.tail_back_volume(t)
-        u, v = _behind_tail(*hat, t, tau_pr)
-        return math.atan2(v, u) - theta_w, (hat, tau_pr, u, v)
+        return (*_behind_tail(*hat, t, tau_pr), hat, tau_pr)
 
-    tau_f, last = _wedge_root(theta_w, branch_IJ, g)
-    (u_hat, v_hat, alpha_hat), tau_pr, u_b, v_b = last or g(tau_f)[1]
+    tau_f, last = _wedge_root(theta_w, branch_IJ, tail)
+    u_b, v_b, (u_hat, v_hat, alpha_hat), tau_pr = last or tail(tau_f)
     S = ctx.pgas.S
-    m = normal_split(u_hat, v_hat, alpha_hat)[1] / tau_f
-    sol = ObliqueShockSolution(
-        front=FlowState(u=u_hat, v=v_hat, tau=tau_f, S=S),
-        back=FlowState(u=u_b, v=v_b, tau=tau_pr, S=S),
-        phi=alpha_hat, m=m, kind="ordinary")
-    return replace(sol, kind=classify(sol, ctx.pgas.gas))
+    return oblique_shock(FlowState(u_hat, v_hat, tau_f, S),
+                         FlowState(u_b, v_b, tau_pr, S), alpha_hat,
+                         normal_split(u_hat, v_hat, alpha_hat)[1] / tau_f,
+                         ctx.pgas.gas)

@@ -313,6 +313,37 @@ def test_euler_precondition_errors(u0, tau0, S0, theta_w, msg):
         ss.solve_euler_fsf(u0, tau0, S0, theta_w, G15)
 
 
+# corners of the A1 domain, (u0, tau0, S0, theta_w, gamma), where a stage
+# of the assembly fails
+@pytest.mark.parametrize("case, stage, code", [
+    ((213.0179713052221, 5.796012520839225, 0.9999179531127872,
+      -0.004224748409037501, 1.999993974954234),
+     "embedded-shock", "not-on-locus"),
+    ((116.01480230072524, 2.645026446171485, 0.2979878456386255,
+      -3.1392298457039827, 1.001182435680568),
+     "trailing-fan", "no-convergence"),
+    ((0.6145196709656628, 1.848884879344028, 0.3076391054814648,
+      -3.140725801769546, 1.0000014574917322),
+     "leading-fan", "no-convergence"),
+], ids=["embedded-shock", "trailing-fan", "leading-fan"])
+def test_euler_stage_errors_chain_the_inner_code(case, stage, code):
+    u0, tau0, S0, theta_w, gamma = case
+    with pytest.raises(ValueError, match=f"^{stage}: {code}: ") as info:
+        ss.solve_euler_fsf(u0, tau0, S0, theta_w, GasModel(gamma))
+    assert str(info.value.__cause__).startswith(f"{code}: ")
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="pressure_tau overflows at a slip wall near "
+                          "tau = 1.5e229 (ROADMAP item 4)")
+def test_validate_reports_on_a_wall_near_the_float_limit():
+    sol = ss.solve_euler_fsf(286.93721237352605, 3.6223385746722694,
+                             0.31621056105471623, -1.0139333975461757,
+                             GasModel(1.0001154515513817))
+    assert sol.pieces[-1].state.tau > 1e229
+    assert isinstance(ss.validate(sol), ss.ValidationReport)
+
+
 _BUILDS = {"euler": _euler_sol, "vacuum": _vacuum_sol,
            "potential": _potential_sol}
 
@@ -822,7 +853,7 @@ def test_validate_flags_a_potential_fan_off_the_bernoulli_law():
 def _envelope_defects(sol):
     out = []
     for _, sh in sol.shocks:
-        for side in ss.SONIC_SIDES[sh.kind]:
+        for side in shocks.SONIC_SIDES[sh.kind]:
             s = getattr(sh, side)
             out.append(abs(sh.phi - s.sigma
                            - math.asin(sol.model.sound(s) / s.q)))

@@ -156,6 +156,16 @@ def test_inflection_roots():
         thermo.inflection_roots(1.01 * S_STAR_15, G15)
 
 
+@pytest.mark.parametrize("gamma, S", [(1.99, 1e-3), (1.999, 0.5)])
+def test_inflection_roots_raise_a_code_past_the_float_range(gamma, S):
+    # near gamma = 2 the upper root of a pair lies beyond the largest
+    # float, so its bracket never closes
+    gas = thermo.GasModel(gamma)
+    assert 0.0 < S < thermo.critical_entropies(gas)[0]
+    with pytest.raises(ValueError, match="^no-inflection: "):
+        thermo.inflection_roots(S, gas)
+
+
 def test_inflection_roots_coalesce_toward_tau_star():
     t1, t2 = thermo.inflection_roots(0.999999 * S_STAR_15, G15)
     assert abs(t1 - 8.0) < 0.02

