@@ -24,6 +24,7 @@ squared-volume chart, Liu's chord comparison for admissibility and the
 front-sonic tangency solved with its double root divided out.
 """
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -280,7 +281,7 @@ def _binomial_series(p):
     return tuple(reversed(c))
 
 
-def pre_sonic_tau_potential(tau_f, pgas):
+def pre_sonic_tau_potential(tau_f, pgas, bracket=None):
     """
     Back volume tau_pr below the nonconvex window whose chord from tau_f
     is tangent at the front point (front side sonic); tau_f must lie
@@ -294,7 +295,11 @@ def pre_sonic_tau_potential(tau_f, pgas):
     divided difference, x = tau_f - 1, y = (t - tau_f)/x, with
     phi2 = ((1+y)^p - 1 - p y)/y^2 from expm1/log1p for |y| > 0.1 and its
     binomial series below; -2/tau adds -2/(t tau_f^2). The solve runs on
-    G ((t-1)/x)^gamma, which stays bounded as t -> 1 where G -> -inf.
+    G ((t-1)/x)^gamma, which stays bounded as t -> 1 where G -> -inf.  A
+    `bracket` (lo, hi) below tau1_i gets one brentq call first (G > 0 from
+    the root to tau1_i, so a sign change there is the root); one that
+    misses or reaches tau1_i falls back to the unbracketed solve and its
+    "no-convergence".  The series is built only if the solve reaches y > -0.1.
     """
     tau1_i, tau2_i = pgas.inflection_pair
     if not tau1_i < tau_f < tau2_i:
@@ -304,9 +309,12 @@ def pre_sonic_tau_potential(tau_f, pgas):
     x = tau_f - 1.0
     (a1, p1), (a2, p2) = _enthalpy_powers(pgas)
     c1, c2 = 2.0 * a1 * x ** (p1 - 2.0), 2.0 * a2 * x ** (p2 - 2.0)
-    series = [c1 * b1 + c2 * b2 for b1, b2 in
-              zip(_binomial_series(p1), _binomial_series(p2))]
     base, k = pgas.p_tau(tau_f), 4.0 / tau_f**2
+
+    def series_to(top):
+        return [c1 * b1 + c2 * b2 for b1, b2 in zip(
+            _binomial_series(p1), _binomial_series(p2))
+        ] if top - tau_f > -0.1 * x else ()
 
     def scaled_G(t):
         y = (t - tau_f) / x
@@ -321,11 +329,17 @@ def pre_sonic_tau_potential(tau_f, pgas):
             d = d * y + c
         return (base + k / t - d) * (1.0 + y) ** -p2
 
+    lo = 1.0 + 1e-9 * (tau1_i - 1.0)
+    if bracket is not None and bracket[1] < tau1_i:
+        series = series_to(bracket[1])
+        with contextlib.suppress(ValueError):     # no sign change on it
+            return brentq(scaled_G, max(bracket[0], lo), bracket[1],
+                          xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
+    series = series_to(tau1_i)
     if not scaled_G(tau1_i) > 0.0:     # lost to rounding next to tau1_i
         raise ValueError(f"no-convergence: no sign change below tau1_i for "
                          f"tau_pr({tau_f})")
-    return brentq(scaled_G, 1.0 + 1e-9 * (tau1_i - 1.0), tau1_i,
-                  xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
+    return brentq(scaled_G, lo, tau1_i, xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)
 
 
 def liu_condition_check(tau_f, tau_b, pgas, slack=1e-10):

@@ -19,7 +19,8 @@ supplied potential model is conserved across every front, so speed alone
 determines the volume throughout.  Branches are immutable once built and
 their samples (BRANCH_POINTS graded nodes) read-only; the samples only
 bracket.  The composite branch takes its fan states and back velocities at
-all nodes from one array pass, around one scalar pre-sonic root per node.
+all nodes from one array pass, around one scalar pre-sonic root per node,
+bracketed by `RampWaveContext.guide` (the unguided window if that misses).
 Every query (the flow-angle extremes, the wedge state) polishes on
 `state`, the scalar evaluator, which re-evaluates the defining relations
 at any parameter value, so no answer interpolates between samples.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .fan import FanSolution, _Turning
+from .fan import _FIT, _X, FanSolution, _clenshaw, _Turning
 from .shocks import (
     FlowState,
     mass_flux_squared_potential,
@@ -151,10 +152,35 @@ class RampWaveContext:
                            (self.q_po, self.tau_po, self.sigma_po),
                            (front.q, front.tau, front.sigma), self.turning)
 
+    @functools.cached_property
+    def guide(self):
+        """tail_back_volume on [tau1_i, tau_po] interpolated through the
+        unbracketed roots at the fan's Lobatto points: (mid, half-width, c0,
+        (c_n, ..., c_1), bound), the bound the last two coefficients plus
+        1e-12 tau1_i, as those roots scatter by up to about 1.5e-13 tau1_i
+        where rounding sets them.  None when a node raises."""
+        mid = 0.5 * (self.tau_po + self.tau1_i)
+        hw = 0.5 * (self.tau_po - self.tau1_i)
+        nodes = (mid + hw * _X).tolist()
+        try:    # a zero-strength tail at tau1_i, as in tail_back_volume
+            roots = nodes[:1] + [pre_sonic_tau_potential(t, self.pgas)
+                                 for t in nodes[1:]]
+        except ValueError:
+            return None
+        coef = (_FIT @ roots).tolist()
+        bound = abs(coef[-1]) + abs(coef[-2]) + 1e-12 * self.tau1_i
+        return mid, hw, coef[0], coef[:0:-1], bound
+
     def tail_back_volume(self, tau_f):
+        """Tail shock back volume from tau_f, bracketed by guide +- bound."""
         if tau_f <= self.tau1_i * (1.0 + _TAIL_EPS):
             return tau_f
-        return pre_sonic_tau_potential(tau_f, self.pgas)
+        if self.guide is None:
+            return pre_sonic_tau_potential(tau_f, self.pgas)
+        mid, hw, c0, rest, bound = self.guide
+        est = _clenshaw(c0, rest, (tau_f - mid) / hw)
+        return pre_sonic_tau_potential(tau_f, self.pgas,
+                                       (est - bound, est + bound))
 
     def tail_state(self, tau_f):
         """(u, v, alpha_hat) behind the front-sonic tail shock whose front

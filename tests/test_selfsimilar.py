@@ -662,9 +662,9 @@ def test_potential_roots_take_python_floats(monkeypatch):
     types = set()
     original = wc.pre_sonic_tau_potential
 
-    def recorded(tau_f, pgas):
+    def recorded(tau_f, *args):
         types.add(type(tau_f))
-        return original(tau_f, pgas)
+        return original(tau_f, *args)
 
     monkeypatch.setattr(wc, "pre_sonic_tau_potential", recorded)
     wc._shock_fan_shock_branch.cache_clear()

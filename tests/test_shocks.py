@@ -312,6 +312,51 @@ def test_pre_sonic_potential_slope_negative():
     assert b < a
 
 
+def test_pre_sonic_potential_bracket_falls_back_when_it_misses():
+    # a bracket 100 widths off the root, or one reaching tau1_i, gives the
+    # unbracketed solve bit for bit; one holding the root gives it within
+    # the tolerance of both solves
+    pg = pgas98()
+    tau1_i = pg.inflection_pair[0]
+    tol = 2.0 * (thermo.BRENT_XTOL + 4.0 * np.finfo(float).eps * tau1_i)
+    w = 1e-10
+    for tau_f in (TAU1_I + 1e-3, TAU_F_MID_PR, 0.5 * (TAU_F_MID_PR + TAU2_I)):
+        cold = shocks.pre_sonic_tau_potential(tau_f, pg)
+        for bracket in ((cold + 99.0 * w, cold + 101.0 * w),
+                        (cold - 101.0 * w, cold - 99.0 * w),
+                        (cold - w, tau1_i)):
+            got = shocks.pre_sonic_tau_potential(tau_f, pg, bracket)
+            assert got == cold
+        held = shocks.pre_sonic_tau_potential(tau_f, pg, (cold - w, cold + w))
+        assert abs(held - cold) <= tol
+
+
+def test_pre_sonic_potential_no_convergence_ignores_the_bracket():
+    # a few ulps above tau1_i the sign change at tau1_i is lost to rounding
+    # and the solve raises "no-convergence"; a bracket reaching tau1_i or
+    # staying below it leaves every outcome of the scan as it was
+    pg = pgas98()
+    tau1_i = pg.inflection_pair[0]
+
+    def outcome(tau_f, bracket):
+        try:
+            shocks.pre_sonic_tau_potential(tau_f, pg, bracket)
+        except ValueError as exc:
+            return str(exc).split(":")[0]
+        return "root"
+
+    tau_f, fired = tau1_i, []
+    for _ in range(32):
+        tau_f = math.nextafter(tau_f, math.inf)
+        est = tau1_i - 2.0 * (tau_f - tau1_i)     # the tangent's third point
+        plain = outcome(tau_f, None)
+        for bracket in ((est - 1e-11, est + 1e-11),
+                        (tau1_i - 1e-9, tau1_i - 1e-13)):
+            assert outcome(tau_f, bracket) == plain
+        fired.append(plain == "no-convergence")
+    assert any(fired)
+
+
 def mpmath_pre_sonic_root(tau_f, gamma, S, lo, hi):
     """Root of g4(t)/(tau_f - t)^2 on (lo, hi) by bisection to 40 digits,
     from the enthalpy of the reduced van der Waals gas at 80 digits: next

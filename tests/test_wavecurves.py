@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from bztflow import shocks, thermo, wavecurves as wc
+from bztflow import fan, shocks, thermo, wavecurves as wc
 from reference import polar, turning
 
 G15 = thermo.GasModel(1.5)
@@ -270,6 +270,92 @@ def test_composite_build_fails_as_the_scalar_path(pgas, monkeypatch):
         wc.shock_fan_shock_branch(U0, TAU0, pgas)
     assert str(built.value) == str(scalar.value)
     assert str(built.value).startswith("sonic-degeneracy:")
+
+
+def count_roots(monkeypatch):
+    """[calls, objective evaluations] of brentq through every module of
+    the package that binds it, as test_fan.count_rounds counts panels."""
+    counts = [0, 0]
+
+    def counted(f, a, b, **kwargs):
+        counts[0] += 1
+
+        def f_counted(t):
+            counts[1] += 1
+            return f(t)
+
+        return brentq(f_counted, a, b, **kwargs)
+
+    for module in (thermo, shocks, wc):
+        monkeypatch.setattr(module, "brentq", counted)
+    return counts
+
+
+def test_cold_fixture_branch_build_work(monkeypatch):
+    # one cold build of the fixture's composite branch: 4 roots for the
+    # inflection pair and the post-sonic point, the guide's 16 unguided
+    # roots (its node at tau1_i needs none) and one bracketed call for each
+    # of the 525 nodes past tau1_i, none falling back.  Unguided, the build
+    # made 529 calls and 4,624 evaluations in them, plus 524 pre-checks
+    pg = thermo.PotentialGas.from_state(G15, S98, U0, TAU0, bernoulli=1.0)
+    wc._shock_fan_shock_branch.cache_clear()
+    counts = count_roots(monkeypatch)
+    wc.shock_fan_shock_branch(U0, TAU0, pg)
+    assert counts == [545, 2156]
+
+
+def test_guide_holds_the_roots_and_a_miss_falls_back(pgas):
+    # on the fixture's composite grid the guide's estimate is within its
+    # bound of every unguided root, the guided root within the tolerance of
+    # both solves of it; the guide moved 100 bounds off misses, and the
+    # solve falls back to the unguided root
+    ctx = wc.ramp_context(U0, TAU0, pgas)
+    mid, hw, c0, rest, bound = ctx.guide
+    tol = 2.0 * (thermo.BRENT_XTOL + 4.0 * np.finfo(float).eps * TAU1_I)
+    for t in wc._graded_grid(ctx.tau1_i, ctx.tau_po).tolist()[1:]:
+        cold = shocks.pre_sonic_tau_potential(t, pgas)
+        est = fan._clenshaw(c0, rest, (t - mid) / hw)
+        assert abs(est - cold) < bound
+        assert abs(ctx.tail_back_volume(t) - cold) <= tol
+        missed = shocks.pre_sonic_tau_potential(
+            t, pgas, (est + 99.0 * bound, est + 101.0 * bound))
+        assert abs(missed - cold) <= thermo.BRENT_XTOL
+
+
+def test_a_raising_guide_node_leaves_the_state_unguided(pgas, monkeypatch):
+    # when one of the guide's unguided roots raises, the state has no
+    # guide: every root of the build and of its queries is solved without
+    # a bracket, and the outcomes are those of the guided build
+    ctx = wc.ramp_context(U0, TAU0, pgas)
+    mid = 0.5 * (ctx.tau_po + ctx.tau1_i)
+    node = (mid + 0.5 * (ctx.tau_po - ctx.tau1_i) * fan._X).tolist()[5]
+    wc._shock_fan_shock_branch.cache_clear()
+    branch = wc.shock_fan_shock_branch(U0, TAU0, pgas)
+    want = (wc.deflection_range(branch),
+            wc.wall_tail_shock(SIGMA_IJ_MID, branch))
+    brackets = []
+    original = wc.pre_sonic_tau_potential
+
+    def flaky(tau_f, pg, bracket=None):
+        if tau_f == node:
+            raise ValueError("no-convergence: a guide node")
+        brackets.append(bracket)
+        return original(tau_f, pg, bracket)
+
+    monkeypatch.setattr(wc, "pre_sonic_tau_potential", flaky)
+    wc._shock_fan_shock_branch.cache_clear()
+    try:
+        branch = wc.shock_fan_shock_branch(U0, TAU0, pgas)
+        got = (wc.deflection_range(branch),
+               wc.wall_tail_shock(SIGMA_IJ_MID, branch))
+    finally:
+        wc._shock_fan_shock_branch.cache_clear()
+    assert branch.context.guide is None
+    assert len(brackets) > 525 and set(brackets) == {None}
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+    assert got[1].kind == want[1].kind == "pre_sonic"
+    assert got[1].front.tau == pytest.approx(want[1].front.tau, rel=1e-12)
+    assert got[1].back.tau == pytest.approx(want[1].back.tau, rel=1e-12)
 
 
 def test_subsonic_post_state():

@@ -14,12 +14,23 @@ branch's samples, its deflection range and each wall's `solve_wedge_state`.
 A raised error ends its case's records with one `error` line.
 
 Run it at two commits and `diff` the outputs: any changed bit of a record
-shows as a changed line.
+shows as a changed line.  To see how far two dumps differ,
+
+    python3 tools/record_dump.py --compare A B
+
+pairs their lines by `WORKLOAD SEED INDEX NAME`, prints for each record
+name (wall fractions shown as `*`) the worst relative difference of its
+numbers, and lists every line whose other tokens differ (error codes,
+shock kinds, booleans) or that only one dump has.  It exits 1 when it
+lists a line.
 """
 
+import collections
 import dataclasses
 import json
+import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -36,6 +47,12 @@ from bztflow import wavecurves as wc  # noqa: E402
 from bztflow.thermo import GasModel, PotentialGas  # noqa: E402
 
 WALL_FRACTIONS = (0.02, 0.25, 0.75, 0.98)
+
+# a number of a record, not a digit of a name such as 'S0'
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)"
+                     r"(?![\w.])")
+# WORKLOAD SEED INDEX NAME RECORD, the record a repr or an error message
+_LINE = re.compile(r"(\S+ \S+ \S+ (.*?)) ([(\[].*|\S+Error: .*|\S+)$")
 
 
 def _fan(fan):
@@ -100,10 +117,60 @@ def _dump(head, records):
         print(f"{head} error {type(exc).__name__}: {exc}")
 
 
+def _records(path):
+    """{(key, repeat): (group, record)} of a dump, in file order."""
+    out, seen = {}, collections.Counter()
+    with open(path) as fh:
+        for line in fh:
+            m = _LINE.match(line.rstrip("\n"))
+            key, name, record = m.groups() if m else (line, "?", line)
+            group = " ".join([key.split()[0]] + ["*" if "." in w else w
+                                                 for w in name.split()])
+            out[(key, seen[key])] = (group, record)
+            seen[key] += 1
+    return out
+
+
+def _rel(a, b):
+    x, y = float(a), float(b)
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def compare(path_a, path_b):
+    """Worst relative difference per record name of two dumps; 1 when a
+    line differs in more than its numbers or is in one dump only."""
+    a, b = _records(path_a), _records(path_b)
+    worst, differ = {}, []
+    for key in list(a) + [k for k in b if k not in a]:
+        if key not in a or key not in b:
+            differ.append((key, a.get(key), b.get(key)))
+            continue
+        (group, ra), (_, rb) = a[key], b[key]
+        na, nb = _NUMBER.findall(ra), _NUMBER.findall(rb)
+        if _NUMBER.sub("#", ra) != _NUMBER.sub("#", rb) or len(na) != len(nb):
+            differ.append((key, a[key], b[key]))
+            continue
+        worst[group] = max([worst.get(group, 0.0)]
+                           + [_rel(x, y) for x, y in zip(na, nb)])
+    for group, rel in worst.items():
+        print(f"{group}: worst relative difference {rel:.3e}")
+    print(f"{len(differ)} lines differ in more than their numbers")
+    for (key, _), ra, rb in differ:
+        print(f"- {key} {ra[1] if ra else '(missing)'}")
+        print(f"+ {key} {rb[1] if rb else '(missing)'}")
+    return 1 if differ else 0
+
+
 def main(argv=None):
-    seeds = [int(s) for s in (sys.argv[1:] if argv is None else argv)]
+    args = sys.argv[1:] if argv is None else argv
+    if args[:1] == ["--compare"] and len(args) == 3:
+        return compare(*args[1:])
+    seeds = [int(s) for s in args]
     if not seeds:
-        print(__doc__.strip().split("\n\n")[1].strip(), file=sys.stderr)
+        usage = __doc__.split("\n\n")
+        print(usage[1].strip(), usage[4].strip(), sep="\n", file=sys.stderr)
         return 2
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())[
         "run_seconds"]
