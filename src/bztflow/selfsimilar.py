@@ -228,7 +228,7 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
 
     The composite branch comes from the wave-curve memo, so walls solved
     on one incoming state after its deflection range share one build of
-    the branch, and the ramp context is the one the branch carries.
+    the branch, its ramp context and the head shock that context carries.
 
     Window and admissibility failures propagate from the wave-curve
     layer ("subsonic", "out-of-window", "mach-reflection-regime",
@@ -237,13 +237,7 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
     """
     branch = shock_fan_shock_branch(u0, tau0, pgas)
     ctx = branch.context
-    tail = wall_tail_shock(theta_w, branch)
-
-    head_front = FlowState(u0, 0.0, tau0, pgas.S)
-    head = oblique_shock(head_front,
-                         FlowState(ctx.u_po, ctx.v_po, ctx.tau_po, pgas.S),
-                         ctx.phi_po, ctx.n_po / tau0, pgas.gas)
-
+    head, tail = ctx.head, wall_tail_shock(theta_w, branch)
     attached = ctx.fan(tail)
     alpha_tail = attached.theta_end
 
@@ -254,16 +248,16 @@ def solve_potential_sfs(u0, tau0, theta_w, pgas):
                      tail.back.tau, pgas.S)
 
     pieces = (
-        Piece("constant", 0.5 * math.pi, ctx.phi_po, state=head_front),
-        Piece("fan", ctx.phi_po, alpha_tail, fan=attached),
+        Piece("constant", 0.5 * math.pi, head.phi, state=head.front),
+        Piece("fan", head.phi, alpha_tail, fan=attached),
         Piece("constant", alpha_tail, theta_w, state=wall),
     )
     meta = {"pgas": pgas, "context": ctx, "branch": branch,
-            "tau_w": tail.front.tau, "phi_po": ctx.phi_po,
+            "tau_w": tail.front.tau, "phi_po": head.phi,
             "alpha_tail": alpha_tail}
     return SelfSimilarSolution(PotentialModel(pgas), theta_w,
-                               (ctx.phi_po, alpha_tail), pieces,
-                               ((ctx.phi_po, head), (alpha_tail, tail)), meta)
+                               (head.phi, alpha_tail), pieces,
+                               ((head.phi, head), (alpha_tail, tail)), meta)
 
 
 # ---------------------------------------------------------------------------

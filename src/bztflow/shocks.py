@@ -141,11 +141,7 @@ def double_sonic_back_state(tau_f, gas, S_f):
         raise ValueError(
             f"not-on-locus: p(tau_f={tau_f}, S_f={S_f})={p_f} differs from "
             f"the tangent-point locus value {d_f}")
-    eta = eta_hat(tau_f, gas)
-    tau_b = eta * tau_f
-    if tau_b <= 1.0:
-        raise ValueError(
-            f"not-on-locus: back volume eta*tau_f={tau_b} <= 1")
+    tau_b = eta_hat(tau_f, gas) * tau_f
     S_b = double_sonic_entropy(tau_b, gas)
     p_b = pressure(tau_b, S_b, gas)
     if abs(tau_b - tau_f) <= 1e-12 * tau_f:

@@ -96,9 +96,18 @@ def sound_speed(tau, S, gas):
     Sound speed c = tau * sqrt(-p_tau).
 
     Raises ValueError("subsonic-thermo...") when p_tau >= 0, i.e. when the
-    state has left the hyperbolic region.
+    state has left the hyperbolic region.  Past the float range of tau^3
+    and (tau-1)^(gamma+1), c^2 is taken from powers that stay in range.
     """
-    pt = pressure_tau(tau, S, gas)
+    try:
+        pt = pressure_tau(tau, S, gas)
+    except OverflowError:
+        # c^2 = gamma S (tau/(tau-1))^2 (tau-1)^(1-gamma) - 2/tau
+        c2 = (gas.gamma * S * (tau / (tau - 1.0)) ** 2
+              * (tau - 1.0) ** (1.0 - gas.gamma) - 2.0 / tau)
+        if c2 > 0.0:
+            return c2 ** 0.5
+        pt = -c2 / tau / tau
     if pt >= 0.0:
         raise ValueError(
             f"subsonic-thermo: p_tau={pt} >= 0 at tau={tau}, S={S}; "

@@ -28,7 +28,8 @@ at any parameter value, so no answer interpolates between samples.
 The composite branch of the last incoming state is memoised: the
 deflection range of a state and the wall solves on it
 (`solve_potential_sfs`, which takes its context from the branch) reuse
-one build of the branch and one `ramp_context`, whose attached fan is a
+one build of the branch and one `ramp_context`, which carries P's
+classified head shock (`RampWaveContext.head`) and whose attached fan is a
 turning series built on first use (`RampWaveContext.turning`).  The fan
 sector of a ramp solution is `RampWaveContext.fan`, a `fan.FanSolution` on
 that series, the type the Euler fans have.
@@ -80,19 +81,18 @@ def _normal_speed(tau_f, tau_b, pgas):
 
 @dataclass(frozen=True)
 class RampWaveContext:
-    """Quantities shared by the four branches of one incoming state."""
+    """Quantities shared by the four branches of one incoming state; `head`
+    is the classified post-sonic head shock from (u0, 0) to P, whose back
+    state gives q_po and sigma_po."""
 
     u0: float
     tau0: float
     pgas: object
     tau1_i: float
     tau_po: float
-    n_po: float
-    u_po: float
-    v_po: float
     q_po: float
     sigma_po: float
-    phi_po: float
+    head: object
 
     def polar_state(self, tau_b):
         """(u, v, phi) of the single shock with back volume tau_b."""
@@ -203,7 +203,8 @@ def _behind_tail(u_hat, v_hat, alpha_hat, tau_f, tau_pr, xp=math):
 
 
 def ramp_context(u0, tau0, pgas):
-    """Resolve the post-sonic point P and the window edges for (u0, tau0).
+    """Resolve the post-sonic point P and the window edges for (u0, tau0),
+    with P's head shock built and classified once (`RampWaveContext.head`).
 
     pgas must carry the isentrope and a Bernoulli constant consistent with
     the incoming state; the constant is conserved across every front, so
@@ -225,11 +226,13 @@ def ramp_context(u0, tau0, pgas):
             f"mach-reflection-regime: u0={u0} not above the normal speed "
             f"{n_po} of the post-sonic shock")
     phi_po = math.asin(n_po / u0)
-    u_po, v_po = oblique_back_velocity(u0, 0.0, phi_po, tau0, tau_po)
-    return RampWaveContext(
-        u0=u0, tau0=tau0, pgas=pgas, tau1_i=tau1_i, tau_po=tau_po,
-        n_po=n_po, u_po=u_po, v_po=v_po, q_po=math.hypot(u_po, v_po),
-        sigma_po=math.atan2(v_po, u_po), phi_po=phi_po)
+    back = FlowState(*oblique_back_velocity(u0, 0.0, phi_po, tau0, tau_po),
+                     tau_po, pgas.S)
+    head = oblique_shock(FlowState(u0, 0.0, tau0, pgas.S), back, phi_po,
+                         n_po / tau0, pgas.gas)
+    return RampWaveContext(u0=u0, tau0=tau0, pgas=pgas, tau1_i=tau1_i,
+                           tau_po=tau_po, q_po=back.q, sigma_po=back.sigma,
+                           head=head)
 
 
 # ---------------------------------------------------------------------------
@@ -376,31 +379,21 @@ def polar_branch_II(u0, tau0, pgas):
 # ---------------------------------------------------------------------------
 # queries on the composite branch
 
-def _refine(f, params, k):
-    """(t, f(t)) at the least of f over the samples either side of sample
-    k and the bounded Brent point between them."""
-    lo, hi = params[[max(k - 1, 0), min(k + 1, params.size - 1)]].tolist()
-    res = minimize_scalar(lambda t: f(float(t)), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-12})
-    return min(((t, f(t)) for t in (lo, hi, float(res.x))),
-               key=lambda c: c[1])
-
-
-def _deflection(branch, param):
-    u, v, _ = branch.state(param)
-    return math.atan2(v, u)
-
-
 def deflection_range(branch_IJ):
     """(sigma_m, sigma_M): extremes of the back-state flow angle over the
-    branch.  Grid extrema from the stored samples bracket a bounded
-    Brent search on the exact deflection."""
+    branch, each the least signed exact deflection at a grid extreme's two
+    neighbour samples and at the bounded Brent point between them."""
+    p = branch_IJ.params
     sig = np.arctan2(branch_IJ.v, branch_IJ.u)
     out = []
     for pick, sgn in ((int(np.argmin(sig)), 1.0), (int(np.argmax(sig)), -1.0)):
-        _, best = _refine(lambda t: sgn * _deflection(branch_IJ, t),
-                          branch_IJ.params, pick)
-        out.append(sgn * best)
+        def f(t):
+            u, v, _ = branch_IJ.state(t)
+            return sgn * math.atan2(v, u)
+        lo, hi = p[[max(pick - 1, 0), min(pick + 1, p.size - 1)]].tolist()
+        res = minimize_scalar(lambda t: f(float(t)), bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-12})
+        out.append(sgn * min(f(t) for t in (lo, hi, float(res.x))))
     return out[0], out[1]
 
 

@@ -8,16 +8,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from bztflow import fan, thermo
+from oracles.literals import G15, S98, TAU1_I, TAU_F_E, TAU_PO_POTENTIAL
 from reference import characteristics as ck
 from reference import turning
-
-G15 = thermo.GasModel(1.5)
-
-# frozen by tests/oracles/gen_expected.py
-S98 = 0.3473995491020514
-TAU1_I = 6.222021767887082
-TAU_F_E = 5.451165090410962
-TAU_PO_POTENTIAL = 7.481738396911066
 
 
 # ---------------------------------------------------------------------------

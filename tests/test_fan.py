@@ -9,20 +9,11 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from bztflow import fan, shocks, thermo, wavecurves
+from oracles.literals import (
+    G15, S_STAR_15, S98, TAU1_I, TAU2_I, TAU_F_E, TAU_D, S_D, TAU_F_MID_PO,
+    TAU_PO_POTENTIAL,
+)
 from reference import turning
-
-G15 = thermo.GasModel(1.5)
-
-# frozen by tests/oracles/gen_expected.py
-S_STAR_15 = 0.3544893358184198
-S98 = 0.3473995491020514
-TAU1_I = 6.222021767887082
-TAU2_I = 10.602988762877068
-TAU_F_E = 5.451165090410962
-TAU_D = 15.025623552912846
-S_D = 0.34813341598088193
-TAU_PO_POTENTIAL = 7.481738396911066
-TAU_F_MID_PO = 25.006597968134916
 
 
 def upstream_state(mach=2.0, tau0=4.9):

@@ -16,17 +16,16 @@ from bztflow import selfsimilar as ss
 from bztflow import wavecurves as wc
 from bztflow.shocks import normal_split, rh_residuals_euler
 from bztflow.thermo import GasModel, PotentialGas, sound_speed
+from oracles.literals import (
+    G15, S98, TAU1_I, TAU_F_E, TAU_D, S_D, U0, TAU0, PHI_PO, SIGMA_M,
+    TAU_W_MID, ALPHA_HAT_MID, U_PI_MID, V_PI_MID, TAU_PR_MID, U_IJ_MID,
+    V_IJ_MID, SIGMA_IJ_MID,
+)
 from reference import characteristics as ck
 from reference import turning
 
-G15 = GasModel(gamma=1.5)
-
 # frozen from tests/oracles/gen_expected.py (fan turning by composite
 # Gauss-Legendre panels, roots by bisection); entropy S98 = 0.98 S*
-S98 = 0.3473995491020514
-TAU_F_E = 5.451165090410962
-TAU_D = 15.025623552912846
-S_D = 0.34813341598088193
 
 # expansion ramp: tau0 = 0.9 tau_f_e, incoming Mach 2
 TAU0_R = 4.906048581369866
@@ -61,21 +60,6 @@ U0_VAC = 0.9104374790853822
 ALPHA_V_VAC = -1.2966415310678998
 Q_LIM_VAC = 1.076213969418711
 
-# compression ramp on one isentrope (shared with the wave-curve tests)
-U0_P = 0.32
-TAU0_P = 25.006597968134916
-PHI_PO = 0.8738549683139092
-T1I = 6.222021767887082
-SIGMA_M = 0.5786914579282845
-THETA_W_P = 0.6131477758288368
-TAU_W_MID = 6.851880082399074
-ALPHA_HAT_MID = 0.8302915568676801
-U_PI_MID = 0.18377549599152085
-V_PI_MID = 0.11419010160108702
-TAU_PR_MID = 5.371779549384593
-U_IJ_MID = 0.17443032757047178
-V_IJ_MID = 0.12273173107194663
-
 _CACHE = {}
 
 
@@ -94,15 +78,15 @@ def _vacuum_sol():
 
 def _pgas():
     if "pgas" not in _CACHE:
-        _CACHE["pgas"] = PotentialGas.from_state(G15, S98, U0_P, TAU0_P,
+        _CACHE["pgas"] = PotentialGas.from_state(G15, S98, U0, TAU0,
                                                  bernoulli=1.0)
     return _CACHE["pgas"]
 
 
 def _potential_sol():
     if "potential" not in _CACHE:
-        _CACHE["potential"] = ss.solve_potential_sfs(U0_P, TAU0_P,
-                                                     THETA_W_P, _pgas())
+        _CACHE["potential"] = ss.solve_potential_sfs(U0, TAU0,
+                                                     SIGMA_IJ_MID, _pgas())
     return _CACHE["potential"]
 
 
@@ -333,15 +317,15 @@ def test_euler_stage_errors_chain_the_inner_code(case, stage, code):
     assert str(info.value.__cause__).startswith(f"{code}: ")
 
 
-@pytest.mark.xfail(strict=True, raises=OverflowError,
-                   reason="pressure_tau overflows at a slip wall near "
-                          "tau = 1.5e229 (ROADMAP item 4)")
 def test_validate_reports_on_a_wall_near_the_float_limit():
+    # pressure_tau overflows at the slip wall near tau = 1.5e229; the sound
+    # speed there comes from its in-range form, and the wall (q = 287.5,
+    # c = 0.5455) is supersonic
     sol = ss.solve_euler_fsf(286.93721237352605, 3.6223385746722694,
                              0.31621056105471623, -1.0139333975461757,
                              GasModel(1.0001154515513817))
     assert sol.pieces[-1].state.tau > 1e229
-    assert isinstance(ss.validate(sol), ss.ValidationReport)
+    assert ss.validate(sol).wall_supersonic
 
 
 _BUILDS = {"euler": _euler_sol, "vacuum": _vacuum_sol,
@@ -426,7 +410,7 @@ def test_potential_wall_state():
     q_t = math.hypot(U_IJ_MID, V_IJ_MID)
     assert wall.q == pytest.approx(q_t, rel=1e-10)
     assert wall.tau == pytest.approx(TAU_PR_MID, rel=1e-10)
-    assert wall.v == pytest.approx(wall.u * math.tan(THETA_W_P), abs=1e-15)
+    assert wall.v == pytest.approx(wall.u * math.tan(SIGMA_IJ_MID), abs=1e-15)
 
 
 def test_potential_validation_report():
@@ -443,8 +427,8 @@ def test_potential_validation_report():
 
 
 def _fixture_isentrope(u0):
-    pgas = PotentialGas.from_state(G15, S98, u0, TAU0_P, bernoulli=1.0)
-    return pgas, wc.deflection_range(wc.shock_fan_shock_branch(u0, TAU0_P,
+    pgas = PotentialGas.from_state(G15, S98, u0, TAU0, bernoulli=1.0)
+    return pgas, wc.deflection_range(wc.shock_fan_shock_branch(u0, TAU0,
                                                                pgas))
 
 
@@ -455,7 +439,7 @@ def test_potential_subsonic_wall_is_rejected(u0, frac):
     # wall state at Mach 0.56-0.88 near either end of the window
     pgas, (sigma_m, sigma_M) = _fixture_isentrope(u0)
     with pytest.raises(ValueError, match="^subsonic: wall state"):
-        ss.solve_potential_sfs(u0, TAU0_P,
+        ss.solve_potential_sfs(u0, TAU0,
                                sigma_m + frac * (sigma_M - sigma_m), pgas)
 
 
@@ -467,7 +451,7 @@ def test_potential_validate_reads_r_plus_inside_the_fan(case):
     # incoming volume and the fan: r+ is chained between the fan's own
     # volumes, so that stretch never enters the check
     if case == "fixture-isentrope-mid":
-        u0, tau0, frac = 0.25, TAU0_P, 0.5
+        u0, tau0, frac = 0.25, TAU0, 0.5
         pgas, (sigma_m, sigma_M) = _fixture_isentrope(u0)
     else:   # potential_sweep state 34 of seed 18
         u0, tau0 = 0.3779059347925547, 91.9316031618242
@@ -527,9 +511,9 @@ def test_potential_validate_runs_no_quadrature_speed_root_or_liu_grid(
 def test_potential_validation_independent_of_bernoulli_constant(bernoulli):
     # the Bernoulli constant only shifts the enthalpy, so neither the
     # solution nor its jump residuals may depend on it
-    pgas = PotentialGas.from_state(G15, S98, U0_P, TAU0_P,
+    pgas = PotentialGas.from_state(G15, S98, U0, TAU0,
                                    bernoulli=bernoulli)
-    sol = ss.solve_potential_sfs(U0_P, TAU0_P, THETA_W_P, pgas)
+    sol = ss.solve_potential_sfs(U0, TAU0, SIGMA_IJ_MID, pgas)
     rep = ss.validate(sol)
     assert rep.ok
     assert rep.max_rh_residual < 1e-12
@@ -545,19 +529,19 @@ def test_potential_evaluate_inside_fan():
     assert st_.S == S98
     # constant states on either side of the fan
     top = ss.evaluate(sol, *_ray(0.5 * (PHI_PO + 0.5 * math.pi)))
-    assert (top.u, top.v) == (U0_P, 0.0)
-    bottom = ss.evaluate(sol, *_ray(0.5 * (THETA_W_P + ALPHA_HAT_MID)))
+    assert (top.u, top.v) == (U0, 0.0)
+    bottom = ss.evaluate(sol, *_ray(0.5 * (SIGMA_IJ_MID + ALPHA_HAT_MID)))
     assert bottom.tau == pytest.approx(TAU_PR_MID, rel=1e-10)
 
 
 def test_potential_wall_angle_out_of_range():
     with pytest.raises(ValueError, match="no-root"):
-        ss.solve_potential_sfs(U0_P, TAU0_P, 0.9, _pgas())
+        ss.solve_potential_sfs(U0, TAU0, 0.9, _pgas())
 
 
 def test_potential_degenerate_tail():
-    sol = ss.solve_potential_sfs(U0_P, TAU0_P, SIGMA_M, _pgas())
-    assert sol.meta["tau_w"] == pytest.approx(T1I, rel=1e-12)
+    sol = ss.solve_potential_sfs(U0, TAU0, SIGMA_M, _pgas())
+    assert sol.meta["tau_w"] == pytest.approx(TAU1_I, rel=1e-12)
     (_, tail) = sol.shocks[-1]
     assert tail.back.tau == tail.front.tau
     assert tail.kind == "double_sonic"
@@ -622,9 +606,9 @@ def test_potential_wall_study_builds_the_branch_once(monkeypatch):
         monkeypatch.setattr(module, name, counting(name, original))
     wc._shock_fan_shock_branch.cache_clear()
     pgas = _pgas()
-    branch = wc.shock_fan_shock_branch(U0_P, TAU0_P, pgas)
+    branch = wc.shock_fan_shock_branch(U0, TAU0, pgas)
     sigma_m, sigma_M = wc.deflection_range(branch)
-    sols = [ss.solve_potential_sfs(U0_P, TAU0_P,
+    sols = [ss.solve_potential_sfs(U0, TAU0,
                                    sigma_m + f * (sigma_M - sigma_m), pgas)
             for f in (0.25, 0.75)]
     assert counts == {"_assemble": 1, "ramp_context": 1}
@@ -634,13 +618,29 @@ def test_potential_wall_study_builds_the_branch_once(monkeypatch):
         assert ss.validate(sol).ok
 
 
+def test_potential_walls_share_the_head_shock():
+    # the head shock is built and classified once per incoming state, on
+    # the ramp context; every wall takes that one object
+    pgas = _pgas()
+    branch = wc.shock_fan_shock_branch(U0, TAU0, pgas)
+    head = branch.context.head
+    assert head.kind == "post_sonic"
+    sigma_m, sigma_M = wc.deflection_range(branch)
+    for f in (0.02, 0.5, 0.98):
+        sol = ss.solve_potential_sfs(U0, TAU0,
+                                     sigma_m + f * (sigma_M - sigma_m), pgas)
+        assert sol.shocks[0] == (head.phi, head)
+        assert sol.shocks[0][1] is head
+        assert sol.pieces[0].state is head.front
+
+
 def test_potential_wall_solves_few_pre_sonic_roots(monkeypatch):
     # a wall on a built branch: each exact tail state of the wedge root
     # solves one pre-sonic root, and the tail shock and the attached fan's
     # end take the last iterate's fan state and back volume instead of
     # solving again
     pgas = _pgas()
-    wc.shock_fan_shock_branch(U0_P, TAU0_P, pgas)
+    wc.shock_fan_shock_branch(U0, TAU0, pgas)
     roots = []
     original = wc.pre_sonic_tau_potential
 
@@ -649,7 +649,7 @@ def test_potential_wall_solves_few_pre_sonic_roots(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(wc, "pre_sonic_tau_potential", counted)
-    sol = ss.solve_potential_sfs(U0_P, TAU0_P, THETA_W_P, pgas)
+    sol = ss.solve_potential_sfs(U0, TAU0, SIGMA_IJ_MID, pgas)
     assert 1 <= len(roots) <= 3
     assert sol.meta["tau_w"] == roots[-1][0]
     assert sol.shocks[1][1].back.tau == original(*roots[-1])
@@ -670,8 +670,8 @@ def test_potential_roots_take_python_floats(monkeypatch):
     wc._shock_fan_shock_branch.cache_clear()
     pgas = _pgas()
     sigma_m, sigma_M = wc.deflection_range(
-        wc.shock_fan_shock_branch(U0_P, TAU0_P, pgas))
-    ss.solve_potential_sfs(U0_P, TAU0_P, 0.5 * (sigma_m + sigma_M), pgas)
+        wc.shock_fan_shock_branch(U0, TAU0, pgas))
+    ss.solve_potential_sfs(U0, TAU0, 0.5 * (sigma_m + sigma_M), pgas)
     assert types == {float}
 
 
@@ -701,8 +701,8 @@ _RAY_FRACTIONS = np.concatenate((np.logspace(-12.0, -1.0, 12),
 def test_potential_fan_rays_on_the_series(wall):
     pgas = _pgas()
     sigma_m, sigma_M = wc.deflection_range(
-        wc.shock_fan_shock_branch(U0_P, TAU0_P, pgas))
-    sol = ss.solve_potential_sfs(U0_P, TAU0_P,
+        wc.shock_fan_shock_branch(U0, TAU0, pgas))
+    sol = ss.solve_potential_sfs(U0, TAU0,
                                  sigma_m + wall * (sigma_M - sigma_m), pgas)
     piece = sol.pieces[1]
     ctx, tau_tail = sol.meta["context"], sol.meta["tau_w"]
@@ -718,8 +718,8 @@ def test_potential_fan_rays_on_the_series(wall):
 def test_potential_fan_queries_make_no_quadrature_or_root_solve(monkeypatch):
     # a fresh context builds its fan series on the first fan state; neither
     # the build nor any fan state or ray query integrates or root-solves
-    ctx = wc.ramp_context(U0_P, TAU0_P, _pgas())
-    branch = wc.shock_fan_shock_branch(U0_P, TAU0_P, _pgas())
+    ctx = wc.ramp_context(U0, TAU0, _pgas())
+    branch = wc.shock_fan_shock_branch(U0, TAU0, _pgas())
     u, v, _ = branch.state(TAU_W_MID)
     tail = wc.wall_tail_shock(math.atan2(v, u), branch)
     calls = count_package_calls(monkeypatch, quad, brentq,

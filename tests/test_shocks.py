@@ -12,24 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bztflow import shocks, thermo
-
-G15 = thermo.GasModel(1.5)
+from oracles.literals import (
+    G15, S98, TAU1_I, TAU2_I, TAU_F_E, TAU_D, S_D, TAU_F_MID_PO,
+    TAU_PO_POTENTIAL,
+)
 
 # frozen by tests/oracles/gen_expected.py
-S98 = 0.3473995491020514
-TAU1_I = 6.222021767887082
-TAU2_I = 10.602988762877068
-TAU_F_E = 5.451165090410962
 ETA_HAT_F_E = 2.7564058882282114
-TAU_D = 15.025623552912846
-S_D = 0.34813341598088193
 TAU_C = 39.41020717339276
 M2_DS = 0.00011924668345794642
 TAU_F_MID_EULER = 5.836593429149022
 TAU_PO_EULER = 14.842348586453308
 S_PO_EULER = 0.348049264686074
-TAU_F_MID_PO = 25.006597968134916
-TAU_PO_POTENTIAL = 7.481738396911066
 TAU_F_MID_PR = 8.412505265382075
 TAU_PR_POTENTIAL = 4.607052372700856
 
@@ -261,6 +255,10 @@ def test_post_sonic_euler_matches_mpmath(case):
 def test_tangent_chord_limit_value():
     assert shocks.tangent_chord_limit(pgas98()) == pytest.approx(
         TAU_C, rel=1e-12)
+    # below S_cr, p_tau(tau1_i) > 0: no chord is tangent at tau1_i
+    with pytest.raises(ValueError, match="^no-convergence: "):
+        shocks.tangent_chord_limit(
+            thermo.PotentialGas(G15, 0.34, bernoulli=1.0))
 
 
 def test_post_sonic_potential_midpoint():
@@ -431,6 +429,8 @@ def test_liu_condition():
     assert shocks.liu_condition_check(TAU_F_MID_PO, 0.9 * tau_pr, pg)
     assert not shocks.liu_condition_check(
         TAU_F_MID_PO, 0.5 * (tau_pr + tau_po), pg)
+    with pytest.raises(ValueError, match="^non-compressive-chord: "):
+        shocks.liu_condition_check(5.0, 6.0, pg)
 
 
 def _liu_on_the_grid(tau_f, tau_b, pgas, slack):

@@ -12,19 +12,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from bztflow import thermo
+from oracles.literals import G15, S_STAR_15, S98, TAU1_I, TAU2_I, TAU_F_E
 from reference import turning
 
 G12 = thermo.GasModel(1.2)
-G15 = thermo.GasModel(1.5)
 G18 = thermo.GasModel(1.8)
 
 # frozen by tests/oracles/gen_expected.py
-S_STAR_15 = 0.3544893358184198
 S_CR_15 = 0.3450722187499675           # closed form 2*5^2.5/(1.5*216)
-S98 = 0.3473995491020514
-TAU1_I = 6.222021767887082
-TAU2_I = 10.602988762877068
-TAU_F_E = 5.451165090410962
 TAU_B_E = 16.15694225515021
 
 
@@ -140,6 +135,24 @@ def test_sound_speed_raises_outside_hyperbolic_region():
     assert thermo.sound_speed(6.0, S98, G15) > 0.0
 
 
+def test_sound_speed_past_the_float_range_of_p_tau():
+    # the slip wall of test_validate_reports_on_a_wall_near_the_float_limit:
+    # tau^3 and (tau-1)^(gamma+1) overflow there, the in-range powers give
+    # c against a 40-digit evaluation
+    mp = pytest.importorskip("mpmath")
+    gas = thermo.GasModel(1.0001154515513817)
+    tau, S = 1.5313642852251434e229, 0.31621056105817713
+    with pytest.raises(OverflowError):
+        thermo.pressure_tau(tau, S, gas)
+    with mp.workdps(40):
+        t, s, g = mp.mpf(tau), mp.mpf(S), mp.mpf(gas.gamma)
+        ref = float(mp.sqrt(g * s * t**2 * (t - 1) ** -(g + 1) - 2 / t))
+    assert thermo.sound_speed(tau, S, gas) == pytest.approx(ref, rel=1e-15)
+    # near gamma = 2 and below S_cr, p_tau stays positive out to there
+    with pytest.raises(ValueError, match="^subsonic-thermo: "):
+        thermo.sound_speed(1e200, 0.5, thermo.GasModel(1.99999))
+
+
 def test_inflection_roots():
     t1, t2 = thermo.inflection_roots(S98, G15)
     assert t1 == pytest.approx(TAU1_I, abs=1e-10)
@@ -154,6 +167,10 @@ def test_inflection_roots():
     assert t1b < 8.0 < t2b
     with pytest.raises(ValueError, match="no-inflection"):
         thermo.inflection_roots(1.01 * S_STAR_15, G15)
+    # at S = 1e-60 the lower root lies within 1e-12 of the covolume, below
+    # the first bracket point
+    with pytest.raises(ValueError, match="^no-inflection: bracket failure"):
+        thermo.inflection_roots(1e-60, G15)
 
 
 @pytest.mark.parametrize("gamma, S", [(1.99, 1e-3), (1.999, 0.5)])
@@ -370,6 +387,12 @@ def test_tau_from_speed_residual_and_errors():
     qlim = pgas.q_limit()
     with pytest.raises(ValueError, match="cavitation"):
         thermo.tau_from_speed(1.0001 * qlim, pgas)
+    with pytest.raises(ValueError, match="^cavitation: "):
+        thermo.PotentialGas(G15, S98, bernoulli=0.0, h_ref=1.0).q_limit()
+    # the enthalpy at tau = 1 + 1e-12 is already below the target
+    with pytest.raises(ValueError, match="^stagnation-out-of-range: "):
+        thermo.tau_from_speed(
+            0.1, thermo.PotentialGas(G15, S98, bernoulli=1e30))
 
 
 @settings(max_examples=60, deadline=None)
@@ -394,3 +417,6 @@ def test_eta_hat_at_tangency_volume():
     assert thermo.eta_hat(8.0, G15) == pytest.approx(1.0, abs=1e-15)
     assert thermo.eta_hat(TAU_F_E, G15) == pytest.approx(
         2.7564058882282114, rel=1e-13)
+    # below the pole of the ratio, 2/(2-gamma) = 4
+    with pytest.raises(ValueError, match="^not-on-locus: "):
+        thermo.eta_hat(3.0, G15)

@@ -14,19 +14,16 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from bztflow import fan, shocks, thermo, wavecurves as wc
+from oracles.literals import (
+    G15, S98, TAU1_I, TAU_PO_POTENTIAL, U0, TAU0, PHI_PO, SIGMA_M,
+    TAU_W_MID, ALPHA_HAT_MID, U_PI_MID, V_PI_MID, TAU_PR_MID, U_IJ_MID,
+    V_IJ_MID, SIGMA_IJ_MID,
+)
 from reference import polar, turning
 
-G15 = thermo.GasModel(1.5)
-
 # frozen by tests/oracles/gen_expected.py (wavecurve fixture block)
-S98 = 0.3473995491020514
-TAU1_I = 6.222021767887082
-TAU0 = 25.006597968134916
-U0 = 0.32
-TAU_PO = 7.481738396911066
 TAU_PR_PO = 4.940591973029187
 N_PO = 0.2453788920067122
-PHI_PO = 0.8738549683139092
 U_PO = 0.18813657298636563
 V_PO = 0.11037934159923471
 Q_PO = 0.21812603958934987
@@ -38,15 +35,6 @@ TAU_N = 3.149490643751223
 TAU_B_MID_JN = 4.045041308390205
 U_JN_MID = 0.14510191833345276
 V_JN_MID = 0.12776862261648597
-TAU_W_MID = 6.851880082399074
-ALPHA_HAT_MID = 0.8302915568676801
-U_PI_MID = 0.18377549599152085
-V_PI_MID = 0.11419010160108702
-TAU_PR_MID = 5.371779549384593
-U_IJ_MID = 0.17443032757047178
-V_IJ_MID = 0.12273173107194663
-SIGMA_IJ_MID = 0.6131477758288368
-SIGMA_M = 0.5786914579282845
 SIGMA_MAX = 0.6420703650437722
 U_J = 0.16901606165589447
 V_J = 0.12638460931823556
@@ -95,24 +83,24 @@ def leading_shock(u, v, tau_b, phi):
 
 def test_context_matches_oracle(pgas):
     ctx = wc.ramp_context(U0, TAU0, pgas)
-    assert ctx.tau_po == pytest.approx(TAU_PO, rel=1e-12)
+    assert ctx.tau_po == pytest.approx(TAU_PO_POTENTIAL, rel=1e-12)
     # the back volume of the front-sonic shock seated at P, which ends the
     # strong polar branch
     assert shocks.pre_sonic_tau_potential(ctx.tau_po, pgas) == \
         pytest.approx(TAU_PR_PO, rel=1e-10)
-    assert ctx.n_po == pytest.approx(N_PO, rel=1e-12)
-    assert ctx.u_po == pytest.approx(U_PO, rel=1e-12)
-    assert ctx.v_po == pytest.approx(V_PO, rel=1e-12)
+    assert ctx.head.m * TAU0 == pytest.approx(N_PO, rel=1e-12)
+    assert ctx.head.back.u == pytest.approx(U_PO, rel=1e-12)
+    assert ctx.head.back.v == pytest.approx(V_PO, rel=1e-12)
     assert ctx.q_po == pytest.approx(Q_PO, rel=1e-12)
     assert ctx.sigma_po == pytest.approx(SIGMA_PO, rel=1e-12)
-    assert ctx.phi_po == pytest.approx(PHI_PO, rel=1e-12)
+    assert ctx.head.phi == pytest.approx(PHI_PO, rel=1e-12)
 
 
 def test_point_p_is_post_sonic(pgas):
     # at P the back normal speed equals the back sound speed
-    n_b = TAU_PO / TAU0 * N_PO
-    assert n_b == pytest.approx(pgas.c(TAU_PO), rel=1e-12)
-    sol = leading_shock(U_PO, V_PO, TAU_PO, PHI_PO)
+    n_b = TAU_PO_POTENTIAL / TAU0 * N_PO
+    assert n_b == pytest.approx(pgas.c(TAU_PO_POTENTIAL), rel=1e-12)
+    sol = leading_shock(U_PO, V_PO, TAU_PO_POTENTIAL, PHI_PO)
     assert shocks.classify(sol, G15) == "post_sonic"
     for r in shocks.rh_residuals_potential(sol, pgas):
         assert abs(r) < 1e-10
@@ -126,12 +114,15 @@ def test_polar_branch_zero_strength_limit(branches):
 
 def test_polar_branch_endpoints_and_mid(branches):
     bp = branches["bp"]
-    assert bp.params[0] == pytest.approx(TAU_PO, rel=1e-12)
+    assert bp.params[0] == pytest.approx(TAU_PO_POTENTIAL, rel=1e-12)
     assert bp.u[0] == pytest.approx(U_PO, rel=1e-12)
     assert bp.v[0] == pytest.approx(V_PO, rel=1e-12)
-    u, v, _ = bp.state(TAU_B_MID_BP)
+    u, v, phi = bp.state(TAU_B_MID_BP)
     assert u == pytest.approx(U_BP_MID, rel=1e-12)
     assert v == pytest.approx(V_BP_MID, rel=1e-12)
+    # between P and the zero-strength point neither side is sonic
+    sol = leading_shock(u, v, TAU_B_MID_BP, phi)
+    assert shocks.classify(sol, G15) == "ordinary"
 
 
 def test_polar_branch_jump_relations(branches, pgas):
@@ -142,10 +133,14 @@ def test_polar_branch_jump_relations(branches, pgas):
             assert abs(r) < 1e-10
 
 
-def test_mach_reflection_regime():
+def test_mach_reflection_regime(pgas):
     pg = thermo.PotentialGas.from_state(G15, S98, 0.2, TAU0, bernoulli=1.0)
     with pytest.raises(ValueError, match="mach-reflection-regime"):
         wc.polar_branch_I(0.2, TAU0, pg)
+    # a single shock past the attached window: the normal speed at
+    # tau_b = 2 exceeds u0
+    with pytest.raises(ValueError, match="^mach-reflection-regime: "):
+        wc.ramp_context(U0, TAU0, pgas).polar_state(2.0)
 
 
 def test_subsonic_incoming_state():
@@ -172,7 +167,7 @@ def test_fan_branch_mid_sample(branches):
 
 def test_fan_branch_meets_polar_at_p(branches):
     bp, pi = branches["bp"], branches["pi"]
-    assert pi.params[-1] == pytest.approx(TAU_PO, rel=1e-12)
+    assert pi.params[-1] == pytest.approx(TAU_PO_POTENTIAL, rel=1e-12)
     gap = math.hypot(bp.u[0] - pi.u[-1], bp.v[0] - pi.v[-1])
     assert gap < 1e-10
 
@@ -258,6 +253,9 @@ def test_composite_build_fails_as_the_scalar_path(pgas, monkeypatch):
     # raises the scalar path's error
     ctx = wc.ramp_context(U0, TAU0, pgas)
     slow = replace(ctx, q_po=0.9 * pgas.c(ctx.tau_po))
+    # its own series meets q < c at its foot
+    with pytest.raises(ValueError, match="^sonic-degeneracy: q reached c"):
+        slow.turning
     slow.__dict__["turning"] = ctx.turning
     grid = wc._graded_grid(ctx.tau1_i, ctx.tau_po)
     with pytest.raises(ValueError) as scalar:
@@ -407,7 +405,7 @@ def test_strong_polar_junction(branches):
     # the zero-width limit of the composite at the fan head coincides with
     # the single shock down to the same back volume
     ij, jn = branches["ij"], branches["jn"]
-    u1, v1, _ = ij.state(TAU_PO)
+    u1, v1, _ = ij.state(TAU_PO_POTENTIAL)
     assert u1 == pytest.approx(U_J, rel=1e-10)
     assert v1 == pytest.approx(V_J, rel=1e-10)
     u2, v2, _ = jn.state(TAU_PR_PO * (1.0 - 1e-9))
@@ -464,6 +462,17 @@ def test_polar_branch_II_starts_attached():
         # point, so a volume within xtol of it deflects by ~1e-8
         assert abs(jn.v[0]) < 1e-7
         assert jn.angle[0] <= 0.5 * math.pi
+
+
+def test_polar_branch_II_is_empty_at_the_attachment_edge(pgas):
+    # the head chord, tangent at P, runs on to the front-sonic back volume
+    # seated at P, so the strong branch's normal speed falls to n_po there;
+    # with u0 one ulp above n_po it never falls below u0 after rounding
+    tau_po = wc.ramp_context(U0, TAU0, pgas).tau_po
+    u0 = math.nextafter(wc._normal_speed(TAU0, tau_po, pgas), 1.0)
+    pg = thermo.PotentialGas.from_state(G15, S98, u0, TAU0, bernoulli=1.0)
+    with pytest.raises(ValueError, match="^empty-branch: "):
+        wc.polar_branch_II(u0, TAU0, pg)
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +594,11 @@ def test_wedge_root_matches_a_tight_brentq(case):
         f = np.arctan2(b.v, b.u) - theta_w
         k = int(np.argmax(f[:-1] * f[1:] < 0.0))
         assert not np.any(np.abs(f[:k + 1]) <= 1e-13)
-        ref = brentq(lambda t: wc._deflection(b, t) - theta_w, b.params[k],
-                     b.params[k + 1], xtol=1e-15)
+
+        def gap(t):
+            u, v, _ = b.state(t)
+            return math.atan2(v, u) - theta_w
+        ref = brentq(gap, b.params[k], b.params[k + 1], xtol=1e-15)
         tau_w = wc.solve_wedge_state(theta_w, b)
         assert tau_w == pytest.approx(ref, rel=1e-13, abs=0.0)
         assert wc.wall_tail_shock(theta_w, b).front.tau == tau_w
@@ -628,8 +640,14 @@ def test_solve_wedge_state_no_root(branches):
         wc.solve_wedge_state(0.9, branches["ij"])
 
 
+def test_wall_tail_shock_needs_the_ramp_context(branches):
+    bare = replace(branches["ij"], context=None)
+    with pytest.raises(ValueError, match="^no-context: "):
+        wc.wall_tail_shock(SIGMA_IJ_MID, bare)
+
+
 @settings(max_examples=20, deadline=None)
-@given(st.floats(min_value=TAU1_I + 2e-2, max_value=TAU_PO - 1e-3))
+@given(st.floats(min_value=TAU1_I + 2e-2, max_value=TAU_PO_POTENTIAL - 1e-3))
 def test_wedge_state_round_trip(tau_w):
     # drawn away from the fan head, where the tail-shock tangency equation
     # is too ill-conditioned for the inverse to resolve below ~1e-7
