@@ -5,8 +5,8 @@ Centered simple waves (Prandtl-Meyer fans).
 A centered fan is a one-parameter family of states indexed by the ray angle
 theta = arctan(y/x): each ray is a straight characteristic tangent to the
 local sonic circle, which forces sigma + A = theta with A = arcsin(c/q) the
-Mach angle.  At frozen entropy S and Bernoulli constant the fan is a
-closed-form integral along the isentrope: q^2 = q_lim^2 - 2 h(tau), and
+Mach angle.  Each fan carries its isentrope, a thermo.PotentialGas with
+h vacuum-referenced (h_ref = 0): q^2 = 2 (bernoulli - h(tau)), and
 q dq = (c^2/tau) dtau turns the flow at the rate
 
     dsigma/dtau = -c sqrt(q^2 - c^2)/(tau q^2).
@@ -50,7 +50,7 @@ from numpy.polynomial import chebyshev
 from scipy.integrate import quad, solve_ivp  # noqa: F401
 
 from .shocks import FlowState
-from .thermo import enthalpy, pressure_tautau, sound_speed
+from .thermo import PotentialGas, enthalpy, pressure_tautau, sound_speed
 from .thermo import tau_from_speed  # noqa: F401
 
 
@@ -91,10 +91,12 @@ _VACUUM_EDGES = np.append(0.0, 2.0 ** -np.arange(VACUUM_SPLITS, 0, -1))
 _ALT = (-1.0) ** np.arange(PANEL_POINTS + 1)       # T_n(-1)
 
 
-def _forms(lw, g, S, q_lim2, xp):
-    """Closed forms at lw = log(w), w = 1/tau: (c_u^2, q^2, P) with
-    c_u^2 = c^2/u^2, q^2 from the Bernoulli law and P = tau^(gamma+2)
-    p_tautau.  `xp` is math for scalars or numpy for arrays."""
+def _forms(lw, pgas, xp):
+    """Closed forms at lw = log(w), w = 1/tau, on the isentrope pgas:
+    (c_u^2, q^2, P) with c_u^2 = c^2/u^2, q^2 = 2 (bernoulli - h) and
+    P = tau^(gamma+2) p_tautau.  `xp` is math for scalars or numpy for
+    arrays."""
+    g, S = pgas.gas.gamma, pgas.S
     w = xp.exp(lw)
     omw = -xp.expm1(lw)              # 1 - w without cancellation near tau=1
     r = w / omw
@@ -102,7 +104,7 @@ def _forms(lw, g, S, q_lim2, xp):
     w2g = w ** (2.0 - g)
     c_u2 = g * S * omw ** -(g + 1.0) - 2.0 * w2g
     P = g * (g + 1.0) * S * omw ** -(g + 2.0) - 6.0 * w2g
-    return c_u2, q_lim2 - 2.0 * h, P
+    return c_u2, 2.0 * (pgas.bernoulli - h), P
 
 
 def _tau_of(lw):
@@ -119,7 +121,8 @@ def _clenshaw(c0, rest, x):
 
 
 class _Turning:
-    """sigma(u) on Chebyshev panels from the foot u_hi down to u_lo, with
+    """sigma(u), u = tau^(-k), on the isentrope pgas, on Chebyshev panels
+    from tau_lo, where sigma = sigma0, to tau_hi (u = 0 for inf), with
     sigma and the ray tabulated at the panel nodes, the ray as sign * theta
     so that it rises with u (sign -1 inside the inflection window).  A
     point is addressed as (panel p, x) with u = mid_p + hw_p x.  Each round
@@ -128,10 +131,10 @@ class _Turning:
     so every node is evaluated once."""
 
     @np.errstate(divide="ignore")
-    def __init__(self, u_lo, u_hi, sigma0, S, q_lim2, gas):
-        g = gas.gamma
-        self.g, self.k, self.S, self.q_lim2 = g, 0.5 * (g - 1.0), S, q_lim2
-        k = self.k
+    def __init__(self, tau_lo, tau_hi, sigma0, pgas):
+        self.pgas = pgas
+        self.k = k = 0.5 * (pgas.gas.gamma - 1.0)
+        u_lo, u_hi = tau_hi ** -k, tau_lo ** -k
         span = u_hi - u_lo
 
         # adaptive panels; every round evaluates all pending panels [a, b]
@@ -145,7 +148,7 @@ class _Turning:
             # it sits in the array, so another set moves every fan's bits
             mid, hw = 0.5 * (a + b), 0.5 * (b - a)
             u = mid[:, None] + hw[:, None] * _X
-            c_u2, q2, P = _forms(np.log(u) / k, g, S, q_lim2, np)
+            c_u2, q2, P = _forms(np.log(u) / k, pgas, np)
             m2 = q2 - c_u2 * u * u
             if not ((c_u2 > 0.0).all() and (m2 > -1e-12 * q2).all()):
                 raise ValueError(
@@ -206,11 +209,11 @@ class _Turning:
     def point(self, p, x):
         """(sigma, theta, dsigma/du, dtheta/du, q^2, log w) at x on panel
         p."""
-        g, k = self.g, self.k
+        k = self.k
         mid, hw, c0, rest = self.panels[p]
         u = mid + hw * x
         lw = math.log(u) / k if u > 0.0 else -math.inf
-        c_u2, q2, P = _forms(lw, g, self.S, self.q_lim2, math)
+        c_u2, q2, P = _forms(lw, self.pgas, math)
         m2 = max(q2 - c_u2 * u * u, 0.0)
         root = math.sqrt(c_u2 * m2)
         sigma = _clenshaw(c0, rest, x)
@@ -292,20 +295,21 @@ class _Turning:
 
 class FanSolution:
     """
-    Centered fan from the head ray theta_start down to theta_end, entropy
-    frozen at S: the fan sector of both systems (integrate_fan and
-    wavecurves.RampWaveContext.fan).  A ray at or below theta_end takes the
-    end state, any other ray within 1e-12 (1 + |theta|) of theta_start the
-    head state, and a ray in between is mapped to the volume variable by
-    the stored turning series (_Turning.ray), with q and tau in closed
-    form, so the Bernoulli law and the ray tangency hold on every ray.
-    slip_line ends the same series at a wall.
+    Centered fan from the head ray theta_start down to theta_end on its
+    isentrope pgas (see the module docstring): the fan sector of both
+    systems (integrate_fan and wavecurves.RampWaveContext.fan).  A ray at
+    or below theta_end takes the end state, any other ray within
+    1e-12 (1 + |theta|) of theta_start the head state, and a ray in between
+    is mapped to the volume variable by the stored turning series
+    (_Turning.ray), with q and tau in closed form, so the Bernoulli law and
+    the ray tangency hold on every ray.  slip_line ends the same series at
+    a wall.
     """
 
-    def __init__(self, theta_start, theta_end, S, foot, end, turning=None):
+    def __init__(self, theta_start, theta_end, pgas, foot, end, turning=None):
         self.theta_start = theta_start
         self.theta_end = theta_end
-        self.S = S
+        self.pgas = pgas
         self._foot = foot          # (q, tau, sigma) on theta_start
         self._end = end            # (q, tau, sigma) on theta_end
         self._turning = turning    # _Turning, or None if zero-length
@@ -329,15 +333,14 @@ class FanSolution:
         if not (lo - tol <= theta <= hi + tol):
             raise ValueError(
                 f"theta-out-of-range: {theta} outside [{lo}, {hi}]")
-        q, tau, sigma = self._lookup(theta)
-        return q, tau, sigma, self.S
+        return (*self._lookup(theta), self.pgas.S)
 
     def state_at(self, theta):
         """FlowState on the ray theta; rays beyond either end take that
         end's state."""
         q, tau, sigma = self._lookup(theta)
         return FlowState(q * math.cos(sigma), q * math.sin(sigma), tau,
-                         self.S)
+                         self.pgas.S)
 
     def slip_line(self, theta_w):
         """The same fan ended on the ray where the flow direction reaches
@@ -350,14 +353,15 @@ class FanSolution:
                 f"no-convergence: slip line theta_w={theta_w} outside the "
                 f"fan's flow directions [{sigma_end}, {sigma0}]")
         sigma, theta, _, _, q2, lw = tr.solve(theta_w, 0)
-        return FanSolution(self.theta_start, theta, self.S, self._foot,
+        return FanSolution(self.theta_start, theta, self.pgas, self._foot,
                            (math.sqrt(q2), _tau_of(lw), sigma), tr)
 
 
 def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
     """
     Build the centered fan from the state (q0, tau0, sigma0, S0) on the
-    ray theta0, expanding (theta decreasing) to the volume tau_end.
+    ray theta0, expanding (theta decreasing) to the volume tau_end, on
+    its isentrope pgas: S0 with bernoulli 0.5 q0^2 + h(tau0), h_ref = 0.
 
     tau_end = math.inf runs to vacuum, where the end ray is the flow
     direction; a wall end is slip_line(theta_w) of that fan.  The turning
@@ -381,9 +385,10 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
             f"not-centered: theta0={theta0} differs from sigma0+A0="
             f"{sigma0 + A0}")
 
+    pgas = PotentialGas(gas, S0, 0.5 * q0 * q0 + enthalpy(tau0, S0, gas))
     foot = (q0, tau0, sigma0)
     if abs(tau0 - tau_end) <= 1e-12 * (1.0 + abs(theta0)):
-        return FanSolution(theta0, theta0, S0, foot, foot)
+        return FanSolution(theta0, theta0, pgas, foot, foot)
     if not tau_end > tau0:
         raise ValueError(
             f"no-convergence: tau_end={tau_end} lies behind the foot "
@@ -395,18 +400,13 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
             f"inflection-hit: [{tau0}, {tau_end}] meets the p_tautau <= 0 "
             f"window at tau={tau_near}")
 
-    k = 0.5 * (gas.gamma - 1.0)
-    q_lim2 = q0 * q0 + 2.0 * enthalpy(tau0, S0, gas)
-    tr = _Turning(tau_end ** -k, tau0 ** -k, sigma0, S0, q_lim2, gas)
-    sigma_end = tr.sigmas[0]
-    if math.isinf(tau_end):
-        end, theta_end = (math.sqrt(q_lim2), tau_end, sigma_end), sigma_end
-    else:
-        q_end = math.sqrt(q_lim2 - 2.0 * enthalpy(tau_end, S0, gas))
-        c_end = sound_speed(tau_end, S0, gas)
-        end = (q_end, tau_end, sigma_end)
-        theta_end = sigma_end + math.asin(c_end / q_end)
-    return FanSolution(theta0, theta_end, S0, foot, end, tr)
+    tr = _Turning(tau0, tau_end, sigma0, pgas)
+    theta_end = sigma_end = tr.sigmas[0]
+    q_end = math.sqrt(2.0 * (pgas.bernoulli - pgas.h(tau_end)))
+    if not math.isinf(tau_end):
+        theta_end += math.asin(pgas.c(tau_end) / q_end)
+    end = (q_end, tau_end, sigma_end)
+    return FanSolution(theta0, theta_end, pgas, foot, end, tr)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
         raise ValueError(f"trailing-fan: {exc}") from exc
     alpha_v = right.theta_end
 
-    model = EulerModel(gas, 0.5 * u0 * u0 + enthalpy(tau0, S0, gas))
+    model = EulerModel(gas, left.pgas.bernoulli)
     meta = {"gas": gas, "S0": S0, "S_d": S_d, "tau_f_e": tau_fe,
             "tau_d": tau_d, "alpha0": alpha0, "phi_d": phi_d,
             "sigma_d": sigma_d, "alpha_v": alpha_v}

@@ -358,7 +358,7 @@ def tau_from_speed(q, pgas):
     The enthalpy is strictly decreasing in tau, so the root is unique.
     Raises ValueError("cavitation...") for q at or beyond the cavitation
     speed and ValueError("stagnation-out-of-range...") when no bracket
-    exists at the low-speed end.
+    exists at the low-speed end or the root lies past the float range of h.
     """
     target = pgas.bernoulli - 0.5 * q * q
     if target <= pgas.h_ref:
@@ -369,18 +369,14 @@ def tau_from_speed(q, pgas):
     def f(t):
         return pgas.h(t) - target
 
-    lo = 1.0 + 1e-12
-    hi = 2.0
-    f_lo = f(lo)
-    if f_lo < 0.0:
+    lo, hi = 1.0 + 1e-12, 2.0
+    if not f(lo) >= 0.0:        # NaN too
         raise ValueError(
             f"stagnation-out-of-range: no volume with h = {target}")
-    for _ in range(2000):
-        if f(hi) < 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
+    try:
+        while f(hi) >= 0.0:
+            lo, hi = hi, 2.0 * hi
+    except OverflowError as exc:
         raise ValueError(
-            f"stagnation-out-of-range: no volume with h = {target}")
+            f"stagnation-out-of-range: no volume with h = {target}") from exc
     return brentq(f, lo, hi, xtol=BRENT_XTOL, maxiter=BRENT_MAXITER)

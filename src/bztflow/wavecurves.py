@@ -53,7 +53,7 @@ from .shocks import (
     post_sonic_tau_potential,
     pre_sonic_tau_potential,
 )
-from .thermo import BRENT_MAXITER, BRENT_XTOL, enthalpy
+from .thermo import BRENT_MAXITER, BRENT_XTOL, PotentialGas, enthalpy
 # tau_from_speed stays bound here: the benchmark tracer wraps
 # wavecurves.tau_from_speed
 from .thermo import tau_from_speed  # noqa: F401
@@ -95,7 +95,11 @@ class RampWaveContext:
     head: object
 
     def polar_state(self, tau_b):
-        """(u, v, phi) of the single shock with back volume tau_b."""
+        """(u, v, phi) of the single shock with back volume tau_b in
+        (1, tau0) ("out-of-window" otherwise)."""
+        if not 1.0 < tau_b < self.tau0:
+            raise ValueError(
+                f"out-of-window: tau_b={tau_b} outside (1, {self.tau0})")
         nf = _normal_speed(self.tau0, tau_b, self.pgas)
         s = nf / self.u0
         if s > 1.0:
@@ -109,14 +113,14 @@ class RampWaveContext:
     @functools.cached_property
     def turning(self):
         """The attached fan from P down to the lower inflection state as a
-        stored turning series (fan._Turning in u = tau^(-k)), anchored so
-        that sigma(tau_po) = sigma_po.  Built on first use and kept on this
-        instance; equality and hashing see only the fields."""
+        stored turning series (fan._Turning) on its own vacuum-referenced
+        isentrope (`turning.pgas`), anchored so that sigma(tau_po) =
+        sigma_po.  Built on first use and kept on this instance; equality
+        and hashing see only the fields."""
         pg = self.pgas
-        k = 0.5 * (pg.gas.gamma - 1.0)
-        q_lim2 = self.q_po**2 + 2.0 * enthalpy(self.tau_po, pg.S, pg.gas)
-        tr = _Turning(self.tau_po**-k, self.tau1_i**-k, 0.0, pg.S, q_lim2,
-                      pg.gas)
+        fan_gas = PotentialGas(pg.gas, pg.S, 0.5 * self.q_po**2
+                               + enthalpy(self.tau_po, pg.S, pg.gas))
+        tr = _Turning(self.tau1_i, self.tau_po, 0.0, fan_gas)
         tr.shift(self.sigma_po - tr.sigmas[0])
         return tr
 
@@ -142,13 +146,13 @@ class RampWaveContext:
             sigma_hat + xp.asin(c / q_hat)
 
     def fan(self, tail):
-        """The attached fan as a FanSolution on the stored series, from its
-        head at P down to the front of the tail shock `tail`
-        (wall_tail_shock), whose inclination is the fan's last ray."""
+        """The attached fan as a FanSolution on the stored series and its
+        isentrope, from its head at P down to the front of the tail shock
+        `tail` (wall_tail_shock), whose inclination is the fan's last ray."""
         front = tail.front
         alpha_head = self.sigma_po + math.asin(self.pgas.c(self.tau_po)
                                                / self.q_po)
-        return FanSolution(alpha_head, tail.phi, self.pgas.S,
+        return FanSolution(alpha_head, tail.phi, self.turning.pgas,
                            (self.q_po, self.tau_po, self.sigma_po),
                            (front.q, front.tau, front.sigma), self.turning)
 

@@ -278,7 +278,8 @@ def main():
             return math.sqrt(q_po * q_po + 2.0 * h(tau_po, S98, g)
                              - 2.0 * h(t, S98, g))
 
-        xg, wg = leggauss(40)
+        # Python floats, so that every value prints as a plain float repr
+        xg, wg = (v.tolist() for v in leggauss(40))
 
         def turn_panel(a, b):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)

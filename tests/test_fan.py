@@ -370,10 +370,10 @@ def count_rounds(monkeypatch):
     rounds = []
     forms = fan._forms
 
-    def counted(lw, g, S, q_lim2, xp):
+    def counted(lw, pgas, xp):
         if xp is np:
             rounds.append(len(lw))
-        return forms(lw, g, S, q_lim2, xp)
+        return forms(lw, pgas, xp)
 
     monkeypatch.setattr(fan, "_forms", counted)
     return rounds

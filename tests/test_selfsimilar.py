@@ -33,26 +33,26 @@ U0_R = 0.18208749581707645
 B0_R = 0.18124798039078327
 ALPHA0_R = 0.5235987755982989
 Q1_R = 0.18527935031988466
-PHI_D_R = 0.2884394876820086
-U_D_R = 0.2148818753991435
+PHI_D_R = 0.28843948768200867
+U_D_R = 0.21488187539914352
 V_D_R = -0.10739192666867611
-Q_D_R = 0.24022332586296305
-SIGMA_D_R = -0.46346512547728563
-ALPHA_V_R = -2.8489920105818127
+Q_D_R = 0.24022332586296308
+SIGMA_D_R = -0.4634651254772856
+ALPHA_V_R = -2.8489920105818145
 THETA_W_R = -1.417676
-TAU_SLIP_R = 128.660258522866
-Q_W_R = 0.45632416427420197
+TAU_SLIP_R = 128.66025852286597
+Q_W_R = 0.456324164274202
 ALPHA_W_R = -1.0188674417940558
-U_W_R = 0.06959978852617256
-V_W_R = -0.4509851575580519
+U_W_R = 0.06959978852617257
+V_W_R = -0.45098515755805196
 THETA_ML_R = 0.3862092412369046
 TAU_ML_R = 5.178606835890414
 Q_ML_R = 0.1840679948999641
-SIGMA_ML_R = -0.021554723850839615
-THETA_MR_R = -0.7144951361205731
-TAU_MR_R = 71.84294103788942
+SIGMA_ML_R = -0.021554723850839622
+THETA_MR_R = -0.7144951361205722
+TAU_MR_R = 71.8429410378894
 Q_MR_R = 0.4108961165061022
-SIGMA_MR_R = -1.1942442819663794
+SIGMA_MR_R = -1.1942442819663786
 
 # same ramp at Mach 10: the full turning to cavitation fits above the
 # downward vertical, so a wall can undercut the vacuum ray
@@ -326,6 +326,26 @@ def test_validate_reports_on_a_wall_near_the_float_limit():
                              GasModel(1.0001154515513817))
     assert sol.pieces[-1].state.tau > 1e229
     assert ss.validate(sol).wall_supersonic
+
+
+@pytest.mark.parametrize("build, k", [
+    (_euler_sol, 1), (_euler_sol, 2), (_potential_sol, 1),
+], ids=["euler-leading", "euler-trailing", "potential-attached"])
+def test_each_fan_carries_its_isentrope(build, k):
+    # one vacuum-referenced PotentialGas per fan: the Bernoulli law holds
+    # about its constant at both ends, and the Euler model's B0 is the
+    # leading fan's constant itself
+    sol = build()
+    fan_k = sol.pieces[k].fan
+    pgas = fan_k.pgas
+    assert pgas.h_ref == 0.0
+    for theta in (fan_k.theta_start, fan_k.theta_end):
+        q, tau, _, S = fan_k.state(theta)
+        assert S == pgas.S
+        assert 0.5 * q * q + pgas.h(tau) == pytest.approx(
+            pgas.bernoulli, rel=1e-14, abs=0.0)
+    if sol.system == "euler":
+        assert sol.model.B0 == sol.pieces[1].fan.pgas.bernoulli
 
 
 _BUILDS = {"euler": _euler_sol, "vacuum": _vacuum_sol,

@@ -393,6 +393,13 @@ def test_tau_from_speed_residual_and_errors():
     with pytest.raises(ValueError, match="^stagnation-out-of-range: "):
         thermo.tau_from_speed(
             0.1, thermo.PotentialGas(G15, S98, bernoulli=1e30))
+    # the root lies past the float range of the enthalpy, whose power law
+    # overflows near tau = 3e205 in the bracket search
+    with pytest.raises(ValueError, match="^stagnation-out-of-range: "):
+        thermo.tau_from_speed(
+            0.0, thermo.PotentialGas(G15, S98, bernoulli=1e-150))
+    with pytest.raises(ValueError, match="^stagnation-out-of-range: "):
+        thermo.tau_from_speed(math.nan, pgas)
 
 
 @settings(max_examples=60, deadline=None)

@@ -143,6 +143,16 @@ def test_mach_reflection_regime(pgas):
         wc.ramp_context(U0, TAU0, pgas).polar_state(2.0)
 
 
+@pytest.mark.parametrize("tau_b", [TAU0, 1.0, 0.5],
+                         ids=["zero-strength", "covolume", "below-covolume"])
+def test_polar_state_outside_the_window(pgas, tau_b):
+    # a 0/0 flux at tau0 and at 1, no real one below the covolume: each
+    # is refused before the chord is formed
+    ctx = wc.ramp_context(U0, TAU0, pgas)
+    with pytest.raises(ValueError, match="^out-of-window: "):
+        ctx.polar_state(tau_b)
+
+
 def test_subsonic_incoming_state():
     pg = thermo.PotentialGas.from_state(G15, S98, 0.15, TAU0, bernoulli=1.0)
     with pytest.raises(ValueError, match="subsonic"):

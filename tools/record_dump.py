@@ -60,8 +60,8 @@ def _fan(fan):
     table = None if tr is None else {
         "sigmas": tr.sigmas, "rays": tr.rays, "ray_slopes": tr.ray_slopes,
         "rates": tr.rates, "panels": tr.panels, "sign": tr.sign}
-    return (fan.theta_start, fan.theta_end, fan.S, fan._foot, fan._end,
-            table)
+    return (fan.theta_start, fan.theta_end, fan.pgas.S, fan._foot,
+            fan._end, table)
 
 
 def _solution(sol):
