@@ -5,8 +5,9 @@ Centered simple waves (Prandtl-Meyer fans).
 A centered fan is a one-parameter family of states indexed by the ray angle
 theta = arctan(y/x): each ray is a straight characteristic tangent to the
 local sonic circle, which forces sigma + A = theta with A = arcsin(c/q) the
-Mach angle.  Each fan carries its isentrope, a thermo.PotentialGas with
-h vacuum-referenced (h_ref = 0): q^2 = 2 (bernoulli - h(tau)), and
+Mach angle.  Each fan carries its isentrope, any thermo.PotentialGas
+(integrate_fan vacuum-references the Euler fans, h_ref = 0; the attached
+potential fan runs on the ramp model): q^2 = 2 (bernoulli - h(tau)), and
 q dq = (c^2/tau) dtau turns the flow at the rate
 
     dsigma/dtau = -c sqrt(q^2 - c^2)/(tau q^2).
@@ -93,9 +94,9 @@ _ALT = (-1.0) ** np.arange(PANEL_POINTS + 1)       # T_n(-1)
 
 def _forms(lw, pgas, xp):
     """Closed forms at lw = log(w), w = 1/tau, on the isentrope pgas:
-    (c_u^2, q^2, P) with c_u^2 = c^2/u^2, q^2 = 2 (bernoulli - h) and
-    P = tau^(gamma+2) p_tautau.  `xp` is math for scalars or numpy for
-    arrays."""
+    (c_u^2, q^2, P) with c_u^2 = c^2/u^2, q^2 = 2 (bernoulli - h_ref - h),
+    h vacuum-referenced, and P = tau^(gamma+2) p_tautau.  `xp` is math for
+    scalars or numpy for arrays."""
     g, S = pgas.gas.gamma, pgas.S
     w = xp.exp(lw)
     omw = -xp.expm1(lw)              # 1 - w without cancellation near tau=1
@@ -104,7 +105,7 @@ def _forms(lw, pgas, xp):
     w2g = w ** (2.0 - g)
     c_u2 = g * S * omw ** -(g + 1.0) - 2.0 * w2g
     P = g * (g + 1.0) * S * omw ** -(g + 2.0) - 6.0 * w2g
-    return c_u2, 2.0 * (pgas.bernoulli - h), P
+    return c_u2, 2.0 * (pgas.bernoulli - pgas.h_ref - h), P
 
 
 def _tau_of(lw):
@@ -121,14 +122,14 @@ def _clenshaw(c0, rest, x):
 
 
 class _Turning:
-    """sigma(u), u = tau^(-k), on the isentrope pgas, on Chebyshev panels
-    from tau_lo, where sigma = sigma0, to tau_hi (u = 0 for inf), with
-    sigma and the ray tabulated at the panel nodes, the ray as sign * theta
-    so that it rises with u (sign -1 inside the inflection window).  A
-    point is addressed as (panel p, x) with u = mid_p + hw_p x.  Each round
-    evaluates every pending panel at once and splits the failing ones (see
-    PANEL_POINTS); an accepted panel keeps its node values from that round,
-    so every node is evaluated once."""
+    """sigma(u), u = tau^(-k), on the isentrope pgas, any PotentialGas, on
+    Chebyshev panels from tau_lo, where sigma = sigma0, to tau_hi (u = 0
+    for inf), with sigma and the ray tabulated at the panel nodes, the ray
+    as sign * theta so that it rises with u (sign -1 inside the inflection
+    window).  A point is addressed as (panel p, x) with u = mid_p + hw_p x.
+    Each round evaluates every pending panel at once and splits the failing
+    ones (see PANEL_POINTS); an accepted panel keeps its node values from
+    that round, so every node is evaluated once."""
 
     @np.errstate(divide="ignore")
     def __init__(self, tau_lo, tau_hi, sigma0, pgas):
@@ -296,14 +297,14 @@ class _Turning:
 class FanSolution:
     """
     Centered fan from the head ray theta_start down to theta_end on its
-    isentrope pgas (see the module docstring): the fan sector of both
-    systems (integrate_fan and wavecurves.RampWaveContext.fan).  A ray at
-    or below theta_end takes the end state, any other ray within
-    1e-12 (1 + |theta|) of theta_start the head state, and a ray in between
-    is mapped to the volume variable by the stored turning series
-    (_Turning.ray), with q and tau in closed form, so the Bernoulli law and
-    the ray tangency hold on every ray.  slip_line ends the same series at
-    a wall.
+    isentrope pgas, any PotentialGas: the fan sector of both systems,
+    vacuum-referenced from integrate_fan and on the ramp model from
+    wavecurves.RampWaveContext.fan.  A ray at or below theta_end takes the
+    end state, any other ray within 1e-12 (1 + |theta|) of theta_start the
+    head state, and a ray in between is mapped to the volume variable by the
+    stored turning series (_Turning.ray), with q and tau in closed form, so
+    the Bernoulli law and the ray tangency hold on every ray.  slip_line
+    ends the same series at a wall.
     """
 
     def __init__(self, theta_start, theta_end, pgas, foot, end, turning=None):

@@ -53,7 +53,7 @@ from .shocks import (
     post_sonic_tau_potential,
     pre_sonic_tau_potential,
 )
-from .thermo import BRENT_MAXITER, BRENT_XTOL, PotentialGas, enthalpy
+from .thermo import BRENT_MAXITER, BRENT_XTOL
 # tau_from_speed stays bound here: the benchmark tracer wraps
 # wavecurves.tau_from_speed
 from .thermo import tau_from_speed  # noqa: F401
@@ -82,16 +82,14 @@ def _normal_speed(tau_f, tau_b, pgas):
 @dataclass(frozen=True)
 class RampWaveContext:
     """Quantities shared by the four branches of one incoming state; `head`
-    is the classified post-sonic head shock from (u0, 0) to P, whose back
-    state gives q_po and sigma_po."""
+    is the classified post-sonic head shock from (u0, 0) to P, and P is its
+    back state `head.back`."""
 
     u0: float
     tau0: float
     pgas: object
     tau1_i: float
     tau_po: float
-    q_po: float
-    sigma_po: float
     head: object
 
     def polar_state(self, tau_b):
@@ -112,16 +110,13 @@ class RampWaveContext:
 
     @functools.cached_property
     def turning(self):
-        """The attached fan from P down to the lower inflection state as a
-        stored turning series (fan._Turning) on its own vacuum-referenced
-        isentrope (`turning.pgas`), anchored so that sigma(tau_po) =
-        sigma_po.  Built on first use and kept on this instance; equality
-        and hashing see only the fields."""
-        pg = self.pgas
-        fan_gas = PotentialGas(pg.gas, pg.S, 0.5 * self.q_po**2
-                               + enthalpy(self.tau_po, pg.S, pg.gas))
-        tr = _Turning(self.tau1_i, self.tau_po, 0.0, fan_gas)
-        tr.shift(self.sigma_po - tr.sigmas[0])
+        """The attached fan from P = head.back down to the lower inflection
+        state as a stored turning series (fan._Turning) on the ramp model
+        pgas, anchored so that sigma(tau_po) = head.back.sigma.  Built on
+        first use and kept on this instance; equality and hashing see only
+        the fields."""
+        tr = _Turning(self.tau1_i, self.tau_po, 0.0, self.pgas)
+        tr.shift(self.head.back.sigma - tr.sigmas[0])
         return tr
 
     def fan_state(self, tau, xp=math):
@@ -132,7 +127,7 @@ class RampWaveContext:
         pg = self.pgas
         tr = self.turning
         sigma_hat = tr.sigma_at(tau**-tr.k)
-        q2 = self.q_po**2 + 2.0 * (pg.h(self.tau_po) - pg.h(tau))
+        q2 = 2.0 * (pg.bernoulli - pg.h(tau))
         if xp is math:
             c = pg.c(tau)
             if not c * c < q2:
@@ -146,14 +141,14 @@ class RampWaveContext:
             sigma_hat + xp.asin(c / q_hat)
 
     def fan(self, tail):
-        """The attached fan as a FanSolution on the stored series and its
-        isentrope, from its head at P down to the front of the tail shock
-        `tail` (wall_tail_shock), whose inclination is the fan's last ray."""
-        front = tail.front
-        alpha_head = self.sigma_po + math.asin(self.pgas.c(self.tau_po)
-                                               / self.q_po)
-        return FanSolution(alpha_head, tail.phi, self.turning.pgas,
-                           (self.q_po, self.tau_po, self.sigma_po),
+        """The attached fan as a FanSolution on the stored series and the
+        ramp model, from its head at P = head.back down to the front of the
+        tail shock `tail` (wall_tail_shock), whose inclination is the fan's
+        last ray."""
+        foot, front = self.head.back, tail.front
+        alpha_head = foot.sigma + math.asin(self.pgas.c(foot.tau) / foot.q)
+        return FanSolution(alpha_head, tail.phi, self.pgas,
+                           (foot.q, foot.tau, foot.sigma),
                            (front.q, front.tau, front.sigma), self.turning)
 
     @functools.cached_property
@@ -235,8 +230,7 @@ def ramp_context(u0, tau0, pgas):
     head = oblique_shock(FlowState(u0, 0.0, tau0, pgas.S), back, phi_po,
                          n_po / tau0, pgas.gas)
     return RampWaveContext(u0=u0, tau0=tau0, pgas=pgas, tau1_i=tau1_i,
-                           tau_po=tau_po, q_po=back.q, sigma_po=back.sigma,
-                           head=head)
+                           tau_po=tau_po, head=head)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +293,10 @@ def polar_branch_I(u0, tau0, pgas):
 
 
 def _require_supersonic_post_state(ctx):
-    c_po = ctx.pgas.c(ctx.tau_po)
-    if ctx.q_po**2 - c_po**2 <= 1e-10 * c_po**2:
+    c_po, q_po = ctx.pgas.c(ctx.tau_po), ctx.head.back.q
+    if q_po**2 - c_po**2 <= 1e-10 * c_po**2:
         raise ValueError(
-            f"subsonic-post-state: q_po={ctx.q_po} does not clear the "
+            f"subsonic-post-state: q_po={q_po} does not clear the "
             f"sound speed {c_po} behind the post-sonic shock")
 
 

@@ -91,8 +91,8 @@ def test_context_matches_oracle(pgas):
     assert ctx.head.m * TAU0 == pytest.approx(N_PO, rel=1e-12)
     assert ctx.head.back.u == pytest.approx(U_PO, rel=1e-12)
     assert ctx.head.back.v == pytest.approx(V_PO, rel=1e-12)
-    assert ctx.q_po == pytest.approx(Q_PO, rel=1e-12)
-    assert ctx.sigma_po == pytest.approx(SIGMA_PO, rel=1e-12)
+    assert ctx.head.back.q == pytest.approx(Q_PO, rel=1e-12)
+    assert ctx.head.back.sigma == pytest.approx(SIGMA_PO, rel=1e-12)
     assert ctx.head.phi == pytest.approx(PHI_PO, rel=1e-12)
 
 
@@ -228,12 +228,30 @@ def test_fan_series_matches_pm_potential(case):
     pg = thermo.PotentialGas.from_state(thermo.GasModel(g), S, u0, tau0,
                                         bernoulli=1.0)
     ctx = wc.ramp_context(u0, tau0, pg)
+    P = ctx.head.back
     for tau in np.linspace(ctx.tau1_i, ctx.tau_po, 41):
-        sigma, alpha = turning.pm_potential(tau, pg, ctx.q_po,
-                                            ctx.sigma_po, ctx.tau_po)
+        sigma, alpha = turning.pm_potential(tau, pg, P.q, P.sigma, P.tau)
         u, v, alpha_hat = ctx.fan_state(tau)
         assert abs(math.atan2(v, u) - sigma) <= 1e-14
         assert abs(alpha_hat - alpha) <= 1e-14
+
+
+@pytest.mark.parametrize("case", sorted(RAMP_STATES))
+def test_attached_fan_runs_on_the_ramp_model_from_the_head(case):
+    # one isentrope per ramp: the series and the wall's fan sector carry
+    # the ramp model itself, and the fan's foot is the head shock's back
+    # state P, bit for bit
+    g, S, u0, tau0 = RAMP_STATES[case]
+    pg = thermo.PotentialGas.from_state(thermo.GasModel(g), S, u0, tau0,
+                                        bernoulli=1.0)
+    b = wc.shock_fan_shock_branch(u0, tau0, pg)
+    ctx = b.context
+    assert ctx.turning.pgas is ctx.pgas
+    sigma_m, sigma_M = wc.deflection_range(b)
+    attached = ctx.fan(wc.wall_tail_shock(0.5 * (sigma_m + sigma_M), b))
+    assert attached.pgas is ctx.pgas
+    P = ctx.head.back
+    assert attached.state(attached.theta_start)[:3] == (P.q, P.tau, P.sigma)
 
 
 @pytest.mark.parametrize("case", sorted(RAMP_STATES))
@@ -258,11 +276,11 @@ def test_composite_samples_match_the_evaluator(case):
 
 
 def test_composite_build_fails_as_the_scalar_path(pgas, monkeypatch):
-    # a context whose head speed is lowered below sound under the fan
-    # series of the true one: where the array pass meets c > q, the build
-    # raises the scalar path's error
+    # a context whose model's Bernoulli constant is lowered, so that its
+    # speeds fall below sound, under the fan series of the true one: where
+    # the array pass meets c > q, the build raises the scalar path's error
     ctx = wc.ramp_context(U0, TAU0, pgas)
-    slow = replace(ctx, q_po=0.9 * pgas.c(ctx.tau_po))
+    slow = replace(ctx, pgas=replace(pgas, bernoulli=pgas.bernoulli - 0.05))
     # its own series meets q < c at its foot
     with pytest.raises(ValueError, match="^sonic-degeneracy: q reached c"):
         slow.turning

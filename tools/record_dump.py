@@ -19,10 +19,12 @@ shows as a changed line.  To see how far two dumps differ,
     python3 tools/record_dump.py --compare A B
 
 pairs their lines by `WORKLOAD SEED INDEX NAME`, prints for each record
-name (wall fractions shown as `*`) the worst relative difference of its
-numbers, and lists every line whose other tokens differ (error codes,
-shock kinds, booleans) or that only one dump has.  It exits 1 when it
-lists a line.
+name (wall fractions shown as `*`) the worst relative and the worst
+absolute difference of its numbers (a number near zero, such as a clamped
+rate or a rounding-level residual, can read a large relative difference
+on a tiny absolute one), and lists every line whose other tokens differ
+(error codes, shock kinds, booleans) or that only one dump has.  It exits
+1 when it lists a line.
 """
 
 import collections
@@ -131,16 +133,19 @@ def _records(path):
     return out
 
 
-def _rel(a, b):
+def _diff(a, b):
+    """(relative, absolute) difference of two number tokens."""
     x, y = float(a), float(b)
     if x == y or (math.isnan(x) and math.isnan(y)):
-        return 0.0
-    return abs(x - y) / max(abs(x), abs(y))
+        return 0.0, 0.0
+    d = abs(x - y)
+    return d / max(abs(x), abs(y)), d
 
 
 def compare(path_a, path_b):
-    """Worst relative difference per record name of two dumps; 1 when a
-    line differs in more than its numbers or is in one dump only."""
+    """Worst relative and absolute difference per record name of two
+    dumps; 1 when a line differs in more than its numbers or is in one
+    dump only."""
     a, b = _records(path_a), _records(path_b)
     worst, differ = {}, []
     for key in list(a) + [k for k in b if k not in a]:
@@ -152,10 +157,13 @@ def compare(path_a, path_b):
         if _NUMBER.sub("#", ra) != _NUMBER.sub("#", rb) or len(na) != len(nb):
             differ.append((key, a[key], b[key]))
             continue
-        worst[group] = max([worst.get(group, 0.0)]
-                           + [_rel(x, y) for x, y in zip(na, nb)])
-    for group, rel in worst.items():
-        print(f"{group}: worst relative difference {rel:.3e}")
+        rel, dif = worst.get(group, (0.0, 0.0))
+        for r, d in (_diff(x, y) for x, y in zip(na, nb)):
+            rel, dif = max(rel, r), max(dif, d)
+        worst[group] = rel, dif
+    for group, (rel, dif) in worst.items():
+        print(f"{group}: worst relative difference {rel:.3e}, absolute "
+              f"{dif:.3e}")
     print(f"{len(differ)} lines differ in more than their numbers")
     for (key, _), ra, rb in differ:
         print(f"- {key} {ra[1] if ra else '(missing)'}")
