@@ -22,9 +22,11 @@ the integrand stays finite up to and including the vacuum end, a
 fractional-power point in u.  It is fitted on adaptive Chebyshev panels in
 u, refined geometrically toward vacuum, and integrated term by term, so
 sigma(u) is a stored series and the ray theta(u) = sigma + arcsin(c/q) is
-monotone in u wherever p_tautau keeps one sign.  The ray is tabulated at
-the panel nodes once, oriented to rise with u; a ray, or a flow angle, is
-mapped back to u by bisection on that table and safeguarded Newton steps.
+monotone in u wherever p_tautau keeps one sign.  Every fan state at a
+volume, (q, sigma, ray), comes from _Turning.at_volume.  The ray is
+tabulated at the panel nodes once, oriented to rise with u; a ray, or a
+flow angle, is mapped back to u by bisection on that table and
+safeguarded Newton steps.
 integrate_fan builds a fan from its foot to an end volume and stops short
 of the inflection window of the isentrope, p_tautau <= 0, which is
 6 psi >= gamma (gamma+1) S with psi = (tau-1)^(gamma+2)/tau^4 unimodal
@@ -276,17 +278,26 @@ class _Turning:
     def _lower_edges(self):
         return [m - h for m, h, _, _ in self.panels]
 
-    def sigma_at(self, u):
-        """sigma at u, a float or an array, by Clenshaw on the panel
-        holding each u."""
-        if isinstance(u, float):
+    def at_volume(self, tau):
+        """(q, sigma, ray) at the volume tau, a float (inf: vacuum) or an
+        array: sigma by Clenshaw on the panel holding u = tau^-k, q and the
+        Mach angle from _forms.  Raises "sonic-degeneracy" where a float
+        volume has c > q; an array gives NaN there."""
+        u = tau ** -self.k
+        xp = math if isinstance(tau, float) else np
+        if xp is math:
             p = max(bisect_right(self._lower_edges, u) - 1, 0)
             mid, hw, c0, rest = self.panels[p]
         else:
             p = np.searchsorted(self._lower_edges, u, "right").clip(1) - 1
             mid, hw, c0, rest = (np.array(col)[p] for col in zip(*self.panels))
             rest = rest.T       # one row per coefficient, one column per u
-        return _clenshaw(c0, rest, (u - mid) / hw)
+        sigma = _clenshaw(c0, rest, (u - mid) / hw)
+        c_u2, q2, _ = _forms(-xp.log(tau), self.pgas, xp)
+        sin_a = xp.sqrt(c_u2 / q2) * u
+        if xp is math and not sin_a <= 1.0:
+            raise ValueError(f"sonic-degeneracy: c/q={sin_a} at tau={tau}")
+        return xp.sqrt(q2), sigma, sigma + xp.asin(sin_a)
 
     def ray(self, theta):
         """(q, tau, sigma) on the ray theta, between the fan's two ends."""
@@ -299,12 +310,13 @@ class FanSolution:
     Centered fan from the head ray theta_start down to theta_end on its
     isentrope pgas, any PotentialGas: the fan sector of both systems,
     vacuum-referenced from integrate_fan and on the ramp model from
-    wavecurves.RampWaveContext.fan.  A ray at or below theta_end takes the
-    end state, any other ray within 1e-12 (1 + |theta|) of theta_start the
-    head state, and a ray in between is mapped to the volume variable by the
-    stored turning series (_Turning.ray), with q and tau in closed form, so
-    the Bernoulli law and the ray tangency hold on every ray.  slip_line
-    ends the same series at a wall.
+    wavecurves.RampWaveContext.fan.  Its head ray is the breakpoint it
+    starts on, its end state the series' own.  A ray at or below theta_end
+    takes the end state, any other ray within 1e-12 (1 + |theta|) of
+    theta_start the head state, and a ray in between is mapped to the
+    volume variable by the stored turning series (_Turning.ray), with q and
+    tau in closed form, so the Bernoulli law and the ray tangency hold on
+    every ray.
     """
 
     def __init__(self, theta_start, theta_end, pgas, foot, end, turning=None):
@@ -369,12 +381,12 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
     is the u-integral of the module docstring on adaptive Chebyshev
     panels.  The data must be centered (theta0 = sigma0 + arcsin(c0/q0))
     and supersonic.  Raises "subsonic-thermo" (thermo.sound_speed) when
-    the foot or the end lies outside the hyperbolic region (p_tau >= 0),
-    "sonic-degeneracy" for a foot at or below sonic, "not-centered",
-    "inflection-hit" when [tau0, tau_end] meets the inflection window of
-    the isentrope (tested in closed form, see the module docstring), and
-    "no-convergence" when tau_end lies behind the foot or the panels
-    exceed MAX_PANELS.
+    the foot lies outside the hyperbolic region (p_tau >= 0),
+    "sonic-degeneracy" for a foot at or below sonic or a fan that reaches
+    sound or leaves that region, "not-centered", "inflection-hit" when
+    [tau0, tau_end] meets the inflection window of the isentrope (tested
+    in closed form, see the module docstring), and "no-convergence" when
+    tau_end lies behind the foot or the panels exceed MAX_PANELS.
     """
     c0 = sound_speed(tau0, S0, gas)
     if q0 <= c0:
@@ -402,12 +414,9 @@ def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):
             f"window at tau={tau_near}")
 
     tr = _Turning(tau0, tau_end, sigma0, pgas)
-    theta_end = sigma_end = tr.sigmas[0]
-    q_end = math.sqrt(2.0 * (pgas.bernoulli - pgas.h(tau_end)))
-    if not math.isinf(tau_end):
-        theta_end += math.asin(pgas.c(tau_end) / q_end)
-    end = (q_end, tau_end, sigma_end)
-    return FanSolution(theta0, theta_end, pgas, foot, end, tr)
+    q_end, sigma_end, theta_end = tr.at_volume(tau_end)
+    return FanSolution(theta0, theta_end, pgas, foot,
+                       (q_end, tau_end, sigma_end), tr)
 
 
 # ---------------------------------------------------------------------------

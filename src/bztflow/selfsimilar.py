@@ -134,8 +134,8 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
     Walls steeper than the total available turning produce a cavitation
     sector instead of a slip line.  A failure inside a stage is re-raised
     with the stage's prefix, chained to the inner coded error:
-    "leading-fan: " and "trailing-fan: " (fan.integrate_fan and
-    FanSolution.slip_line), "embedded-shock: " (the double-sonic jump).
+    "leading-fan: " and "trailing-fan: " (fan.integrate_fan),
+    "embedded-shock: " (the double-sonic jump).
     """
     S_star, _, S_cr = critical_entropies(gas)
     clauses = []
@@ -193,10 +193,8 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
             "tau_d": tau_d, "alpha0": alpha0, "phi_d": phi_d,
             "sigma_d": sigma_d, "alpha_v": alpha_v}
     if theta_w > alpha_v:
-        try:
-            right = right.slip_line(theta_w)
-        except ValueError as exc:
-            raise ValueError(f"trailing-fan: {exc}") from exc
+        # theta_w in (alpha_v, sigma_d): the trailing fan's flow directions
+        right = right.slip_line(theta_w)
         alpha_end = meta["alpha_w"] = right.theta_end
         q_w, tau_w, _, _ = right.state(alpha_end)
         # the wall state keeps the slip speed and volume and is aligned

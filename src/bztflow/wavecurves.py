@@ -30,9 +30,9 @@ deflection range of a state and the wall solves on it
 (`solve_potential_sfs`, which takes its context from the branch) reuse
 one build of the branch and one `ramp_context`, which carries P's
 classified head shock (`RampWaveContext.head`) and whose attached fan is a
-turning series built on first use (`RampWaveContext.turning`).  The fan
-sector of a ramp solution is `RampWaveContext.fan`, a `fan.FanSolution` on
-that series, the type the Euler fans have.
+turning series built on first use (`RampWaveContext.turning`).  Every fan
+state is that series' own, and the fan sector of a ramp solution is
+`RampWaveContext.fan`, a `fan.FanSolution` on it, as the Euler fans are.
 """
 
 import functools
@@ -82,8 +82,8 @@ def _normal_speed(tau_f, tau_b, pgas):
 @dataclass(frozen=True)
 class RampWaveContext:
     """Quantities shared by the four branches of one incoming state; `head`
-    is the classified post-sonic head shock from (u0, 0) to P, and P is its
-    back state `head.back`."""
+    is the classified post-sonic head shock from (u0, 0) to P = `head.back`,
+    and every fan state is that of the attached fan's series `turning`."""
 
     u0: float
     tau0: float
@@ -120,35 +120,20 @@ class RampWaveContext:
         return tr
 
     def fan_state(self, tau, xp=math):
-        """(u, v, alpha_hat) on the fan branch at volume tau: sigma_hat from
-        the stored series, the speed from the Bernoulli law.  `xp` is math
-        for scalars or numpy for arrays.  Raises "sonic-degeneracy" on the
-        math path where the speed does not clear the sound speed."""
-        pg = self.pgas
-        tr = self.turning
-        sigma_hat = tr.sigma_at(tau**-tr.k)
-        q2 = 2.0 * (pg.bernoulli - pg.h(tau))
-        if xp is math:
-            c = pg.c(tau)
-            if not c * c < q2:
-                raise ValueError(
-                    f"sonic-degeneracy: q^2={q2} not above c^2={c * c} "
-                    f"on the fan at tau={tau}")
-        else:
-            c = tau * xp.sqrt(-pg.p_tau(tau))
-        q_hat = xp.sqrt(q2)
-        return q_hat * xp.cos(sigma_hat), q_hat * xp.sin(sigma_hat), \
-            sigma_hat + xp.asin(c / q_hat)
+        """(u, v, alpha_hat) on the fan branch at volume tau: the series'
+        state there (fan._Turning.at_volume, "sonic-degeneracy" where c > q).
+        `xp` is math for scalars or numpy for arrays."""
+        q_hat, sigma_hat, alpha_hat = self.turning.at_volume(tau)
+        return q_hat * xp.cos(sigma_hat), q_hat * xp.sin(sigma_hat), alpha_hat
 
     def fan(self, tail):
         """The attached fan as a FanSolution on the stored series and the
-        ramp model, from its head at P = head.back down to the front of the
-        tail shock `tail` (wall_tail_shock), whose inclination is the fan's
-        last ray."""
-        foot, front = self.head.back, tail.front
-        alpha_head = foot.sigma + math.asin(self.pgas.c(foot.tau) / foot.q)
-        return FanSolution(alpha_head, tail.phi, self.pgas,
-                           (foot.q, foot.tau, foot.sigma),
+        ramp model, from the head shock's ray at P = head.back down to the
+        front of the tail shock `tail` (wall_tail_shock), whose inclination
+        is the fan's last ray."""
+        P, front = self.head.back, tail.front
+        return FanSolution(self.head.phi, tail.phi, self.pgas,
+                           (P.q, P.tau, P.sigma),
                            (front.q, front.tau, front.sigma), self.turning)
 
     @functools.cached_property

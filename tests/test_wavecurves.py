@@ -276,15 +276,18 @@ def test_composite_samples_match_the_evaluator(case):
 
 
 def test_composite_build_fails_as_the_scalar_path(pgas, monkeypatch):
-    # a context whose model's Bernoulli constant is lowered, so that its
-    # speeds fall below sound, under the fan series of the true one: where
-    # the array pass meets c > q, the build raises the scalar path's error
+    # a model whose Bernoulli constant is lowered by 0.0215, between the
+    # true model's (q^2 - c^2)/2 at P (0.0211) and at tau1_i (0.0220): its
+    # speeds fall below sound near P, so its own series fails there, and
+    # one built on the lower quarter of the window meets c > q when read
+    # above its end.  Where the array pass meets c > q, the build raises
+    # the scalar path's error
     ctx = wc.ramp_context(U0, TAU0, pgas)
-    slow = replace(ctx, pgas=replace(pgas, bernoulli=pgas.bernoulli - 0.05))
-    # its own series meets q < c at its foot
+    slow = replace(ctx, pgas=replace(pgas, bernoulli=pgas.bernoulli - 0.0215))
     with pytest.raises(ValueError, match="^sonic-degeneracy: q reached c"):
         slow.turning
-    slow.__dict__["turning"] = ctx.turning
+    slow.__dict__["turning"] = fan._Turning(
+        ctx.tau1_i, 0.75 * ctx.tau1_i + 0.25 * ctx.tau_po, 0.0, slow.pgas)
     grid = wc._graded_grid(ctx.tau1_i, ctx.tau_po)
     with pytest.raises(ValueError) as scalar:
         for t in grid.tolist():

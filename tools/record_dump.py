@@ -20,11 +20,12 @@ shows as a changed line.  To see how far two dumps differ,
 
 pairs their lines by `WORKLOAD SEED INDEX NAME`, prints for each record
 name (wall fractions shown as `*`) the worst relative and the worst
-absolute difference of its numbers (a number near zero, such as a clamped
-rate or a rounding-level residual, can read a large relative difference
-on a tiny absolute one), and lists every line whose other tokens differ
-(error codes, shock kinds, booleans) or that only one dump has.  It exits
-1 when it lists a line.
+absolute difference of its numbers, each with the pair of numbers it
+came from (a number near zero, such as a clamped rate or a rounding-level
+residual, can read a large relative difference on a tiny absolute one,
+and a large number a large absolute difference on a tiny relative one),
+and lists every line whose other tokens differ (error codes, shock kinds,
+booleans) or that only one dump has.  It exits 1 when it lists a line.
 """
 
 import collections
@@ -144,8 +145,8 @@ def _diff(a, b):
 
 def compare(path_a, path_b):
     """Worst relative and absolute difference per record name of two
-    dumps; 1 when a line differs in more than its numbers or is in one
-    dump only."""
+    dumps, each with its pair of numbers; 1 when a line differs in more
+    than its numbers or is in one dump only."""
     a, b = _records(path_a), _records(path_b)
     worst, differ = {}, []
     for key in list(a) + [k for k in b if k not in a]:
@@ -157,13 +158,18 @@ def compare(path_a, path_b):
         if _NUMBER.sub("#", ra) != _NUMBER.sub("#", rb) or len(na) != len(nb):
             differ.append((key, a[key], b[key]))
             continue
-        rel, dif = worst.get(group, (0.0, 0.0))
-        for r, d in (_diff(x, y) for x, y in zip(na, nb)):
-            rel, dif = max(rel, r), max(dif, d)
+        # (difference, number in A, number in B), relative and absolute
+        rel, dif = worst.get(group, ((0.0, "-", "-"), (0.0, "-", "-")))
+        for x, y in zip(na, nb):
+            r, d = _diff(x, y)
+            if r > rel[0]:
+                rel = r, x, y
+            if d > dif[0]:
+                dif = d, x, y
         worst[group] = rel, dif
-    for group, (rel, dif) in worst.items():
-        print(f"{group}: worst relative difference {rel:.3e}, absolute "
-              f"{dif:.3e}")
+    for group, ((rel, xr, yr), (dif, xd, yd)) in worst.items():
+        print(f"{group}: worst relative difference {rel:.3e} ({xr} vs "
+              f"{yr}), absolute {dif:.3e} ({xd} vs {yd})")
     print(f"{len(differ)} lines differ in more than their numbers")
     for (key, _), ra, rb in differ:
         print(f"- {key} {ra[1] if ra else '(missing)'}")
