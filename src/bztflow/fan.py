@@ -24,9 +24,9 @@ u, refined geometrically toward vacuum, and integrated term by term, so
 sigma(u) is a stored series and the ray theta(u) = sigma + arcsin(c/q) is
 monotone in u wherever p_tautau keeps one sign.  Every fan state at a
 volume, (q, sigma, ray), comes from _Turning.at_volume.  The ray is
-tabulated at the panel nodes once, oriented to rise with u; a ray, or a
-flow angle, is mapped back to u by bisection on that table and
-safeguarded Newton steps.
+tabulated at the panel nodes once, oriented to rise with u; every fan
+state on a ray, or at a flow angle, comes from _Turning.solve: bisection
+on that table, then safeguarded Newton steps of one _forms call each.
 integrate_fan builds a fan from its foot to an end volume and stops short
 of the inflection window of the isentrope, p_tautau <= 0, which is
 6 psi >= gamma (gamma+1) S with psi = (tau-1)^(gamma+2)/tau^4 unimodal
@@ -110,10 +110,6 @@ def _forms(lw, pgas, xp):
     return c_u2, 2.0 * (pgas.bernoulli - pgas.h_ref - h), P
 
 
-def _tau_of(lw):
-    return math.exp(-lw) if lw > -700.0 else math.inf
-
-
 def _clenshaw(c0, rest, x):
     """sum c_k T_k(x) with rest = (c_n, ..., c_1)."""
     b1 = b2 = 0.0
@@ -128,7 +124,8 @@ class _Turning:
     Chebyshev panels from tau_lo, where sigma = sigma0, to tau_hi (u = 0
     for inf), with sigma and the ray tabulated at the panel nodes, the ray
     as sign * theta so that it rises with u (sign -1 inside the inflection
-    window).  A point is addressed as (panel p, x) with u = mid_p + hw_p x.
+    window).  A point is addressed as (panel p, x) with u = mid_p + hw_p x:
+    at_volume reads the state at a volume, solve at a ray or flow angle.
     Each round evaluates every pending panel at once and splits the failing
     ones (see PANEL_POINTS); an accepted panel keeps its node values from
     that round, so every node is evaluated once."""
@@ -209,32 +206,19 @@ class _Turning:
         self.panels = list(zip(mid.tolist(), hw.tolist(), G[:, 0].tolist(),
                                G[:, :0:-1].tolist()))
 
-    def point(self, p, x):
-        """(sigma, theta, dsigma/du, dtheta/du, q^2, log w) at x on panel
-        p."""
-        k = self.k
-        mid, hw, c0, rest = self.panels[p]
-        u = mid + hw * x
-        lw = math.log(u) / k if u > 0.0 else -math.inf
-        c_u2, q2, P = _forms(lw, self.pgas, math)
-        m2 = max(q2 - c_u2 * u * u, 0.0)
-        root = math.sqrt(c_u2 * m2)
-        sigma = _clenshaw(c0, rest, x)
-        theta = sigma + math.asin(min(math.sqrt(c_u2 / q2) * u, 1.0))
-        dtheta = P / (2.0 * k * root) if root > 0.0 else math.inf
-        return sigma, theta, root / (k * q2), dtheta, q2, lw
-
     def solve(self, target, col):
-        """point() where its column col (0: sigma, 1: the ray theta) equals
-        target.  The search runs on that column's node table, which rises
-        with u: sigma, or the ray times self.sign, so target and the values
-        read from point() are multiplied by the same sign."""
+        """(q, tau, sigma, theta) of the Newton iterate that stops where
+        column col (0: the flow angle sigma, 1: the ray theta) meets target.
+        The search runs on that column's node table, which rises with u:
+        sigma, or the ray times self.sign, so target and each iterate's
+        value and slope carry the same sign.  An iterate at x on panel p
+        evaluates _forms, the Clenshaw sigma and the Mach angle once."""
         values, slopes, sign = ((self.rays, self.ray_slopes, self.sign)
                                 if col else (self.sigmas, self.rates, 1.0))
         target = sign * target
         i = min(max(bisect_right(values, target) - 1, 0), len(values) - 2)
         p, j = divmod(i, _M)
-        hw = self.panels[p][1]
+        k, (mid, hw, c0, rest) = self.k, self.panels[p]
         lo, hi = _XS[j], _XS[j + 1]
         v_lo, v_hi = values[i], values[i + 1]
         s_lo, s_hi = slopes[i] * hw, slopes[i + 1] * hw
@@ -253,19 +237,32 @@ class _Turning:
         v_tol = 1e-14 * (1.0 + abs(target))
         x_tol = 1e-13 * (hi - lo) + 4e-16
         for _ in range(NEWTON_STEPS):
-            pt = self.point(p, x)
-            value, slope = sign * pt[col], sign * pt[col + 2]
-            if value < target:
-                lo = x
+            u = mid + hw * x
+            lw = math.log(u) / k if u > 0.0 else -math.inf
+            c_u2, q2, P = _forms(lw, self.pgas, math)
+            root = math.sqrt(c_u2 * max(q2 - c_u2 * u * u, 0.0))
+            sigma = _clenshaw(c0, rest, x)
+            theta = sigma + math.asin(min(math.sqrt(c_u2 / q2) * u, 1.0))
+            if col:
+                dtheta = P / (2.0 * k * root) if root > 0.0 else math.inf
+                value, slope = sign * theta, sign * dtheta
             else:
-                hi = x
+                value, slope = sigma, root / (k * q2)
+            if value < target:
+                lo, v_lo = x, value
+            else:
+                hi, v_hi = x, value
             step = (target - value) / (slope * hw) if slope > 0.0 else 0.0
             if abs(step) <= x_tol or abs(target - value) <= v_tol:
                 break
             x += step
             if not lo < x < hi:
-                x = 0.5 * (lo + hi)
-        return pt
+                # false position on the bracket: the Hermite start next to
+                # the root is one end, so the midpoint would lie far from it
+                t = (target - v_lo) / (v_hi - v_lo) if v_hi > v_lo else 0.5
+                x = lo + min(max(t, 0.0), 1.0) * (hi - lo)
+        tau = math.exp(-lw) if lw > -700.0 else math.inf
+        return math.sqrt(q2), tau, sigma, theta
 
     def shift(self, d):
         """Add d to sigma and to every ray (a change of the anchor)."""
@@ -299,11 +296,6 @@ class _Turning:
             raise ValueError(f"sonic-degeneracy: c/q={sin_a} at tau={tau}")
         return xp.sqrt(q2), sigma, sigma + xp.asin(sin_a)
 
-    def ray(self, theta):
-        """(q, tau, sigma) on the ray theta, between the fan's two ends."""
-        sigma, _, _, _, q2, lw = self.solve(theta, 1)
-        return math.sqrt(q2), _tau_of(lw), sigma
-
 
 class FanSolution:
     """
@@ -313,10 +305,10 @@ class FanSolution:
     wavecurves.RampWaveContext.fan.  Its head ray is the breakpoint it
     starts on, its end state the series' own.  A ray at or below theta_end
     takes the end state, any other ray within 1e-12 (1 + |theta|) of
-    theta_start the head state, and a ray in between is mapped to the
-    volume variable by the stored turning series (_Turning.ray), with q and
-    tau in closed form, so the Bernoulli law and the ray tangency hold on
-    every ray.
+    theta_start the head state, and a ray in between the state the Newton
+    solve on the turning series stops on (_Turning.solve, as for a slip
+    line's end), with q and tau in closed form, so the Bernoulli law and
+    the ray tangency hold on every ray.
     """
 
     def __init__(self, theta_start, theta_end, pgas, foot, end, turning=None):
@@ -337,7 +329,7 @@ class FanSolution:
         if (self._turning is None
                 or theta >= self.theta_start - 1e-12 * (1.0 + abs(theta))):
             return self._foot
-        return self._turning.ray(theta)
+        return self._turning.solve(theta, 1)[:3]
 
     def state(self, theta):
         """(q, tau, sigma, S) on the ray theta."""
@@ -365,9 +357,9 @@ class FanSolution:
             raise ValueError(
                 f"no-convergence: slip line theta_w={theta_w} outside the "
                 f"fan's flow directions [{sigma_end}, {sigma0}]")
-        sigma, theta, _, _, q2, lw = tr.solve(theta_w, 0)
+        q, tau, sigma, theta = tr.solve(theta_w, 0)
         return FanSolution(self.theta_start, theta, self.pgas, self._foot,
-                           (math.sqrt(q2), _tau_of(lw), sigma), tr)
+                           (q, tau, sigma), tr)
 
 
 def integrate_fan(q0, tau0, sigma0, S0, theta0, tau_end, gas):

@@ -14,6 +14,7 @@ from oracles.literals import (
     TAU_PO_POTENTIAL,
 )
 from reference import turning
+from test_selfsimilar import _euler_sol, _potential_sol, _vacuum_sol
 
 
 def upstream_state(mach=2.0, tau0=4.9):
@@ -411,6 +412,109 @@ def test_finite_fixture_fans_take_one_refinement_round(build, panels,
     rounds = count_rounds(monkeypatch)
     assert len(build().panels) == panels
     assert rounds == [panels]
+
+
+def count_evaluations(monkeypatch):
+    """A list that gains one entry per scalar call of fan._forms: each
+    Newton iterate of a fan query is one."""
+    calls = []
+    forms = fan._forms
+
+    def counted(lw, pgas, xp):
+        if xp is math:
+            calls.append(lw)
+        return forms(lw, pgas, xp)
+
+    monkeypatch.setattr(fan, "_forms", counted)
+    return calls
+
+
+# fractions of a fan's rays, or of its flow directions, that the query
+# tests ask for; the outer ones sit next to the ends of the node tables
+QUERY_FRACTIONS = (1e-9, 1e-4, 0.02, 0.25, 0.5, 0.75, 0.98, 1 - 1e-4,
+                   1 - 1e-9)
+
+
+def fixture_fans():
+    """Every fan of the expansion, cavitation and compression fixtures."""
+    return [piece.fan for sol in (_euler_sol(), _vacuum_sol(),
+                                  _potential_sol())
+            for piece in sol.pieces if piece.kind == "fan"]
+
+
+def trailing_fans_to_vacuum():
+    """(solution, trailing fan before its wall cuts it) of the expansion and
+    cavitation fixtures, built as solve_euler_fsf builds it."""
+    for sol in (_euler_sol(), _vacuum_sol()):
+        back = sol.shocks[0][1].back
+        yield sol, fan.integrate_fan(back.q, back.tau, back.sigma, back.S,
+                                     sol.meta["phi_d"], math.inf,
+                                     sol.meta["gas"])
+
+
+def test_fan_queries_take_few_newton_iterates(monkeypatch):
+    # one _forms call per Newton iterate: the Hermite start leaves most
+    # queries one step, and the counts are deterministic, so a change to
+    # the start, the steps or the stopping tests shows here first
+    fans = fixture_fans()
+    walls = []
+    for sol, full in trailing_fans_to_vacuum():
+        s0, s_end = (full.state(t)[2] for t in (full.theta_start,
+                                                 full.theta_end))
+        if sol.theta_w > s_end:
+            walls.append((full, sol.theta_w))     # a slip-line wall
+        walls += [(full, s0 - f * (s0 - s_end)) for f in QUERY_FRACTIONS]
+    calls = count_evaluations(monkeypatch)
+    on_rays, on_walls, cuts = [], [], []
+    for fs in fans:
+        for f in QUERY_FRACTIONS:
+            n = len(calls)
+            fs.state_at(fs.theta_start - f * (fs.theta_start - fs.theta_end))
+            on_rays.append(len(calls) - n)
+    for full, theta_w in walls:
+        n = len(calls)
+        cuts.append(full.slip_line(theta_w))
+        on_walls.append(len(calls) - n)
+    # the first wall is the expansion fixture's own
+    assert cuts[0].theta_end == _euler_sol().meta["alpha_w"]
+    assert max(on_rays + on_walls) <= fan.NEWTON_STEPS
+    assert (len(on_rays), sum(on_rays)) == (45, 75)
+    assert (len(on_walls), sum(on_walls)) == (19, 32)
+
+
+def solve_ray_with_slope_scaled(monkeypatch, turning, theta, scale):
+    """(turning.solve(theta, 1), iterates taken) with P, and so the ray
+    slope, scaled by `scale` in the first iterate."""
+    calls = []
+    forms = fan._forms
+
+    def tampered(lw, pgas, xp):
+        c_u2, q2, P = forms(lw, pgas, xp)
+        calls.append(lw)
+        return c_u2, q2, P * scale if len(calls) == 1 else P
+
+    with monkeypatch.context() as m:
+        m.setattr(fan, "_forms", tampered)
+        return turning.solve(theta, 1), len(calls)
+
+
+@pytest.mark.parametrize("frac", [0.25, 0.5, 0.75])
+def test_a_newton_step_out_of_its_bracket_still_converges(frac,
+                                                         monkeypatch):
+    # the first iterate keeps its value and its bracket, but its slope is
+    # scaled by 1e-15 and its step grows by 1e15: the untampered query
+    # takes a second iterate, so that step was above x_tol, more than
+    # 1e-13 of the node interval, and the tampered step leaves the bracket
+    for fs in fixture_fans():
+        theta = fs.theta_start - frac * (fs.theta_start - fs.theta_end)
+        ref, n_ref = solve_ray_with_slope_scaled(monkeypatch, fs._turning,
+                                                 theta, 1.0)
+        got, n_got = solve_ray_with_slope_scaled(monkeypatch, fs._turning,
+                                                 theta, 1e-15)
+        assert n_ref >= 2
+        assert n_got < fan.NEWTON_STEPS
+        assert abs(got[3] - theta) <= 1e-14 * (1.0 + abs(theta))
+        assert got[:3] == pytest.approx(ref[:3], rel=1e-12)
 
 
 def mpmath_fan_end(q0, tau0, sigma0, tau_end, S, gamma):
