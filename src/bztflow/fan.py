@@ -278,8 +278,8 @@ class _Turning:
     def at_volume(self, tau):
         """(q, sigma, ray) at the volume tau, a float (inf: vacuum) or an
         array: sigma by Clenshaw on the panel holding u = tau^-k, q and the
-        Mach angle from _forms.  Raises "sonic-degeneracy" where a float
-        volume has c > q; an array gives NaN there."""
+        Mach angle from _forms.  Raises "sonic-degeneracy" where a volume
+        has c > q (the largest c/q of an array)."""
         u = tau ** -self.k
         xp = math if isinstance(tau, float) else np
         if xp is math:
@@ -292,8 +292,10 @@ class _Turning:
         sigma = _clenshaw(c0, rest, (u - mid) / hw)
         c_u2, q2, _ = _forms(-xp.log(tau), self.pgas, xp)
         sin_a = xp.sqrt(c_u2 / q2) * u
-        if xp is math and not sin_a <= 1.0:
-            raise ValueError(f"sonic-degeneracy: c/q={sin_a} at tau={tau}")
+        a_max = sin_a if xp is math else sin_a.max()
+        if not a_max <= 1.0:
+            raise ValueError(f"sonic-degeneracy: c/q={a_max} at tau="
+                             f"{tau if xp is math else tau[sin_a.argmax()]}")
         return xp.sqrt(q2), sigma, sigma + xp.asin(sin_a)
 
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from .thermo import (GasModel, PotentialGas, critical_entropies, enthalpy,
                      front_locus_volume, sound_speed)
 from .shocks import (SONIC_SIDES, FlowState, double_sonic_back_state,
-                     liu_condition_check, oblique_back_velocity,
-                     oblique_shock, rh_residuals_euler,
+                     liu_condition_check, oblique_shock, rh_residuals_euler,
                      rh_residuals_potential)
 from .fan import FanSolution, integrate_fan, turning_chain
 from .wavecurves import shock_fan_shock_branch, wall_tail_shock
@@ -167,13 +166,11 @@ def solve_euler_fsf(u0, tau0, S0, theta_w, gas):
     front = left.state_at(phi_d)
 
     try:
-        tau_d, S_d, m_ds = double_sonic_back_state(tau_fe, gas, S_f=S0)
-        u_d, v_d = oblique_back_velocity(front.u, front.v, phi_d,
-                                         front.tau, tau_d)
+        tau_d, S_d, _ = double_sonic_back_state(tau_fe, gas, S_f=S0)
+        shock = oblique_shock(front, phi_d, tau_d, S_d, gas)
     except ValueError as exc:
         raise ValueError(f"embedded-shock: {exc}") from exc
-    back = FlowState(u_d, v_d, tau_d, S_d)
-    shock = oblique_shock(front, back, phi_d, m_ds, gas)
+    back = shock.back
 
     sigma_d = back.sigma
     if theta_w >= sigma_d:

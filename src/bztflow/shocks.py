@@ -416,10 +416,15 @@ SONIC_SIDES = {"ordinary": (), "pre_sonic": ("front",),
                "post_sonic": ("back",), "double_sonic": ("front", "back")}
 
 
-def oblique_shock(front, back, phi, m, gas):
-    """The shock from front to back at inclination phi and mass flux m,
-    with its kind from classify."""
-    shock = ObliqueShockSolution(front, back, phi, m, kind="")
+def oblique_shock(front, phi, tau_b, S_b, gas):
+    """The shock at inclination phi from the state `front` to volume tau_b
+    and entropy S_b: back velocity from oblique_back_velocity, mass flux
+    m = N_f/tau_f the front's normal speed, so that classify tests
+    sonicity relative to the shock as assembled."""
+    u, v = oblique_back_velocity(front.u, front.v, phi, front.tau, tau_b)
+    m = normal_split(front.u, front.v, phi)[1] / front.tau
+    shock = ObliqueShockSolution(front, FlowState(u, v, tau_b, S_b), phi, m,
+                                 kind="")
     return replace(shock, kind=classify(shock, gas))
 
 

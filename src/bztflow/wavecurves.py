@@ -28,10 +28,10 @@ at any parameter value, so no answer interpolates between samples.
 The composite branch of the last incoming state is memoised: the
 deflection range of a state and the wall solves on it
 (`solve_potential_sfs`, which takes its context from the branch) reuse
-one build of the branch and one `ramp_context`, which carries P's
-classified head shock (`RampWaveContext.head`) and whose attached fan is a
-turning series built on first use (`RampWaveContext.turning`).  Every fan
-state is that series' own, and the fan sector of a ramp solution is
+one build of the branch and one `ramp_context`, which carries P's head
+shock (`RampWaveContext.head`) and the attached fan's turning series, built
+on first use (`RampWaveContext.turning`).  Every fan state is that series'
+own, every shock `shocks.oblique_shock`'s; a ramp solution's fan sector is
 `RampWaveContext.fan`, a `fan.FanSolution` on it, as the Euler fans are.
 """
 
@@ -47,7 +47,6 @@ from .fan import _FIT, _X, FanSolution, _clenshaw, _Turning
 from .shocks import (
     FlowState,
     mass_flux_squared_potential,
-    normal_split,
     oblique_back_velocity,
     oblique_shock,
     post_sonic_tau_potential,
@@ -79,6 +78,20 @@ def _normal_speed(tau_f, tau_b, pgas):
     return tau_f * math.sqrt(m2)
 
 
+def _single_shock(u0, tau0, tau_b, pgas):
+    # (u, v, phi) of the single shock from (u0, 0) at tau0 to tau_b
+    if not 1.0 < tau_b < tau0:
+        raise ValueError(f"out-of-window: tau_b={tau_b} outside (1, {tau0})")
+    nf = _normal_speed(tau0, tau_b, pgas)
+    s = nf / u0
+    if s > 1.0:
+        raise ValueError(
+            f"mach-reflection-regime: u0={u0} not above the normal speed "
+            f"{nf} at tau_b={tau_b}")
+    phi = math.asin(s)
+    return (*oblique_back_velocity(u0, 0.0, phi, tau0, tau_b), phi)
+
+
 @dataclass(frozen=True)
 class RampWaveContext:
     """Quantities shared by the four branches of one incoming state; `head`
@@ -95,18 +108,7 @@ class RampWaveContext:
     def polar_state(self, tau_b):
         """(u, v, phi) of the single shock with back volume tau_b in
         (1, tau0) ("out-of-window" otherwise)."""
-        if not 1.0 < tau_b < self.tau0:
-            raise ValueError(
-                f"out-of-window: tau_b={tau_b} outside (1, {self.tau0})")
-        nf = _normal_speed(self.tau0, tau_b, self.pgas)
-        s = nf / self.u0
-        if s > 1.0:
-            raise ValueError(
-                f"mach-reflection-regime: u0={self.u0} not above the normal "
-                f"speed {nf} at tau_b={tau_b}")
-        phi = math.asin(s)
-        u, v = oblique_back_velocity(self.u0, 0.0, phi, self.tau0, tau_b)
-        return u, v, phi
+        return _single_shock(self.u0, self.tau0, tau_b, self.pgas)
 
     @functools.cached_property
     def turning(self):
@@ -188,7 +190,8 @@ def _behind_tail(u_hat, v_hat, alpha_hat, tau_f, tau_pr, xp=math):
 
 def ramp_context(u0, tau0, pgas):
     """Resolve the post-sonic point P and the window edges for (u0, tau0),
-    with P's head shock built and classified once (`RampWaveContext.head`).
+    with P's head shock built and classified once (`RampWaveContext.head`)
+    by oblique_shock at the inclination of polar_state's single-shock law.
 
     pgas must carry the isentrope and a Bernoulli constant consistent with
     the incoming state; the constant is conserved across every front, so
@@ -204,16 +207,9 @@ def ramp_context(u0, tau0, pgas):
         raise ValueError(f"subsonic: u0={u0} not above sound speed c={c0}")
     tau1_i, _ = pgas.inflection_pair
     tau_po = post_sonic_tau_potential(tau0, pgas)
-    n_po = _normal_speed(tau0, tau_po, pgas)
-    if n_po >= u0:
-        raise ValueError(
-            f"mach-reflection-regime: u0={u0} not above the normal speed "
-            f"{n_po} of the post-sonic shock")
-    phi_po = math.asin(n_po / u0)
-    back = FlowState(*oblique_back_velocity(u0, 0.0, phi_po, tau0, tau_po),
-                     tau_po, pgas.S)
-    head = oblique_shock(FlowState(u0, 0.0, tau0, pgas.S), back, phi_po,
-                         n_po / tau0, pgas.gas)
+    head = oblique_shock(FlowState(u0, 0.0, tau0, pgas.S),
+                         _single_shock(u0, tau0, tau_po, pgas)[2], tau_po,
+                         pgas.S, pgas.gas)
     return RampWaveContext(u0=u0, tau0=tau0, pgas=pgas, tau1_i=tau1_i,
                            tau_po=tau_po, head=head)
 
@@ -316,19 +312,11 @@ def _shock_fan_shock_branch(u0, tau0, pgas):
     ctx = ramp_context(u0, tau0, pgas)
     _require_supersonic_post_state(ctx)
     grid = _graded_grid(ctx.tau1_i, ctx.tau_po)
-    try:
-        # fan states first: as on the scalar path, the series is built (and
-        # fails) before any root is solved
-        with np.errstate(all="raise", under="ignore"):
-            u_hat, v_hat, alpha_hat = ctx.fan_state(grid, np)
-            tau_pr = np.array([ctx.tail_back_volume(t)
-                               for t in grid.tolist()])
-            samples = (*_behind_tail(u_hat, v_hat, alpha_hat, grid, tau_pr,
-                                     np), alpha_hat)
-    except FloatingPointError:
-        # a node outside the array pass's domain: there the scalar path
-        # raises its own error
-        samples = _sampled(ctx.tail_state, grid)
+    # fan states first: as on the scalar path, the series is built (and
+    # fails) before any root is solved
+    hat = ctx.fan_state(grid, np)
+    tau_pr = np.array([ctx.tail_back_volume(t) for t in grid.tolist()])
+    samples = (*_behind_tail(*hat, grid, tau_pr, np), hat[2])
     return _assemble((ctx.tau1_i, ctx.tau_po), grid, samples,
                      ctx.tail_state, ctx)
 
@@ -448,10 +436,10 @@ def solve_wedge_state(theta_w, branch_IJ):
 
 
 def wall_tail_shock(theta_w, branch_IJ):
-    """The tail shock of the wall at theta_w as a resolved oblique shock
-    on the branch isentrope: front on the fan branch at solve_wedge_state's
-    tau_w, front-sonic flux, from the fan state and back volume of the
-    root's last exact iterate."""
+    """The tail shock of the wall at theta_w on the branch isentrope: the
+    oblique_shock from the fan state at solve_wedge_state's tau_w, on its
+    ray alpha_hat, to the tail's back volume, both of the root's last exact
+    iterate."""
     ctx = branch_IJ.context
     if ctx is None:
         raise ValueError("no-context: branch carries no ramp context")
@@ -462,9 +450,7 @@ def wall_tail_shock(theta_w, branch_IJ):
         return (*_behind_tail(*hat, t, tau_pr), hat, tau_pr)
 
     tau_f, last = _wedge_root(theta_w, branch_IJ, tail)
-    u_b, v_b, (u_hat, v_hat, alpha_hat), tau_pr = last or tail(tau_f)
+    _, _, (u_hat, v_hat, alpha_hat), tau_pr = last or tail(tau_f)
     S = ctx.pgas.S
-    return oblique_shock(FlowState(u_hat, v_hat, tau_f, S),
-                         FlowState(u_b, v_b, tau_pr, S), alpha_hat,
-                         normal_split(u_hat, v_hat, alpha_hat)[1] / tau_f,
-                         ctx.pgas.gas)
+    return oblique_shock(FlowState(u_hat, v_hat, tau_f, S), alpha_hat, tau_pr,
+                         S, ctx.pgas.gas)

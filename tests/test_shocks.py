@@ -16,6 +16,7 @@ from oracles.literals import (
     G15, S98, TAU1_I, TAU2_I, TAU_F_E, TAU_D, S_D, TAU_F_MID_PO,
     TAU_PO_POTENTIAL,
 )
+from test_selfsimilar import _euler_sol, _potential_sol, _vacuum_sol
 
 # frozen by tests/oracles/gen_expected.py
 ETA_HAT_F_E = 2.7564058882282114
@@ -535,23 +536,11 @@ def make_euler_double_sonic_solution():
     N_f = m * TAU_F_E
     u_f = 1.3 * N_f
     phi = math.asin(N_f / u_f)
-    u_b, v_b = shocks.oblique_back_velocity(u_f, 0.0, phi, TAU_F_E, tau_b)
-    return shocks.ObliqueShockSolution(
-        front=shocks.FlowState(u_f, 0.0, TAU_F_E, S98),
-        back=shocks.FlowState(u_b, v_b, tau_b, S_b),
-        phi=phi, m=m, kind="double_sonic")
+    return shocks.oblique_shock(shocks.FlowState(u_f, 0.0, TAU_F_E, S98),
+                                phi, tau_b, S_b, G15)
 
 
-def test_euler_solution_rh_residuals():
-    sol = make_euler_double_sonic_solution()
-    for r in shocks.rh_residuals_euler(sol, G15):
-        assert abs(r) < 1e-10
-
-
-def test_classify_kinds():
-    sol = make_euler_double_sonic_solution()
-    assert shocks.classify(sol, G15) == "double_sonic"
-    # post-sonic Euler pair
+def make_euler_post_sonic_solution():
     tau_po, S_po = shocks.post_sonic_back_state_euler(
         TAU_F_MID_EULER, S98, G15)
     p_f = thermo.pressure(TAU_F_MID_EULER, S98, G15)
@@ -561,15 +550,39 @@ def test_classify_kinds():
     N_f = m * TAU_F_MID_EULER
     u_f = 1.2 * N_f
     phi = math.asin(N_f / u_f)
-    u_b, v_b = shocks.oblique_back_velocity(
-        u_f, 0.0, phi, TAU_F_MID_EULER, tau_po)
-    sol = shocks.ObliqueShockSolution(
-        front=shocks.FlowState(u_f, 0.0, TAU_F_MID_EULER, S98),
-        back=shocks.FlowState(u_b, v_b, tau_po, S_po),
-        phi=phi, m=m, kind="post_sonic")
-    assert shocks.classify(sol, G15) == "post_sonic"
+    return shocks.oblique_shock(
+        shocks.FlowState(u_f, 0.0, TAU_F_MID_EULER, S98), phi, tau_po, S_po,
+        G15)
+
+
+def test_euler_solution_rh_residuals():
+    sol = make_euler_double_sonic_solution()
     for r in shocks.rh_residuals_euler(sol, G15):
         assert abs(r) < 1e-10
+
+
+def test_classify_kinds():
+    # oblique_shock classifies the pair it assembles from the front state
+    for build, kind in ((make_euler_double_sonic_solution, "double_sonic"),
+                        (make_euler_post_sonic_solution, "post_sonic")):
+        sol = build()
+        assert sol.kind == kind
+        assert shocks.classify(sol, G15) == kind
+        for r in shocks.rh_residuals_euler(sol, G15):
+            assert abs(r) < 1e-10
+
+
+def test_oblique_shock_flux_is_the_front_normal_speed():
+    # every shock of the three solution fixtures carries m = N_f / tau_f
+    for sol in (_euler_sol(), _vacuum_sol(), _potential_sol()):
+        for _, sh in sol.shocks:
+            N_f = shocks.normal_split(sh.front.u, sh.front.v, sh.phi)[1]
+            assert sh.m == N_f / sh.front.tau
+    # a front whose normal component is not positive has no shock
+    front = shocks.FlowState(2.0, 0.0, TAU_F_E, S98)
+    for phi in (0.0, -0.3):
+        with pytest.raises(ValueError, match="^expansive-normal"):
+            shocks.oblique_shock(front, phi, TAU_D, S_D, G15)
 
 
 def test_classify_potential_pairs():

@@ -20,6 +20,7 @@ from oracles.literals import (
     V_IJ_MID, SIGMA_IJ_MID,
 )
 from reference import polar, turning
+from test_selfsimilar import ENVELOPE_POTENTIAL
 
 # frozen by tests/oracles/gen_expected.py (wavecurve fixture block)
 TAU_PR_PO = 4.940591973029187
@@ -280,8 +281,8 @@ def test_composite_build_fails_as_the_scalar_path(pgas, monkeypatch):
     # true model's (q^2 - c^2)/2 at P (0.0211) and at tau1_i (0.0220): its
     # speeds fall below sound near P, so its own series fails there, and
     # one built on the lower quarter of the window meets c > q when read
-    # above its end.  Where the array pass meets c > q, the build raises
-    # the scalar path's error
+    # above its end.  The scalar path and the array pass of the build both
+    # raise "sonic-degeneracy" there
     ctx = wc.ramp_context(U0, TAU0, pgas)
     slow = replace(ctx, pgas=replace(pgas, bernoulli=pgas.bernoulli - 0.0215))
     with pytest.raises(ValueError, match="^sonic-degeneracy: q reached c"):
@@ -289,16 +290,34 @@ def test_composite_build_fails_as_the_scalar_path(pgas, monkeypatch):
     slow.__dict__["turning"] = fan._Turning(
         ctx.tau1_i, 0.75 * ctx.tau1_i + 0.25 * ctx.tau_po, 0.0, slow.pgas)
     grid = wc._graded_grid(ctx.tau1_i, ctx.tau_po)
-    with pytest.raises(ValueError) as scalar:
+    with pytest.raises(ValueError, match="^sonic-degeneracy: "):
         for t in grid.tolist():
             slow.tail_state(t)
     monkeypatch.setattr(wc, "ramp_context", lambda *args: slow)
     monkeypatch.setattr(wc, "_require_supersonic_post_state", lambda c: None)
     wc._shock_fan_shock_branch.cache_clear()
-    with pytest.raises(ValueError) as built:
+    with pytest.raises(ValueError, match="^sonic-degeneracy: "):
         wc.shock_fan_shock_branch(U0, TAU0, pgas)
-    assert str(built.value) == str(scalar.value)
-    assert str(built.value).startswith("sonic-degeneracy:")
+
+
+@pytest.mark.parametrize("case", (None,) + ENVELOPE_POTENTIAL, ids=[
+    "fixture"] + [f"seed101-{k}" for k in range(len(ENVELOPE_POTENTIAL))])
+def test_attached_fan_is_least_supersonic_at_p(case):
+    # inside the window the fan is least supersonic at P, where
+    # _require_supersonic_post_state checks it: the Mach angle ray - sigma
+    # peaks at tau_po, so the composite build meets c > q nowhere once that
+    # check has passed
+    if case is None:
+        u0, tau0, pg = U0, TAU0, _fixture_set()["pgas"]
+    else:
+        g, S, u0, tau0, _ = case
+        pg = thermo.PotentialGas.from_state(thermo.GasModel(g), S, u0, tau0,
+                                            bernoulli=1.0)
+    ctx = wc.ramp_context(u0, tau0, pg)
+    grid = wc._graded_grid(ctx.tau1_i, ctx.tau_po)
+    _, sigma, ray = ctx.turning.at_volume(grid)
+    assert grid[-1] == ctx.tau_po
+    assert int(np.argmax(ray - sigma)) == grid.size - 1
 
 
 def count_roots(monkeypatch):

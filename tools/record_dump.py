@@ -20,12 +20,15 @@ shows as a changed line.  To see how far two dumps differ,
 
 pairs their lines by `WORKLOAD SEED INDEX NAME`, prints for each record
 name (wall fractions shown as `*`) the worst relative and the worst
-absolute difference of its numbers, each with the pair of numbers it
-came from (a number near zero, such as a clamped rate or a rounding-level
-residual, can read a large relative difference on a tiny absolute one,
-and a large number a large absolute difference on a tiny relative one),
-and lists every line whose other tokens differ (error codes, shock kinds,
-booleans) or that only one dump has.  It exits 1 when it lists a line.
+absolute difference of its numbers, each with the keyword its number is
+bound to in the repr (`at m=` for a shock's mass flux, `at 'tau_w'` for a
+(name, value) pair of `meta` or the report, none for a bare sequence) and
+the pair of numbers it came from (a number near zero, such as a clamped
+rate or a rounding-level residual, can read a large relative difference
+on a tiny absolute one, and a large number a large absolute difference on
+a tiny relative one), and lists every line whose other tokens differ
+(error codes, shock kinds, booleans) or that only one dump has.  It exits
+1 when it lists a line.
 """
 
 import collections
@@ -54,6 +57,9 @@ WALL_FRACTIONS = (0.02, 0.25, 0.75, 0.98)
 # a number of a record, not a digit of a name such as 'S0'
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)"
                      r"(?![\w.])")
+# what precedes a number bound to a keyword: `m=` of a repr's field, or
+# `('name', ` of a (name, value) pair of `meta` and `report`
+_KEYWORD = re.compile(r"(\w+)=$|\('(\w+)', $")
 # WORKLOAD SEED INDEX NAME RECORD, the record a repr or an error message
 _LINE = re.compile(r"(\S+ \S+ \S+ (.*?)) ([(\[].*|\S+Error: .*|\S+)$")
 
@@ -143,10 +149,23 @@ def _diff(a, b):
     return d / max(abs(x), abs(y)), d
 
 
+def _keyword(record, number):
+    """The keyword that `number`, a match in `record`, is bound to: " at m="
+    for a field m, " at 'm'" for a pair ('m', number), "" for none."""
+    start, end = number.span()
+    key = _KEYWORD.search(record, max(start - 64, 0), start)
+    if key and key[1]:
+        return f" at {key[1]}="
+    if key and record[end:end + 1] == ")":
+        return f" at '{key[2]}'"
+    return ""
+
+
 def compare(path_a, path_b):
     """Worst relative and absolute difference per record name of two
-    dumps, each with its pair of numbers; 1 when a line differs in more
-    than its numbers or is in one dump only."""
+    dumps, each with the keyword its number is bound to and its pair of
+    numbers; 1 when a line differs in more than its numbers or is in one
+    dump only."""
     a, b = _records(path_a), _records(path_b)
     worst, differ = {}, []
     for key in list(a) + [k for k in b if k not in a]:
@@ -154,22 +173,24 @@ def compare(path_a, path_b):
             differ.append((key, a.get(key), b.get(key)))
             continue
         (group, ra), (_, rb) = a[key], b[key]
-        na, nb = _NUMBER.findall(ra), _NUMBER.findall(rb)
+        na, nb = list(_NUMBER.finditer(ra)), _NUMBER.findall(rb)
         if _NUMBER.sub("#", ra) != _NUMBER.sub("#", rb) or len(na) != len(nb):
             differ.append((key, a[key], b[key]))
             continue
-        # (difference, number in A, number in B), relative and absolute
-        rel, dif = worst.get(group, ((0.0, "-", "-"), (0.0, "-", "-")))
-        for x, y in zip(na, nb):
+        # (difference, its keyword, number in A, number in B), relative and
+        # absolute
+        rel, dif = worst.get(group, ((0.0, "", "-", "-"),) * 2)
+        for num, y in zip(na, nb):
+            x = num[0]
             r, d = _diff(x, y)
             if r > rel[0]:
-                rel = r, x, y
+                rel = r, _keyword(ra, num), x, y
             if d > dif[0]:
-                dif = d, x, y
+                dif = d, _keyword(ra, num), x, y
         worst[group] = rel, dif
-    for group, ((rel, xr, yr), (dif, xd, yd)) in worst.items():
-        print(f"{group}: worst relative difference {rel:.3e} ({xr} vs "
-              f"{yr}), absolute {dif:.3e} ({xd} vs {yd})")
+    for group, ((rel, kr, xr, yr), (dif, kd, xd, yd)) in worst.items():
+        print(f"{group}: worst relative difference {rel:.3e}{kr} ({xr} vs "
+              f"{yr}), absolute {dif:.3e}{kd} ({xd} vs {yd})")
     print(f"{len(differ)} lines differ in more than their numbers")
     for (key, _), ra, rb in differ:
         print(f"- {key} {ra[1] if ra else '(missing)'}")
